@@ -1,16 +1,21 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 bad arguments or config, 3 numerical failure.
+Exit codes: 0 success, 2 bad arguments or config (a ``ConfigError`` or a
+plain ``ValueError`` refusing an argument), 3 numerical failure (a
+``ComputationError``, such as a ``DataError`` from a check on computed
+arrays, or numpy's ``LinAlgError``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .config import sweep_config_from_file
-from .errors import ComputationError, ConfigError, RlabError
+import numpy as np
+
+from .config import parse_floats, resolve_threads, sweep_config_from_file
+from .curves import moment_curve
+from .errors import ComputationError, ConfigError
 from .exponents import exponent_table, hyperplane_omega
 from .harness import (
     BumpFamily,
@@ -40,27 +45,20 @@ kdim: lambda,q,ell,box_volume,sum_volumes,closed_form_slope,
   min_field_ratio,field_ok,resolution,panels"""
 
 
-def _threads_default() -> int:
-    env = os.environ.get("RLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+_FLAGS = {
+    "config": dict(required=True, help="config file path"),
+    "seed": dict(type=int, default=None,
+                 help="seed for every random draw (default 0)"),
+    "out": dict(default=None, help="CSV output path (default stdout)"),
+    "threads": dict(type=int, default=None,
+                    help="threads over lambda (default RLAB_THREADS, else 1); "
+                         "output does not depend on it"),
+}
 
 
-def _add_common(sp):
-    sp.add_argument("--config", default=None, help="config file path")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None, help="CSV output path")
-    sp.add_argument("--strict", action="store_true", default=None)
-    sp.add_argument("--threads", type=int, default=None)
-
-
-def _floats_arg(text: str) -> tuple:
-    return tuple(float("inf") if t.strip() in ("inf", "oo") else float(t)
-                 for t in text.split(",") if t.strip())
+def _add_flags(sp, *names):
+    for name in names:
+        sp.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,10 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("exponents", help="print critical exponents")
     sp.add_argument("--d", type=int, required=True)
-    _add_common(sp)
 
-    sp = sub.add_parser("sweep", help="decay sweep from a config file")
-    _add_common(sp)
+    sp = sub.add_parser("sweep", help="decay sweep from a config file",
+                        description="Flags override the file's [sweep] "
+                                    "values.")
+    _add_flags(sp, "config", "seed", "out", "threads")
 
     sp = sub.add_parser("knapp", help="knapp-family excess sweep")
     sp.add_argument("--d", type=int, default=2)
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lams", default="64,128,256,512,1024")
     sp.add_argument("--qs", default="3,4")
     sp.add_argument("--ps", default="inf")
-    _add_common(sp)
+    _add_flags(sp, "out", "threads")
 
     sp = sub.add_parser("random-lower",
                         help="randomized lower-bound experiment")
@@ -95,21 +94,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-samples", type=int, default=64)
     sp.add_argument("--lams", default="256,1024,4096")
     sp.add_argument("--qs", default="3")
-    _add_common(sp)
+    _add_flags(sp, "seed", "out", "threads")
 
     sp = sub.add_parser("phase-diagram", help="excess-sign grid")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--grid-n", type=int, default=20)
-    sp.add_argument("--lam-pair", default="64,1024")
+    sp.add_argument("--lam-pair", default=None,
+                    help="two lambdas for the slopes (default 64,1024 for "
+                         "knapp, 256,1024 for random); the random family "
+                         "(delta = 0.25) needs lambda >= delta^(-2d), "
+                         "i.e. 256 at d=2")
     sp.add_argument("--family", default="knapp",
                     choices=("knapp", "random"))
-    _add_common(sp)
+    _add_flags(sp, "seed", "out", "threads")
 
     sp = sub.add_parser("hyperplane", help="hyperplane shadow coefficient")
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--normal", required=True,
                     help="comma separated components")
-    _add_common(sp)
 
     sp = sub.add_parser("kdim", help="k-dimensional graph threshold")
     sp.add_argument("--d", type=int, default=4)
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lams", default="16,32")
     sp.add_argument("--qs", default="6,7,8,9,10")
     sp.add_argument("--extent", type=float, default=0.75)
-    _add_common(sp)
+    _add_flags(sp, "out")
 
     sp = sub.add_parser("audit-measure", help="dimension audit")
     sp.add_argument("--d", type=int, default=2)
@@ -125,22 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=("sphere", "singular"))
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--resolution", type=int, default=0)
-    _add_common(sp)
+    _add_flags(sp, "seed")
     return ap
 
 
-def _overrides(args) -> dict:
-    return {"seed": args.seed, "out": args.out, "strict": args.strict,
-            "threads": args.threads}
-
-
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
-
-
-def _threads(args) -> int:
-    return _threads_default() if args.threads is None else max(1,
-                                                               args.threads)
+def _emit(res, out) -> None:
+    """Write the CSV to stdout unless the experiment wrote it to out."""
+    if out is None:
+        sys.stdout.write(res.csv_text)
 
 
 def _run(args) -> int:
@@ -156,7 +150,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "hyperplane":
-        normal = _floats_arg(args.normal)
+        normal = parse_floats(args.normal)
         omega = hyperplane_omega(normal, args.d)
         print(f"omega={omega}")
         print(f"critical line coefficient: "
@@ -164,12 +158,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "sweep":
-        if not args.config:
-            raise ConfigError("sweep needs --config FILE")
-        config = sweep_config_from_file(args.config, _overrides(args))
+        config = sweep_config_from_file(
+            args.config, {"seed": args.seed, "out": args.out,
+                          "threads": args.threads})
         res = decay_sweep(config)
-        if config.out is None:
-            sys.stdout.write(res.csv_text)
+        _emit(res, config.out)
         for (p, q), fit in sorted(res.fits.items()):
             print(f"# fit p={p} q={q}: norm_slope={fit['norm_slope']:+.5f} "
                   f"ratio_slope={fit['ratio_slope']:+.5f} "
@@ -177,17 +170,14 @@ def _run(args) -> int:
         return 0
 
     if args.command == "knapp":
-        from .curves import moment_curve
         config = SweepConfig(curve=moment_curve(args.d),
                              family=KnappFamily(t0=args.t0, rho=args.rho),
-                             lams=_floats_arg(args.lams),
-                             qs=_floats_arg(args.qs),
-                             ps=_floats_arg(args.ps),
-                             seed=_seed(args), strict=bool(args.strict),
-                             out=args.out, threads=_threads(args))
+                             lams=parse_floats(args.lams),
+                             qs=parse_floats(args.qs),
+                             ps=parse_floats(args.ps), out=args.out,
+                             threads=resolve_threads(args.threads))
         res = decay_sweep(config)
-        if config.out is None:
-            sys.stdout.write(res.csv_text)
+        _emit(res, config.out)
         for (p, q), fit in sorted(res.fits.items()):
             line = (f"# fit p={p} q={q}: "
                     f"ratio_slope={fit['ratio_slope']:+.5f}")
@@ -197,43 +187,37 @@ def _run(args) -> int:
         return 0
 
     if args.command == "random-lower":
-        from .curves import moment_curve
         config = SweepConfig(
             curve=moment_curve(args.d),
             family=RandomFamily(delta=args.delta,
                                 n_samples=args.n_samples),
-            lams=_floats_arg(args.lams), qs=_floats_arg(args.qs),
-            seed=_seed(args), strict=bool(args.strict), out=args.out,
-            threads=_threads(args))
+            lams=parse_floats(args.lams), qs=parse_floats(args.qs),
+            seed=args.seed or 0, out=args.out,
+            threads=resolve_threads(args.threads))
         res = khintchine_experiment(config)
-        if config.out is None:
-            sys.stdout.write(res.csv_text)
+        _emit(res, config.out)
         print(f"# ratio band across lambda: {res.band():.4f}")
         return 0
 
     if args.command == "phase-diagram":
-        lam_pair = _floats_arg(args.lam_pair)
         family = (KnappFamily() if args.family == "knapp"
                   else RandomFamily())
+        lam_pair = (None if args.lam_pair is None
+                    else parse_floats(args.lam_pair))
         res = phase_diagram(args.d, args.grid_n, family=family,
-                            lam_pair=lam_pair, seed=_seed(args),
-                            threads=_threads(args))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(res.csv_text)
-        else:
-            sys.stdout.write(res.csv_text)
+                            lam_pair=lam_pair, out=args.out,
+                            seed=args.seed or 0,
+                            threads=resolve_threads(args.threads))
+        _emit(res, args.out)
         print(f"# off-band cells: {res.n_off_band}  "
               f"sign agreement: {res.agreement:.4f}")
         return 0
 
     if args.command == "kdim":
-        from .curves import moment_curve
         res = kdim_experiment(args.d, args.k, moment_curve(args.d),
-                              _floats_arg(args.lams), _floats_arg(args.qs),
+                              parse_floats(args.lams), parse_floats(args.qs),
                               extent=args.extent, out=args.out)
-        if args.out is None:
-            sys.stdout.write(res.csv_text)
+        _emit(res, args.out)
         print(f"# q_critical={res.q_critical}")
         for q in sorted(res.slopes):
             print(f"# q={q}: closed-form slope {res.slopes[q]:+.5f}")
@@ -247,7 +231,7 @@ def _run(args) -> int:
             alpha = 1.5 if args.alpha is None else args.alpha
             mu = singular_alpha_measure(args.d, alpha,
                                         args.resolution or 64)
-        ratio = dimension_audit(mu, alpha, seed=_seed(args))
+        ratio = dimension_audit(mu, alpha, seed=args.seed or 0)
         print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
         return 0
 
@@ -262,12 +246,13 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ComputationError, RlabError, ValueError) as exc:
+    except (ComputationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ConfigError, ValueError) as exc:
+        # a plain ValueError is the library refusing an argument
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 """Config-file parsing for the CLI.
 
-Plain ``key = value`` text with sections [curve], [measure], [family]
-and [sweep], read through configparser.  Example::
+Plain ``key = value`` text with sections [curve], [family] and
+[sweep], read through configparser.  Example::
 
     [curve]
     kind = moment(2)
@@ -28,11 +28,6 @@ import re
 from .curves import Curve, moment_curve, monomial_curve, poly_curve
 from .errors import ConfigError
 from .harness import BumpFamily, KnappFamily, RandomFamily, SweepConfig
-from .measures import (
-    hyperplane_measure,
-    singular_alpha_measure,
-    sphere_measure,
-)
 
 _CALL = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$", re.S)
 
@@ -57,7 +52,8 @@ def parse_curve(text: str) -> Curve:
     raise ConfigError(f"unknown curve kind {head!r}")
 
 
-def _floats(text: str) -> tuple:
+def parse_floats(text: str) -> tuple:
+    """Comma (or semicolon) separated floats; 'inf' and 'oo' are infinity."""
     vals = []
     for tok in text.replace(";", ",").split(","):
         tok = tok.strip()
@@ -72,7 +68,7 @@ def parse_family(section) -> object:
     if kind == "bump":
         x0 = section.get("x0")
         return BumpFamily(
-            x0=None if x0 is None else tuple(_floats(x0)),
+            x0=None if x0 is None else tuple(parse_floats(x0)),
             eps0=section.getfloat("eps0", 1.0))
     if kind == "knapp":
         rho = section.get("rho")
@@ -84,22 +80,16 @@ def parse_family(section) -> object:
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def parse_measure(section, d: int):
-    kind = section.get("kind", "sphere").strip()
-    if kind == "sphere":
-        return sphere_measure(d, section.getint("resolution", 0))
-    if kind == "hyperplane":
-        normal = _floats(section.get("normal", ""))
-        if len(normal) != d:
-            raise ConfigError("hyperplane normal must have d entries")
-        return hyperplane_measure(normal, d,
-                                  extent=section.getfloat("extent", 1.0),
-                                  resolution=section.getint("resolution",
-                                                            256))
-    if kind == "singular":
-        return singular_alpha_measure(d, section.getfloat("alpha", 1.5),
-                                      section.getint("resolution", 64))
-    raise ConfigError(f"unknown measure kind {kind!r}")
+def resolve_threads(flag: int | None, file_value: int | None = None) -> int:
+    """Worker threads: the --threads flag, else [sweep] threads, else
+    the RLAB_THREADS environment variable, else 1."""
+    value = flag if flag is not None else file_value
+    if value is None:
+        try:
+            value = int(os.environ.get("RLAB_THREADS", ""))
+        except ValueError:
+            value = 1
+    return max(1, value)
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -123,31 +113,22 @@ def sweep_config_from_file(path: str, overrides: dict | None = None
     curve = parse_curve(parser["curve"].get("kind", ""))
     family = (parse_family(parser["family"]) if "family" in parser
               else BumpFamily())
-    sweep = parser["sweep"] if "sweep" in parser else {}
+    if "sweep" not in parser:
+        parser.add_section("sweep")
+    sweep = parser["sweep"]
 
     def pick(key, fallback):
         if overrides.get(key) is not None:
             return overrides[key]
         return fallback
 
-    if isinstance(sweep, dict):
-        lams_text, qs_text, ps_text = "", "", ""
-        seed, strict, out, threads = 0, False, None, 1
-    else:
-        lams_text = sweep.get("lams", "")
-        qs_text = sweep.get("qs", "")
-        ps_text = sweep.get("ps", "inf")
-        seed = sweep.getint("seed", 0)
-        strict = sweep.getboolean("strict", False)
-        out = sweep.get("out", None)
-        threads = sweep.getint("threads", 1)
-    lams = _floats(lams_text)
-    qs = _floats(qs_text)
-    ps = _floats(ps_text) or (math.inf,)
+    lams = parse_floats(sweep.get("lams", ""))
+    qs = parse_floats(sweep.get("qs", ""))
+    ps = parse_floats(sweep.get("ps", "inf")) or (math.inf,)
     if not lams or not qs:
         raise ConfigError("[sweep] must set lams and qs")
     return SweepConfig(curve=curve, family=family, lams=lams, qs=qs, ps=ps,
-                       seed=int(pick("seed", seed)),
-                       strict=bool(pick("strict", strict)),
-                       out=pick("out", out),
-                       threads=int(pick("threads", threads)))
+                       seed=int(pick("seed", sweep.getint("seed", 0))),
+                       out=pick("out", sweep.get("out", None)),
+                       threads=resolve_threads(overrides.get("threads"),
+                                               sweep.getint("threads", None)))

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
 ``ConfigError`` maps to CLI exit code 2 (bad arguments or config files),
-``ComputationError`` and its children map to exit code 3 (a numerical
-routine failed or refused its inputs).
+as does a plain ``ValueError``: the library raises one to refuse an
+argument.  ``ComputationError`` and its children, and numpy's
+``LinAlgError``, map to exit code 3 (a numerical routine failed).
+Checks on computed arrays raise ``DataError``, which is both.
 """
 
 
@@ -32,6 +34,14 @@ class NotFiniteTypeError(ComputationError):
 
 class MonomialFormError(ComputationError):
     """Curve component lacks the required vanishing order at zero."""
+
+
+class DataError(ComputationError, ValueError):
+    """Nodes, weights or field values failed a sanity check.
+
+    Also a ValueError, so callers that pass arrays of their own can
+    catch it as one; the CLI reports it as a numerical failure.
+    """
 
 
 class DomainError(ComputationError):

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curves import Curve
+from .curves import Curve, moment_curve
 from .errors import ComputationError, ConfigError
 from .exponents import ExponentPoint, kdim_threshold, predicted_excess, sphere_region
 from .extremal import (
@@ -29,6 +29,7 @@ from .extremal import (
     solve_stationary,
 )
 from .measures import (
+    QuadMeasure,
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
@@ -100,7 +101,6 @@ class SweepConfig:
     lams: tuple
     qs: tuple
     ps: tuple = (float("inf"),)
-    strict: bool = False
     seed: int = 0
     out: str | None = None
     threads: int = 1
@@ -135,7 +135,6 @@ class SweepRecord:
     panels: int
     witness_norm: float = 0.0    # L^q over the dual box only (knapp family)
     witness_ratio: float = 0.0
-    wall_time: float = 0.0       # never serialized: CSV must be reproducible
 
     def row(self) -> list:
         return [self.lam, self.p, self.q, self.input_norm, self.field_norm,
@@ -180,14 +179,6 @@ def _ordered_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _panel_total(phase, lam: float, f: TestFunction, mu) -> int:
-    total = 0
-    for seg in f.segments:
-        if seg.length > 0:
-            total += _segment_panel_count(phase, lam, seg, mu.nodes[:256])
-    return total
-
-
 # ----------------------------------------------------------------------
 # decay sweeps
 # ----------------------------------------------------------------------
@@ -210,6 +201,30 @@ def _build_input(config: SweepConfig, lam: float,
     raise ConfigError(f"unknown input family {fam!r}")
 
 
+@dataclass(frozen=True)
+class _Sample:
+    """One lambda of a sphere experiment: the measure, the inputs, and
+    one field per input in input order."""
+
+    lam: float
+    mu: QuadMeasure
+    inputs: list
+    fields: list
+    panels: int                  # sized on the first 256 nodes only
+
+
+def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
+    """Build the sphere measure at lambda and one field per input."""
+    d = curve.dim
+    mu = sphere_measure(d, sphere_resolution_for(d, lam))
+    fields = [field(curve, lam, f, mu) for f in inputs]
+    ext = PhaseSpec(kind="extension", curve=curve)
+    panels = sum(_segment_panel_count(ext, lam, seg, mu.nodes[:256])
+                 for f in inputs for seg in f.segments if seg.length > 0)
+    return _Sample(lam=lam, mu=mu, inputs=inputs, fields=fields,
+                   panels=panels)
+
+
 def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
     """Least-squares slope and residual RMS of a log-log cloud."""
     if logx.size < 2:
@@ -220,11 +235,33 @@ def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
     return float(coef[0]), float(np.sqrt(np.mean(resid ** 2)))
 
 
+def _sweep_fits(config: SweepConfig, records: list) -> dict:
+    """Per-(p, q) log-log slopes of the sweep records across lambda."""
+    fits = {}
+    logl = np.log(np.array(sorted(config.lams)))
+    for q in config.qs:
+        for p in config.ps:
+            sel = [r for r in records if r.q == q and r.p == p]
+            logr = np.log(np.array([r.ratio for r in sel]))
+            logn = np.log(np.array([r.field_norm for r in sel]))
+            slope_n, rms = ols_fit(logl, logn)
+            slope_r, _ = ols_fit(logl, logr)
+            fits[(p, q)] = {"norm_slope": slope_n, "ratio_slope": slope_r,
+                            "resid_rms": rms}
+            if (isinstance(config.family, KnappFamily)
+                    and all(r.witness_norm > 0 for r in sel)):
+                wr = np.log(np.array([r.witness_ratio for r in sel]))
+                slope_w, rms_w = ols_fit(logl, wr)
+                fits[(p, q)]["witness_slope"] = slope_w
+                fits[(p, q)]["witness_rms"] = rms_w
+    return fits
+
+
 @dataclass(frozen=True)
 class SweepResult:
     config: SweepConfig
     records: list
-    fits: dict                   # (p, q) -> (slope, resid_rms)
+    fits: dict                   # (p, q) -> slopes; empty for one lambda
     csv_text: str
 
 
@@ -233,6 +270,8 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
 
     The sphere grid is rebuilt at every lambda to satisfy the spacing
     rule; one field evaluation per lambda serves every (p, q) pair.
+    Slopes are fitted only when there are at least two lambda values;
+    a single lambda yields its records and empty ``fits``.
 
     Knapp inputs additionally report the witness norm: the L^q mass of
     the field over the dual box alone.  That is the quantity the box
@@ -248,11 +287,8 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     is_knapp = isinstance(config.family, KnappFamily)
 
     def run_one(lam: float):
-        mu = sphere_measure(d, sphere_resolution_for(d, lam))
-        f = _build_input(config, lam, phase)
-        vals = field(curve, lam, f, mu, strict=config.strict)
-        panels = _panel_total(PhaseSpec(kind="extension", curve=curve),
-                              lam, f, mu)
+        sample = _evaluate(curve, lam, [_build_input(config, lam, phase)])
+        mu, f, vals = sample.mu, sample.inputs[0], sample.fields[0]
         inside = None
         if is_knapp:
             fam = config.family
@@ -275,30 +311,14 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
                 recs.append(SweepRecord(
                     lam=lam, p=p, q=q, input_norm=fn, field_norm=nrm,
                     decay_exponent=s, ratio=ratio, resolution=mu.size,
-                    max_spacing=mu.max_spacing, panels=panels,
+                    max_spacing=mu.max_spacing, panels=sample.panels,
                     witness_norm=wit,
                     witness_ratio=(wit / (lam ** -s * fn)) if wit else 0.0))
         return recs
 
     nested = _ordered_map(run_one, sorted(config.lams), config.threads)
     records = [r for sub in nested for r in sub]
-
-    fits = {}
-    logl = np.log(np.array(sorted(config.lams)))
-    for q in config.qs:
-        for p in config.ps:
-            sel = [r for r in records if r.q == q and r.p == p]
-            logr = np.log(np.array([r.ratio for r in sel]))
-            logn = np.log(np.array([r.field_norm for r in sel]))
-            slope_n, rms = ols_fit(logl, logn)
-            slope_r, _ = ols_fit(logl, logr)
-            fits[(p, q)] = {"norm_slope": slope_n, "ratio_slope": slope_r,
-                            "resid_rms": rms}
-            if is_knapp and all(r.witness_norm > 0 for r in sel):
-                wr = np.log(np.array([r.witness_ratio for r in sel]))
-                slope_w, rms_w = ols_fit(logl, wr)
-                fits[(p, q)]["witness_slope"] = slope_w
-                fits[(p, q)]["witness_rms"] = rms_w
+    fits = _sweep_fits(config, records) if len(config.lams) >= 2 else {}
 
     header = [
         f"decay_sweep d={d} family={config.family.name}",
@@ -393,13 +413,9 @@ def khintchine_experiment(config: SweepConfig,
 
     def run_one(lam: float):
         part = parts[lam]
-        mu = sphere_measure(d, sphere_resolution_for(d, lam))
-        segs = [TestFunction((part.segment(k),)) for k in range(part.ell)]
-        fields = np.stack([
-            field(curve, lam, fk, mu, strict=config.strict) for fk in segs
-        ])
-        panels = sum(_panel_total(PhaseSpec(kind="extension", curve=curve),
-                                  lam, fk, mu) for fk in segs)
+        sample = _evaluate(curve, lam, [TestFunction((part.segment(k),))
+                                        for k in range(part.ell)])
+        mu, fields = sample.mu, np.stack(sample.fields)
         signs = sign_table[:, : part.ell]
         boxes = part.boxes(c)
         vol = sum(b.volume for b in boxes)
@@ -421,7 +437,7 @@ def khintchine_experiment(config: SweepConfig,
                     std_err=float(np.std(powers)
                                   / math.sqrt(fam.n_samples)),
                     lower_bound=lb, upper_chain=upper, ratio=mean / lb,
-                    resolution=mu.size, panels=panels))
+                    resolution=mu.size, panels=sample.panels))
         return recs
 
     nested = _ordered_map(run_one, lams, config.threads)
@@ -451,7 +467,7 @@ class PhaseDiagramResult:
     csv_text: str
 
 
-def phase_diagram(d: int, grid_n: int, family=None, lam_pair=(64.0, 1024.0),
+def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
                   band: float = 0.02, out=None, seed: int = 0,
                   threads: int = 1) -> PhaseDiagramResult:
     """Measured two-lambda excess slopes over the (1/p, 1/q) square.
@@ -459,17 +475,21 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=(64.0, 1024.0),
     One field per lambda serves the whole grid: only the normalization
     lambda^{-(d-1)/q} ||f||_p changes from cell to cell.  Sign agreement
     is scored against the region classification outside a band around
-    the predicted-excess zero set.
+    the predicted-excess zero set.  lam_pair defaults to (64, 1024) for
+    the Knapp family and (256, 1024) for the random one, whose default
+    delta = 1/4 needs lambda >= delta^(-2d) (256 at d = 2).
     """
     if family is None:
         family = KnappFamily()
     if not isinstance(family, (KnappFamily, RandomFamily)):
         raise ConfigError("phase_diagram supports knapp or random families")
+    if lam_pair is None:
+        lam_pair = ((256.0, 1024.0) if isinstance(family, RandomFamily)
+                    else (64.0, 1024.0))
     if len(lam_pair) != 2 or lam_pair[0] == lam_pair[1]:
         raise ConfigError("lam_pair must hold two distinct lambda values")
     if grid_n < 2:
         raise ConfigError("grid_n >= 2 required")
-    from .curves import moment_curve
 
     curve = moment_curve(d)
     region = sphere_region(d)
@@ -478,17 +498,11 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=(64.0, 1024.0),
                          ps=(2.0,), seed=seed, threads=threads)
     phase = graph_phase(curve, sphere_cap_graph(d))
 
-    data = {}
-    for lam in config.lams:
-        mu = sphere_measure(d, sphere_resolution_for(d, lam))
-        f = _build_input(config, lam, phase)
-        vals = field(curve, lam, f, mu)
-        data[lam] = (mu, f, vals)
-
+    samples = _ordered_map(
+        lambda lam: _evaluate(curve, lam, [_build_input(config, lam, phase)]),
+        config.lams, config.threads)
     lam0, lam1 = config.lams
     dlog = math.log(lam1) - math.log(lam0)
-    fam_tag = (family.name if not isinstance(family, KnappFamily)
-               else "knapp")
 
     cells = []
     n_match = 0
@@ -500,13 +514,14 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=(64.0, 1024.0),
             q = float("inf") if inv_q == 0 else float(1 / inv_q)
             p = float("inf") if inv_p == 0 else float(1 / inv_p)
             s = (d - 1) * float(inv_q)
-            ratios = []
-            for lam in (lam0, lam1):
-                mu, f, vals = data[lam]
-                nrm = lq_norm(vals, mu, q)
-                ratios.append(nrm / (lam ** -s * lp_norm(f, p)))
+            ratios = [lq_norm(sm.fields[0], sm.mu, q)
+                      / (sm.lam ** -s * lp_norm(sm.inputs[0], p))
+                      for sm in samples]
+            if not all(0 < r < math.inf for r in ratios):
+                raise ComputationError(
+                    f"ratio {ratios} at 1/p={inv_p}, 1/q={inv_q} has no log")
             measured = (math.log(ratios[1]) - math.log(ratios[0])) / dlog
-            predicted = float(predicted_excess(pt, fam_tag, d))
+            predicted = float(predicted_excess(pt, family.name, d))
             cls = region.classify(pt)
             off_band = abs(predicted) > band
             match = None
@@ -527,7 +542,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=(64.0, 1024.0),
     cols = ["inv_p", "inv_q", "class", "predicted_excess",
             "measured_excess", "off_band", "sign_match"]
     header = [
-        f"phase_diagram d={d} grid_n={grid_n} family={fam_tag}",
+        f"phase_diagram d={d} grid_n={grid_n} family={family.name}",
         f"lam_pair={_fmt(lam0)},{_fmt(lam1)} band={_fmt(band)}",
         "measured_excess = two-point slope of log ratio",
     ]

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import Curve, TypeTuple
-from .errors import DomainError, SingularMatrixError
+from .errors import DataError, DomainError, SingularMatrixError
 from .exponents import _frac
 
 _GL_CACHE: dict = {}
@@ -50,13 +50,13 @@ class QuadMeasure:
         nodes = np.ascontiguousarray(np.atleast_2d(np.asarray(self.nodes, dtype=float)))
         weights = np.ascontiguousarray(np.asarray(self.weights, dtype=float))
         if nodes.ndim != 2 or nodes.shape[1] != self.dim:
-            raise ValueError(f"nodes must be (n, {self.dim})")
+            raise DataError(f"nodes must be (n, {self.dim})")
         if weights.shape != (nodes.shape[0],):
-            raise ValueError("weights length mismatch")
+            raise DataError("weights length mismatch")
         if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
-            raise ValueError("nonfinite nodes or weights")
+            raise DataError("nonfinite nodes or weights")
         if np.any(weights <= 0):
-            raise ValueError("weights must be strictly positive")
+            raise DataError("weights must be strictly positive")
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -620,7 +620,7 @@ def _min_spacing(mu: QuadMeasure) -> float:
     dist, _ = tree.query(pts, k=2)
     positive = dist[:, 1][dist[:, 1] > 0]
     if positive.size == 0:
-        raise ValueError("degenerate node set")
+        raise DataError("degenerate node set")
     return float(np.min(positive))
 
 
@@ -638,12 +638,12 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     nodes, weights = mu.nodes, mu.weights
     n = nodes.shape[0]
     if n == 0:
-        raise ValueError("empty measure")
+        raise DataError("empty measure")
     lo_box = nodes.min(axis=0)
     hi_box = nodes.max(axis=0)
     diam = float(np.linalg.norm(hi_box - lo_box))
     if diam == 0:
-        raise ValueError("measure support has zero extent")
+        raise DataError("measure support has zero extent")
     floor = 4.0 * _min_spacing(mu) if r_floor is None else float(r_floor)
     floor = min(floor, 0.5 * diam)
     idx = rng.integers(0, n, size=n_samples)

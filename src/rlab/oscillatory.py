@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import Curve
-from .errors import ResolutionError
+from .errors import DataError, ResolutionError
 from .measures import GraphPatch, QuadMeasure, SubmanifoldPatch, gauss_legendre
 
 PANEL_CAP = 0.5 * np.pi     # max phase increment per panel
@@ -358,7 +358,7 @@ def lq_norm(values: np.ndarray, mu: QuadMeasure, q: float) -> float:
     """(integral |F|^q dmu)^{1/q}; q = inf gives the max over nodes."""
     values = np.asarray(values)
     if values.shape[0] != mu.size:
-        raise ValueError("field/measure size mismatch")
+        raise DataError("field/measure size mismatch")
     if math.isinf(q):
         return float(np.max(np.abs(values)))
     if q < 1:

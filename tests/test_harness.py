@@ -3,6 +3,7 @@
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from rlab.cli import cli_main
 from rlab.config import load_config, parse_curve, sweep_config_from_file
 from rlab.curves import moment_curve
-from rlab.errors import ComputationError, ConfigError
+from rlab.errors import ComputationError, ConfigError, DataError
 from rlab.harness import (
     BumpFamily,
     KnappFamily,
@@ -24,7 +25,7 @@ from rlab.harness import (
     phase_diagram,
     write_csv,
 )
-from rlab.measures import sphere_resolution_for
+from rlab.measures import QuadMeasure, dimension_audit, sphere_resolution_for
 
 
 def _capture(argv):
@@ -97,6 +98,9 @@ def test_decay_sweep_records_and_determinism():
         assert {"norm_slope", "ratio_slope", "resid_rms"} <= set(fit)
     again = decay_sweep(cfg)
     assert again.csv_text == res.csv_text
+    single = decay_sweep(replace(cfg, lams=(16.0,)))
+    assert single.fits == {}
+    assert single.records == res.records[:4]
 
 
 def test_knapp_sweep_witness_columns():
@@ -155,6 +159,38 @@ def test_phase_diagram_small_grid():
         phase_diagram(2, 1)
 
 
+def test_phase_diagram_random_family():
+    res = phase_diagram(2, 3, family=RandomFamily(), lam_pair=(256.0, 1024.0))
+    assert len(res.cells) == 9
+    assert "family=random" in res.csv_text
+    assert 0 < res.n_off_band <= 9
+    assert res.agreement >= 0.75
+    with pytest.raises(ValueError):     # lambda^(-1/4) > delta at 64
+        phase_diagram(2, 3, family=RandomFamily(), lam_pair=(64.0, 1024.0))
+
+
+def test_phase_diagram_unloggable_ratio(monkeypatch):
+    monkeypatch.setattr("rlab.harness.lq_norm", lambda *a: 0.0)
+    with pytest.raises(ComputationError):
+        phase_diagram(2, 2, lam_pair=(16.0, 32.0))
+
+
+@pytest.mark.parametrize("run", [
+    lambda t: decay_sweep(SweepConfig(
+        curve=moment_curve(2), family=BumpFamily(), lams=(16.0, 32.0),
+        qs=(3.0,), threads=t)),
+    lambda t: decay_sweep(SweepConfig(
+        curve=moment_curve(2), family=RandomFamily(delta=1.0),
+        lams=(16.0, 32.0), qs=(3.0,), seed=3, threads=t)),
+    lambda t: khintchine_experiment(SweepConfig(
+        curve=moment_curve(2), family=RandomFamily(delta=1.0, n_samples=32),
+        lams=(16.0, 32.0), qs=(3.0,), seed=3, threads=t)),
+    lambda t: phase_diagram(2, 3, lam_pair=(16.0, 32.0), threads=t),
+], ids=["bump", "random", "khintchine", "phase-diagram"])
+def test_thread_count_does_not_change_csv(run):
+    assert run(2).csv_text == run(1).csv_text
+
+
 def test_kdim_experiment_slopes():
     res = kdim_experiment(4, 2, moment_curve(4), (16.0, 32.0), (7.0, 8.0, 9.0))
     assert res.q_critical == 8.0
@@ -205,6 +241,20 @@ def test_sweep_config_from_file(tmp_path):
         load_config(str(tmp_path / "missing.ini"))
 
 
+def test_sweep_threads_resolution(tmp_path, monkeypatch):
+    # --threads flag > [sweep] threads > RLAB_THREADS > 1
+    base = "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 64\nqs = 3\n"
+    plain, pinned = tmp_path / "plain.ini", tmp_path / "pinned.ini"
+    plain.write_text(base)
+    pinned.write_text(base + "threads = 2\n")
+    monkeypatch.delenv("RLAB_THREADS", raising=False)
+    assert sweep_config_from_file(str(plain)).threads == 1
+    monkeypatch.setenv("RLAB_THREADS", "3")
+    assert sweep_config_from_file(str(plain)).threads == 3
+    assert sweep_config_from_file(str(pinned)).threads == 2
+    assert sweep_config_from_file(str(pinned), {"threads": 4}).threads == 4
+
+
 def test_cli_exponents_output():
     code, out, _ = _capture(["exponents", "--d", "2"])
     assert code == 0
@@ -226,16 +276,56 @@ def test_cli_error_codes():
     assert _capture(["sweep", "--config", "/nonexistent.ini"])[0] == 2
     assert _capture(["knapp", "--d", "2", "--lams", "48", "--qs", "3"])[0] == 2
     assert _capture(["exponents", "--d", "2", "--bogus-flag"])[0] == 2
+    # flags a subcommand would ignore are refused
+    assert _capture(["kdim", "--threads", "2"])[0] == 2
+    assert _capture(["exponents", "--d", "2", "--seed", "1"])[0] == 2
+    assert _capture(["knapp", "--seed", "1"])[0] == 2
+    assert _capture(["knapp", "--strict"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--d", "1"],
+    ["knapp", "--d", "1", "--lams", "16,32"],
+    ["hyperplane", "--d", "3", "--normal", "1,0"],
+    ["kdim", "--d", "4", "--k", "9"],
+    ["audit-measure", "--d", "1"],
+], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure"])
+def test_cli_refused_argument_exits_2(argv):
+    code, _, err = _capture(argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_cli_computed_data_check_exits_3(monkeypatch):
+    # a one-node measure has zero extent: a failed check on computed data
+    one_node = QuadMeasure(2, np.array([[1.0, 0.0]]), np.ones(1), alpha=1.0,
+                           provenance="test")
+    with pytest.raises(DataError) as info:
+        dimension_audit(one_node, 1.0)
+    assert isinstance(info.value, ValueError)
+    monkeypatch.setattr("rlab.cli.sphere_measure", lambda d, res: one_node)
+    code, _, err = _capture(["audit-measure", "--d", "2"])
+    assert code == 3 and err.startswith("numerical failure:")
+
+
+def test_cli_phase_diagram_random_default_lam_pair():
+    code, out, _ = _capture(["phase-diagram", "--family", "random",
+                             "--grid-n", "2"])
+    assert code == 0
+    assert "lam_pair=256,1024" in out
 
 
 def test_cli_knapp_stdout_csv():
-    code, out, _ = _capture(["knapp", "--d", "2", "--lams", "16,32",
-                             "--qs", "3"])
-    assert code == 0
-    assert out.startswith("#")
-    body = [ln for ln in out.splitlines() if not ln.startswith("#")]
-    assert body[0].split(",")[0] == "lambda"
-    assert len(body) == 3  # header + one row per lambda
+    for lams, n_lams in (("16,32", 2), ("64", 1)):
+        code, out, _ = _capture(["knapp", "--d", "2", "--lams", lams,
+                                 "--qs", "3"])
+        assert code == 0
+        assert out.startswith("#")
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert body[0].split(",")[0] == "lambda"
+        assert len(body) == 1 + n_lams  # header + one row per lambda
+        # a single lambda has no slope to fit
+        assert ("# fit" in out) == (n_lams > 1)
 
 
 def test_cli_sweep_with_config(tmp_path):
