@@ -210,7 +210,8 @@ class _Sample:
     mu: QuadMeasure
     inputs: list
     fields: list
-    panels: int                  # sized on the first 256 nodes only
+    panels: int                  # sum over input segments of the panel
+                                 # count eval_field used on its widest chunk
 
 
 def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
@@ -219,7 +220,7 @@ def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
     mu = sphere_measure(d, sphere_resolution_for(d, lam))
     fields = [field(curve, lam, f, mu) for f in inputs]
     ext = PhaseSpec(kind="extension", curve=curve)
-    panels = sum(_segment_panel_count(ext, lam, seg, mu.nodes[:256])
+    panels = sum(_segment_panel_count(ext, lam, seg, mu.nodes)
                  for f in inputs for seg in f.segments if seg.length > 0)
     return _Sample(lam=lam, mu=mu, inputs=inputs, fields=fields,
                    panels=panels)
@@ -235,6 +236,18 @@ def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
     return float(coef[0]), float(np.sqrt(np.mean(resid ** 2)))
 
 
+def _log_column(records: list, name: str) -> np.ndarray:
+    """log of one record column across lambda; a zero, negative or
+    non-finite value has no log and fails naming its lambda."""
+    for r in records:
+        v = getattr(r, name)
+        if not (0.0 < v < math.inf):
+            raise ComputationError(
+                f"{name} = {v!r} at lambda={_fmt(r.lam)} (p={_fmt(r.p)}, "
+                f"q={_fmt(r.q)}) has no log; no slope can be fitted")
+    return np.log(np.array([getattr(r, name) for r in records]))
+
+
 def _sweep_fits(config: SweepConfig, records: list) -> dict:
     """Per-(p, q) log-log slopes of the sweep records across lambda."""
     fits = {}
@@ -242,16 +255,14 @@ def _sweep_fits(config: SweepConfig, records: list) -> dict:
     for q in config.qs:
         for p in config.ps:
             sel = [r for r in records if r.q == q and r.p == p]
-            logr = np.log(np.array([r.ratio for r in sel]))
-            logn = np.log(np.array([r.field_norm for r in sel]))
-            slope_n, rms = ols_fit(logl, logn)
-            slope_r, _ = ols_fit(logl, logr)
+            slope_n, rms = ols_fit(logl, _log_column(sel, "field_norm"))
+            slope_r, _ = ols_fit(logl, _log_column(sel, "ratio"))
             fits[(p, q)] = {"norm_slope": slope_n, "ratio_slope": slope_r,
                             "resid_rms": rms}
             if (isinstance(config.family, KnappFamily)
                     and all(r.witness_norm > 0 for r in sel)):
-                wr = np.log(np.array([r.witness_ratio for r in sel]))
-                slope_w, rms_w = ols_fit(logl, wr)
+                slope_w, rms_w = ols_fit(logl,
+                                         _log_column(sel, "witness_ratio"))
                 fits[(p, q)]["witness_slope"] = slope_w
                 fits[(p, q)]["witness_rms"] = rms_w
     return fits

@@ -3,8 +3,11 @@
 The one evaluation core handles both the plain frequency-domain operator
 (f integrated against e^{i lambda x . curve(t)}) and chart-side phases
 (graph embeddings of the sphere or of integral submanifolds).  Panels are
-sized from a sampled bound on the t-derivative of the total phase so a
-16-point Gauss-Legendre rule per panel is spectrally accurate.
+sized from an exact upper bound on the t-derivative of the total phase,
+which is a polynomial in t: its largest Bernstein coefficient over the
+segment.  Each panel then carries at most PANEL_CAP = 4 pi radians, well
+inside the range where a 16-point Gauss-Legendre rule is accurate to
+round-off (Trefethen, SIAM Review 50, 2008).
 """
 
 from __future__ import annotations
@@ -20,11 +23,9 @@ from .curves import Curve
 from .errors import DataError, ResolutionError
 from .measures import GraphPatch, QuadMeasure, SubmanifoldPatch, gauss_legendre
 
-PANEL_CAP = 0.5 * np.pi     # max phase increment per panel
+PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
 MIN_PANELS = 4
-DERIV_SAMPLES = 64          # t-samples for the phase-derivative bound
-DERIV_SAFETY = 2.0
 _Y_CHUNK = 512
 _T_BLOCK = 2048
 
@@ -236,19 +237,27 @@ def _as_phase(curve_or_phase) -> PhaseSpec:
     raise TypeError("expected a Curve or a PhaseSpec")
 
 
-def _modulation_row(phase: PhaseSpec, seg: Segment, ts: np.ndarray,
-                    order: int = 0) -> np.ndarray | None:
-    """lam_mod * x0 . curve^{(order)}(ts) for a modulated segment."""
+def _modulation_point(phase: PhaseSpec, seg: Segment) -> tuple | None:
+    """(x0, lam_mod) of a modulated segment, checked against the curve."""
     if seg.modulation is None:
         return None
     x0, lam_mod = seg.modulation
-    curve = phase.curve
-    if curve is None:
+    if phase.curve is None:
         raise ValueError("curve_phase modulation requires a curve-based phase")
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (curve.dim,):
+    if x0.shape != (phase.curve.dim,):
         raise ValueError("modulation point dimension mismatch")
-    return lam_mod * (curve.eval_many(ts, order) @ x0)
+    return x0, lam_mod
+
+
+def _modulation_row(phase: PhaseSpec, seg: Segment,
+                    ts: np.ndarray) -> np.ndarray | None:
+    """lam_mod * x0 . curve(ts) for a modulated segment."""
+    mod = _modulation_point(phase, seg)
+    if mod is None:
+        return None
+    x0, lam_mod = mod
+    return lam_mod * (phase.curve.eval_many(ts) @ x0)
 
 
 def _panel_nodes(seg: Segment, n_panels: int):
@@ -262,17 +271,65 @@ def _panel_nodes(seg: Segment, n_panels: int):
     return ts, ws
 
 
+def _bernstein_matrix(a: float, b: float, width: int) -> np.ndarray:
+    """Map the t-monomial coefficients of a polynomial of degree
+    < width to its Bernstein coefficients on [a, b]."""
+    n = width - 1
+    shift = np.zeros((width, width))     # t = a + (b - a) s
+    to_bern = np.zeros((width, width))
+    for k in range(width):
+        for j in range(k + 1):
+            shift[k, j] = math.comb(k, j) * a ** (k - j) * (b - a) ** j
+            to_bern[j, k] = math.comb(k, j) / math.comb(n, j)
+    return shift @ to_bern
+
+
+def _phase_rate_bound(phase: PhaseSpec, lam: float, seg: Segment,
+                      ypts: np.ndarray) -> float:
+    """Upper bound on |d/dt| of the total phase over the segment, for
+    every point of ypts.
+
+    Per point the t-derivative is a polynomial, basis(y) @ rows in the
+    t-monomials, minus the modulation's.  On [start, end] it is a convex
+    combination of its Bernstein basis polynomials, so the largest
+    |Bernstein coefficient| bounds it.
+    """
+    mod = _modulation_point(phase, seg)
+    if phase.kind == "custom":
+        tab = phase.table
+        width = max(1, max(len(row) for row in tab) - 1)
+        rows = np.zeros((len(tab), width))
+        for m, row in enumerate(tab):
+            for n in range(1, len(row)):
+                rows[m, n - 1] = n * row[n]
+        y = np.atleast_2d(np.asarray(ypts, dtype=float))[:, 0]
+        basis = y[:, None] ** np.arange(len(tab))
+    else:
+        rows = phase.curve._float_rows(1)
+        basis = phase.embed(ypts)
+    bern = rows @ _bernstein_matrix(seg.start, seg.end, rows.shape[1])
+    shift = np.zeros(bern.shape[1])
+    if mod is not None:
+        x0, lam_mod = mod
+        shift = lam_mod * (x0 @ bern)
+    # elementwise, so a point's bound does not depend on the points
+    # batched with it: the bound over all nodes is the widest chunk's
+    sup = 0.0
+    for col, off in zip(bern.T, shift):
+        vals = np.full(basis.shape[0], -off)
+        for b, c in zip(basis.T, lam * col):
+            vals += c * b
+        sup = max(sup, float(np.max(np.abs(vals, out=vals), initial=0.0)))
+    return sup
+
+
 def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
                          ypts: np.ndarray) -> int:
+    """Panels for the segment so each carries at most PANEL_CAP radians
+    of phase at every point of ypts."""
     if seg.length == 0.0:
         return 0
-    ts = np.linspace(seg.start, seg.end, DERIV_SAMPLES)
-    dph = lam * phase.values(ypts, ts, order=1)
-    mrow = _modulation_row(phase, seg, ts, order=1)
-    if mrow is not None:
-        dph = dph - mrow[None, :]
-    sup = float(np.max(np.abs(dph)))
-    need = DERIV_SAFETY * sup * seg.length / PANEL_CAP
+    need = _phase_rate_bound(phase, lam, seg, ypts) * seg.length / PANEL_CAP
     return max(MIN_PANELS, int(math.ceil(need)))
 
 

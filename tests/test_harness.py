@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -17,6 +20,9 @@ from rlab.harness import (
     KnappFamily,
     RandomFamily,
     SweepConfig,
+    _build_input,
+    _evaluate,
+    _sweep_fits,
     decay_sweep,
     default_bump_point,
     kdim_experiment,
@@ -25,7 +31,21 @@ from rlab.harness import (
     phase_diagram,
     write_csv,
 )
-from rlab.measures import QuadMeasure, dimension_audit, sphere_resolution_for
+from rlab.measures import (
+    QuadMeasure,
+    dimension_audit,
+    sphere_cap_graph,
+    sphere_resolution_for,
+)
+from rlab.oscillatory import (
+    _Y_CHUNK,
+    _segment_panel_count,
+    extension_phase,
+    graph_phase,
+)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def _capture(argv):
@@ -173,6 +193,55 @@ def test_phase_diagram_unloggable_ratio(monkeypatch):
     monkeypatch.setattr("rlab.harness.lq_norm", lambda *a: 0.0)
     with pytest.raises(ComputationError):
         phase_diagram(2, 2, lam_pair=(16.0, 32.0))
+
+
+@pytest.mark.parametrize("family, column, bad", [
+    (BumpFamily(), "field_norm", 0.0),
+    (BumpFamily(), "ratio", -1.0),
+    (BumpFamily(), "ratio", math.nan),
+    (KnappFamily(), "witness_ratio", math.inf),
+])
+def test_sweep_fits_refuse_unloggable_values(family, column, bad):
+    config = SweepConfig(curve=moment_curve(2), family=family,
+                         lams=(16.0, 32.0, 64.0), qs=(3.0,))
+    records = decay_sweep(config).records
+    assert _sweep_fits(config, records)
+    records[1] = replace(records[1], **{column: bad})
+    with pytest.raises(ComputationError, match=rf"{column} = .* lambda=32 "):
+        _sweep_fits(config, records)
+
+
+@pytest.mark.parametrize("family", [BumpFamily(), RandomFamily(delta=1.0)],
+                         ids=["bump", "random"])
+def test_panels_column_is_the_widest_chunk_layout(family):
+    """At lambda = 256 the bump's widest chunk is not its first one."""
+    curve = moment_curve(2)
+    lam = 256.0
+    config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
+    f = _build_input(config, lam, graph_phase(curve, sphere_cap_graph(2)))
+    sample = _evaluate(curve, lam, [f])
+    nodes = sample.mu.nodes
+    assert nodes.shape[0] > 2 * _Y_CHUNK
+    ext = extension_phase(curve)
+    per_chunk = [max(_segment_panel_count(ext, lam, seg, nodes[lo:lo + _Y_CHUNK])
+                     for lo in range(0, nodes.shape[0], _Y_CHUNK))
+                 for seg in f.segments]
+    assert sample.panels == sum(per_chunk)
+
+
+def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
+    argv = [sys.executable, "-m", "rlab", "knapp", "--d", "2", "--lams",
+            "16,32,64", "--qs", "3,4", "--ps", "inf,1.5"]
+    outs = []
+    for n in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].count(b"\n") > 10
 
 
 @pytest.mark.parametrize("run", [

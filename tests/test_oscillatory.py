@@ -6,14 +6,30 @@ import mpmath
 import numpy as np
 import pytest
 
+import rlab.oscillatory as osc
 from rlab.curves import TypeTuple, dyadic_rescale, moment_curve, monomial_curve
 from rlab.errors import ResolutionError
-from rlab.measures import sphere_cap_graph, sphere_measure
+from rlab.harness import (
+    BumpFamily,
+    KnappFamily,
+    RandomFamily,
+    SweepConfig,
+    _build_input,
+)
+from rlab.measures import (
+    sphere_cap_graph,
+    sphere_measure,
+    sphere_resolution_for,
+    submanifold_builder,
+)
 from rlab.oscillatory import (
+    PANEL_CAP,
     AmplitudeWindow,
     PhaseSpec,
     Segment,
     TestFunction as StepFn,
+    _panel_nodes,
+    _phase_rate_bound,
     eval_field,
     extension_eval,
     extension_phase,
@@ -232,3 +248,87 @@ def test_phase_spec_validation():
     ext = extension_phase(MC2)
     pts = np.array([[0.1, 0.2]])
     assert np.array_equal(ext.embed(pts), pts)
+
+
+# ----------------------------------------------------------------------
+# panel sizing
+# ----------------------------------------------------------------------
+
+MC3 = moment_curve(3)
+MC4 = moment_curve(4)
+_RNG = np.random.default_rng(7)
+_CUSTOM = PhaseSpec(kind="custom", table=((0.0, 0.5, 0.0, -1.0),
+                                          (1.0, 0.0, 3.0),
+                                          (0.0, 0.0, 0.0, 0.0, 2.0)))
+_CURVE_PHASES = [
+    (extension_phase(MC3), _RNG.normal(size=(40, 3))),
+    (graph_phase(MC3, sphere_cap_graph(3)),
+     _RNG.uniform(-0.6, 0.6, size=(40, 2))),
+    (PhaseSpec(kind="graph", curve=MC4, patch=submanifold_builder(4, 2, MC4),
+               offset=0.0), _RNG.uniform(0.0, 0.75, size=(40, 2))),
+]
+
+
+@pytest.mark.parametrize("phase, ypts, x0", [
+    *[(ph, y, None) for ph, y in _CURVE_PHASES],
+    *[(ph, y, _RNG.normal(size=ph.curve.dim)) for ph, y in _CURVE_PHASES],
+    (_CUSTOM, _RNG.uniform(-1.5, 1.5, size=(40, 1)), None),
+], ids=["extension", "sphere-cap", "submanifold", "extension-modulated",
+        "sphere-cap-modulated", "submanifold-modulated", "custom"])
+def test_phase_rate_bound_dominates_dense_sample(phase, ypts, x0):
+    lam, lam_mod = 37.0, 53.0
+    seg = Segment(0.15, 0.85,
+                  modulation=None if x0 is None else (x0, lam_mod))
+    ts = np.linspace(seg.start, seg.end, 20001)
+    dense = lam * phase.values(ypts, ts, order=1)
+    if x0 is not None:
+        dense -= lam_mod * (phase.curve.eval_many(ts, 1) @ x0)
+    sup = np.max(np.abs(dense), axis=1)
+    bound = np.array([_phase_rate_bound(phase, lam, seg, y[None, :])
+                      for y in ypts])
+    # a maximum at an endpoint is attained by both: allow its rounding
+    assert np.all(bound >= sup * (1.0 - 1e-13))
+    # and not loose: within the safety factor 2 of the old sampled rule
+    assert np.all(bound <= 2.0 * sup)
+    # over a point set the bound is the largest per-point bound
+    assert _phase_rate_bound(phase, lam, seg, ypts) == np.max(bound)
+
+
+def test_phase_rate_bound_refuses_modulated_custom_phase():
+    seg = Segment(0.0, 1.0, modulation=((1.0,), 5.0))
+    with pytest.raises(ValueError):
+        _phase_rate_bound(_CUSTOM, 5.0, seg, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("start", [0.0, 0.3])
+def test_one_panel_at_the_cap_is_exact(start):
+    seg = Segment(start, start + 1.0)
+    ts, ws = _panel_nodes(seg, 1)
+    for rate in np.linspace(PANEL_CAP / 8, PANEL_CAP, 8):
+        got = np.sum(ws * np.exp(1j * rate * ts))
+        want = (np.exp(1j * rate * seg.end)
+                - np.exp(1j * rate * seg.start)) / (1j * rate)
+        assert abs(got - want) <= 1e-14
+
+
+def _sphere_case(d, family, lam, stride):
+    curve = moment_curve(d)
+    mu = sphere_measure(d, sphere_resolution_for(d, lam))
+    config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
+    phase = graph_phase(curve, sphere_cap_graph(d))
+    return curve, lam, _build_input(config, lam, phase), mu.nodes[::stride]
+
+
+@pytest.mark.parametrize("case", [
+    lambda: _sphere_case(2, BumpFamily(), 1024.0, 4),
+    lambda: _sphere_case(3, BumpFamily(), 32.0, 317),
+    lambda: _sphere_case(2, KnappFamily(), 256.0, 1),
+    lambda: _sphere_case(2, RandomFamily(delta=1.0), 256.0, 1),
+], ids=["bump-d2", "bump-d3", "knapp", "random"])
+def test_wide_panels_match_the_old_layout(case, monkeypatch):
+    """4 pi radians per panel against the old pi/4 per panel."""
+    curve, lam, f, nodes = case()
+    wide = eval_field(curve, lam, f, nodes)
+    monkeypatch.setattr(osc, "PANEL_CAP", 0.25 * np.pi)
+    narrow = eval_field(curve, lam, f, nodes)
+    assert np.max(np.abs(wide - narrow)) <= 1e-13 * np.max(np.abs(narrow))
