@@ -610,18 +610,80 @@ def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
 # ----------------------------------------------------------------------
 
 def _min_spacing(mu: QuadMeasure) -> float:
-    from scipy.spatial import cKDTree
+    """Smallest positive distance between two nodes.
 
+    A sorted sweep: with the nodes sorted along their widest axis, the
+    pairs k apart in that order are compared only where their gaps on
+    that axis and on the next widest do not exceed the best distance so
+    far, since each gap bounds their distance from below.  The sweep
+    stops at the first k where no gap on the sort axis is that small.
+    Above 40,000 nodes a fixed random subsample of that size stands in
+    for the measure.
+    """
     pts = mu.nodes
     if pts.shape[0] > 40000:
         rng = np.random.default_rng(0)
         pts = pts[rng.choice(pts.shape[0], 40000, replace=False)]
-    tree = cKDTree(pts)
-    dist, _ = tree.query(pts, k=2)
-    positive = dist[:, 1][dist[:, 1] > 0]
-    if positive.size == 0:
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    if not np.any(extent > 0):
         raise DataError("degenerate node set")
-    return float(np.min(positive))
+    by_extent = np.argsort(-extent, kind="stable")
+    ax, ax2 = by_extent[0], by_extent[min(1, mu.dim - 1)]
+    cols = np.ascontiguousarray(pts[np.argsort(pts[:, ax], kind="stable")].T)
+    key, key2 = cols[ax], cols[ax2]
+    best_d2 = np.inf
+    for k in range(1, key.size):
+        # the slack absorbs the rounding of the gaps and of the square root
+        bound = math.sqrt(best_d2) * (1.0 + 1e-12)
+        live = key[k:] - key[:-k] <= bound
+        if not live.any():
+            break
+        near = np.flatnonzero(live & (np.abs(key2[k:] - key2[:-k]) <= bound))
+        d2 = _column_d2(cols[:, near + k], cols[:, near])
+        positive = d2[d2 > 0]
+        if positive.size:
+            best_d2 = min(best_d2, float(positive.min()))
+    return math.sqrt(best_d2)
+
+
+def _column_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the columns of a, shape (dim, m), and b.
+
+    b is one point (dim,) or m points (dim, m).  The sum runs coordinate
+    by coordinate, ((dx*dx + dy*dy) + dz*dz), which is the rounding of
+    np.sum((points - x)**2, axis=1) on row-major points.
+    """
+    d = a[0] - b[0]
+    d2 = d * d
+    for i in range(1, a.shape[0]):
+        d = a[i] - b[i]
+        d2 += d * d
+    return d2
+
+
+def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
+                 radii: np.ndarray) -> list:
+    """Masses of the closed balls B(centers[i], radii[i]) under the nodes.
+
+    Each ball looks only at the slab of nodes whose coordinate on the
+    widest axis lies within its radius of the center, a superset of the
+    ball.  Distances round as in np.sum((nodes - c)**2, axis=1) <= r*r
+    over every node, and the weights inside are summed in node-index
+    order, so each mass is bit-identical to that brute-force sum.
+    """
+    ax = int(np.argmax(nodes.max(axis=0) - nodes.min(axis=0)))
+    perm = np.argsort(nodes[:, ax], kind="stable")
+    cols = np.ascontiguousarray(nodes[perm].T)
+    # a node just past c +- r can still pass d2 <= r*r after rounding;
+    # the pad covers that, and the rounding of c +- r, with room to spare
+    pad = 1e-12 * (np.abs(centers[:, ax]) + radii)
+    starts = np.searchsorted(cols[ax], centers[:, ax] - radii - pad, side="left")
+    stops = np.searchsorted(cols[ax], centers[:, ax] + radii + pad, side="right")
+    masses = []
+    for c, r, lo, hi in zip(centers, radii, starts, stops):
+        hit = _column_d2(cols[:, lo:hi], c) <= r * r
+        masses.append(float(np.sum(weights[np.sort(perm[lo:hi][hit])])))
+    return masses
 
 
 def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
@@ -631,9 +693,18 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     Samples centers near the support (random node plus jitter) and radii
     log-uniform between the floor (default 4x the minimum node spacing)
     and the support diameter; returns the largest observed mass ratio.
+    The floor must be positive; an infinite one means half the diameter.
+
+    The ball masses come from a slab-pruned pass over the nodes sorted
+    along the widest axis.  Its distances round as the brute-force
+    |x - c|^2 <= r^2 over every node does, and it sums the weights inside
+    in node-index order, so the result is identical, bit for bit, to the
+    brute-force definition.
     """
     if n_samples < 100:
         raise ValueError("n_samples >= 100 required")
+    if r_floor is not None and not float(r_floor) > 0:
+        raise ValueError(f"r_floor must be positive, got {r_floor!r}")
     rng = np.random.default_rng(seed)
     nodes, weights = mu.nodes, mu.weights
     n = nodes.shape[0]
@@ -651,12 +722,7 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     centers = nodes[idx] + rng.normal(scale=jitter_scale, size=(n_samples, mu.dim))
     radii = floor * (diam / floor) ** rng.uniform(size=n_samples)
     worst = 0.0
-    order = np.argsort(radii)
-    for i in order:
-        x = centers[i]
-        r = radii[i]
-        d2 = np.sum((nodes - x) ** 2, axis=1)
-        mass = float(np.sum(weights[d2 <= r * r]))
+    for r, mass in zip(radii, _ball_masses(nodes, weights, centers, radii)):
         ratio = mass / r**alpha
         if ratio > worst:
             worst = ratio

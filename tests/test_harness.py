@@ -1,5 +1,6 @@
 """Experiment harness: sweeps, CSV determinism, config files, CLI codes."""
 
+import argparse
 import io
 import math
 import os
@@ -11,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlab.cli import cli_main
+from rlab.cli import build_parser, cli_main
 from rlab.config import load_config, parse_curve, sweep_config_from_file
 from rlab.curves import moment_curve
 from rlab.errors import ComputationError, ConfigError, DataError
@@ -422,3 +423,39 @@ def test_cli_kdim():
                              "--lams", "16,32", "--qs", "7,9"])
     assert code == 0
     assert "# q_critical=8" in out
+
+
+_CHEAP_RUNS = {
+    "exponents": ["--d", "2"],
+    "sweep": ["--config", "cfg.ini"],
+    "knapp": ["--d", "2", "--lams", "16", "--qs", "3"],
+    "random-lower": ["--delta", "1", "--n-samples", "32", "--lams", "16",
+                     "--qs", "3"],
+    "phase-diagram": ["--grid-n", "2", "--lam-pair", "16,32"],
+    "hyperplane": ["--d", "3", "--normal", "1,0,0"],
+    "kdim": ["--lams", "16", "--qs", "8"],
+    "audit-measure": ["--d", "2", "--resolution", "64"],
+}
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    # numpy is the only runtime dependency: every subcommand runs once in
+    # a fresh interpreter, which must not have imported scipy
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(_CHEAP_RUNS) == set(sub.choices)
+    (tmp_path / "cfg.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 16\nqs = 3\n")
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from rlab.cli import cli_main\n"
+            f"for name, argv in {_CHEAP_RUNS!r}.items():\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli_main([name] + argv) == 0, name\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"False\n"

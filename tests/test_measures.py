@@ -1,18 +1,24 @@
 """Quadrature measures: sphere rules, singular densities, graphs, audits."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.spatial
 import scipy.special
 
 from rlab.curves import TypeTuple, moment_curve
-from rlab.errors import DomainError
+from rlab.errors import DataError, DomainError
 from rlab.exponents import kappa
 from rlab.measures import (
     QuadMeasure,
+    _ball_masses,
+    _min_spacing,
     box_mass,
     cap_box_sigma_mass,
     dimension_audit,
@@ -217,3 +223,195 @@ def test_dimension_audit_bounded_and_unbounded():
     assert wrong_lo / wrong_hi > 2.0  # ~ (0.2/0.025)^{1/2}
     with pytest.raises(ValueError):
         dimension_audit(mu, 1.0, n_samples=10)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def _kdtree_min_spacing(mu):
+    """The positive second-neighbour distance from scipy's cKDTree."""
+    pts = mu.nodes
+    if pts.shape[0] > 40000:
+        rng = np.random.default_rng(0)
+        pts = pts[rng.choice(pts.shape[0], 40000, replace=False)]
+    dist, _ = scipy.spatial.cKDTree(pts).query(pts, k=2)
+    positive = dist[:, 1][dist[:, 1] > 0]
+    if positive.size == 0:
+        raise DataError("degenerate node set")
+    return float(np.min(positive))
+
+
+def _audit_reference(mu, alpha, n_samples=10000, seed=0, r_floor=None):
+    """The brute-force audit: every node against every sampled ball."""
+    rng = np.random.default_rng(seed)
+    nodes, weights = mu.nodes, mu.weights
+    n = nodes.shape[0]
+    lo_box = nodes.min(axis=0)
+    hi_box = nodes.max(axis=0)
+    diam = float(np.linalg.norm(hi_box - lo_box))
+    floor = 4.0 * _kdtree_min_spacing(mu) if r_floor is None else float(r_floor)
+    floor = min(floor, 0.5 * diam)
+    idx = rng.integers(0, n, size=n_samples)
+    jitter_scale = mu.max_spacing if np.isfinite(mu.max_spacing) else floor
+    centers = nodes[idx] + rng.normal(scale=jitter_scale, size=(n_samples, mu.dim))
+    radii = floor * (diam / floor) ** rng.uniform(size=n_samples)
+    worst = 0.0
+    for i in np.argsort(radii):
+        x = centers[i]
+        r = radii[i]
+        d2 = np.sum((nodes - x) ** 2, axis=1)
+        mass = float(np.sum(weights[d2 <= r * r]))
+        ratio = mass / r**alpha
+        if ratio > worst:
+            worst = ratio
+    return worst
+
+
+def _tied_layout():
+    """A cross in the plane with duplicated nodes.
+
+    The widest axis is x, and 120 nodes sit on the line x = 0
+    perpendicular to it, so their sort keys tie; large balls take the
+    whole set as their slab.
+    """
+    rng = np.random.default_rng(11)
+    arm = np.column_stack([np.linspace(-1.0, 1.0, 201), np.zeros(201)])
+    column = np.column_stack([np.zeros(120), rng.uniform(-0.5, 0.5, 120)])
+    nodes = np.concatenate([arm, column, arm[::7], column[::5]])
+    weights = rng.uniform(0.5, 1.5, nodes.shape[0])
+    return QuadMeasure(2, nodes, weights, alpha=1.0, provenance="test")
+
+
+def _dilate():
+    mu = singular_alpha_measure(2, 1.5, 32)
+    return scaled_measure(mu, (1, 2), 3, kappa((1, 2), Fraction(3, 2)))
+
+
+@pytest.mark.parametrize("build, alpha, n_samples, r_floor", [
+    (lambda: sphere_measure(2, 512), 1.0, 800, 0.025),
+    (lambda: sphere_measure(2, 512), 1.5, 800, None),
+    (lambda: sphere_measure(3, 32), 2.0, 600, None),
+    (lambda: singular_alpha_measure(2, 1.5, 32), 1.5, 300, 0.125),
+    (_dilate, 1.5, 300, 0.3 * 2.0 ** -3),
+    (lambda: sphere_measure(3, 150), 2.0, 200, None),
+    (_tied_layout, 1.0, 600, None),
+    (_tied_layout, 1.0, 600, 0.01),
+], ids=["circle", "circle-default-floor", "sphere", "singular", "dilate",
+        "over-40000-nodes", "tied-keys-and-duplicates", "tied-keys-floor"])
+def test_dimension_audit_equals_brute_force(build, alpha, n_samples, r_floor):
+    mu = build()
+    got = dimension_audit(mu, alpha, n_samples=n_samples, seed=5, r_floor=r_floor)
+    want = _audit_reference(mu, alpha, n_samples=n_samples, seed=5,
+                            r_floor=r_floor)
+    assert got == want and got > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_ball_masses_equal_brute_force_on_boundaries(dim):
+    """Balls whose boundary passes through nodes, to the last bit."""
+    rng = np.random.default_rng(20 + dim)
+    # widest along axis 0, which the slabs are cut along
+    nodes = rng.uniform(-1.0, 1.0, size=(1500, dim)) * ([2.0] + [1.0] * (dim - 1))
+    centers = nodes[rng.integers(0, 1500, 60)] + rng.normal(scale=0.01, size=(60, dim))
+    radii = rng.uniform(0.05, 0.8, 60)
+    # nodes a few ulps either side of c +- r on the slab axis
+    edge, beyond = [], 0
+    for c, r in zip(centers, radii):
+        for x, outward in ((c[0] + r, 1.0), (c[0] - r, -1.0)):
+            for k in range(-3, 4):
+                p = c.copy()
+                p[0] = x + k * np.spacing(x)
+                edge.append(p)
+                # past c +- r as rounded, yet inside after rounding
+                beyond += bool(outward * (p[0] - x) > 0
+                               and np.sum((p - c) ** 2) <= r * r)
+    nodes = np.concatenate([nodes, edge])
+    weights = rng.uniform(0.5, 1.5, nodes.shape[0])
+    # balls whose r*r equals a node's squared distance, and whole-set balls
+    d2 = np.sum((nodes - centers[0]) ** 2, axis=1)
+    exact = np.sqrt(d2)[np.sqrt(d2) ** 2 == d2]
+    radii = np.concatenate([radii, exact, [4.0, 9.0]])
+    centers = np.concatenate([centers, np.repeat(centers[:1], exact.size + 2, axis=0)])
+    want = [float(np.sum(weights[np.sum((nodes - c) ** 2, axis=1) <= r * r]))
+            for c, r in zip(centers, radii)]
+    assert _ball_masses(nodes, weights, centers, radii) == want
+    assert beyond > 0 and exact.size > 100
+
+
+@pytest.mark.parametrize("r_floor", [0.0, -0.1, math.nan, -math.inf])
+def test_dimension_audit_refuses_bad_floor(r_floor):
+    mu = sphere_measure(2, 64)
+    with pytest.raises(ValueError, match="r_floor"):
+        dimension_audit(mu, 1.0, n_samples=200, r_floor=r_floor)
+
+
+def test_dimension_audit_infinite_floor_clamps_to_half_diameter():
+    mu = sphere_measure(2, 64)
+    diam = float(np.linalg.norm(mu.nodes.max(axis=0) - mu.nodes.min(axis=0)))
+    got = dimension_audit(mu, 1.0, n_samples=200, r_floor=math.inf)
+    assert got == dimension_audit(mu, 1.0, n_samples=200, r_floor=0.5 * diam)
+    assert 0 < got < math.inf
+
+
+def _brute_min_spacing(pts):
+    d2 = sum((pts[:, None, i] - pts[None, :, i]) ** 2 for i in range(pts.shape[1]))
+    return math.sqrt(float(d2[d2 > 0].min()))
+
+
+def _points_measure(pts):
+    return QuadMeasure(pts.shape[1], pts, np.ones(pts.shape[0]), alpha=1.0,
+                       provenance="test")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_min_spacing_equals_brute_force(dim):
+    rng = np.random.default_rng(dim)
+    for trial in range(6):
+        pts = rng.uniform(-1.0, 1.0, size=(200 + 50 * trial, dim))
+        if trial % 2:
+            # a coarse grid forces tied sort keys and duplicated nodes
+            pts = np.round(pts * 4.0) / 4.0
+        assert _min_spacing(_points_measure(pts)) == _brute_min_spacing(pts)
+
+
+def test_min_spacing_closest_pair_far_apart_in_sort_order():
+    # a = (4.3, 0.5) and b = (4.301, 0.5) have three nodes between them
+    # in x order, and at that shift only two pairs are within the best
+    # distance found before it
+    line = np.column_stack([np.arange(10.0), np.zeros(10)])
+    between = [[4.3, 0.5], [4.3002, 3.0], [4.3004, -3.0], [4.3006, 3.5], [4.301, 0.5]]
+    pts = np.concatenate([line, between])
+    assert _min_spacing(_points_measure(pts)) == _brute_min_spacing(pts)
+
+
+def test_min_spacing_all_duplicates_is_degenerate():
+    pts = np.tile([[0.3, -0.2, 0.5]], (50, 1))
+    with pytest.raises(DataError, match="degenerate node set"):
+        _min_spacing(_points_measure(pts))
+
+
+def test_min_spacing_closest_pair_with_duplicated_ends():
+    # a = (0, 0) and b = (0.1, 0) are the closest pair and both are
+    # duplicated.  The sweep returns the smallest positive pairwise
+    # distance, 0.1.  Every node of a and b has a zero-distance second
+    # neighbour, so a second-neighbour distance (cKDTree) skips the pair
+    # and reads 0.9, the distance from c = (1, 0) to b.
+    pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.1, 0.0], [1.0, 0.0]])
+    mu = _points_measure(pts)
+    assert _min_spacing(mu) == 0.1 == _brute_min_spacing(pts)
+    assert _kdtree_min_spacing(mu) == 0.9
+
+
+def test_audit_measure_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: block scipy and run the CLI
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from rlab.cli import main; main()")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "audit-measure", "--d", "3", "--kind",
+         "sphere", "--resolution", "64"],
+        cwd=tmp_path, env=env, capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"max mass ratio mu(B)/r^alpha: 25.910465\n"
