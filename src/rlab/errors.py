@@ -49,7 +49,8 @@ class DomainError(ComputationError):
 
 
 class StationaryError(ComputationError):
-    """Newton iteration for the stationary point did not converge."""
+    """No stationary point g(t): the phase is not a chart phase, or the
+    first curve component has a vanishing derivative at t."""
 
 
 class CalibrationError(ComputationError):

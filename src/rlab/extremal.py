@@ -96,31 +96,11 @@ class Parallelepiped:
 # stationary map and curvature matrix
 # ----------------------------------------------------------------------
 
-def _custom_partial(table, y: float, t: np.ndarray, dy: int, dt: int):
-    """Exact partial derivative of a bivariate polynomial table."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    for m, row in enumerate(table):
-        if m < dy:
-            continue
-        yfac = math.perm(m, dy) * y ** (m - dy)
-        if yfac == 0.0:
-            continue
-        for n, cmn in enumerate(row):
-            if n < dt or cmn == 0.0:
-                continue
-            out = out + cmn * yfac * math.perm(n, dt) * t ** (n - dt)
-    return out
-
-
 def grad_y(phase: PhaseSpec, y: np.ndarray, t: float) -> np.ndarray:
     """gradient_y Psi(y, t) for a single chart point, shape (m,)."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if phase.kind == "extension":
         return phase.curve.eval_many([t], 0)[0]
-    if phase.kind == "custom":
-        return np.array([_custom_partial(phase.table, y[0, 0],
-                                         np.array([t]), 1, 0)[0]])
     patch = phase.patch
     if isinstance(patch, SubmanifoldPatch):
         gam = phase.curve.eval_many([t], 0)[0]
@@ -131,38 +111,24 @@ def grad_y(phase: PhaseSpec, y: np.ndarray, t: float) -> np.ndarray:
     return grad_phi * gam[0] + gam[1:]
 
 
-def solve_stationary(phase: PhaseSpec, t: float,
-                     tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """The point g(t) where d_t grad_y Psi vanishes.
+def solve_stationary(phase: PhaseSpec, t: float) -> np.ndarray:
+    """The point g(t) where d_t grad_y Psi vanishes, for a chart phase.
 
     Sphere caps get the closed form g = v / sqrt(1 + |v|^2) with
     v = -gamma_*'(t)/gamma_1'(t); integral graphs are stationary on the
-    diagonal by construction; custom phases run a Newton iteration
-    seeded at 0.
+    diagonal by construction.  Extension phases have no stationary map.
     """
-    if phase.kind == "graph":
-        patch = phase.patch
-        if isinstance(patch, SubmanifoldPatch):
-            return np.full(patch.k, float(t))
-        dgam = phase.curve.eval_many([t], 1)[0]
-        if abs(dgam[0]) < 1e-14:
-            raise StationaryError(
-                f"first curve component has vanishing derivative at t={t}")
-        v = -dgam[1:] / dgam[0]
-        return v / math.sqrt(1.0 + float(v @ v))
-    if phase.kind == "custom":
-        yv = 0.0
-        for _ in range(max_iter):
-            fv = _custom_partial(phase.table, yv, np.array([t]), 1, 1)[0]
-            if abs(fv) <= tol:
-                return np.array([yv])
-            jv = _custom_partial(phase.table, yv, np.array([t]), 2, 1)[0]
-            if abs(jv) < 1e-14:
-                raise StationaryError("singular Jacobian in Newton iteration")
-            yv -= fv / jv
+    if phase.kind != "graph":
+        raise StationaryError("stationary map needs a chart phase")
+    patch = phase.patch
+    if isinstance(patch, SubmanifoldPatch):
+        return np.full(patch.k, float(t))
+    dgam = phase.curve.eval_many([t], 1)[0]
+    if abs(dgam[0]) < 1e-14:
         raise StationaryError(
-            f"Newton did not reach |F| <= {tol} in {max_iter} steps")
-    raise StationaryError("stationary map needs a chart phase")
+            f"first curve component has vanishing derivative at t={t}")
+    v = -dgam[1:] / dgam[0]
+    return v / math.sqrt(1.0 + float(v @ v))
 
 
 def stationary_residual(phase: PhaseSpec, t: float) -> float:
@@ -176,51 +142,29 @@ def stationary_residual(phase: PhaseSpec, t: float) -> float:
     return float(np.max(np.abs(grad_phi * dgam[0] + dgam[1:])))
 
 
-def _fd_t_column(fun: Callable[[float], np.ndarray], t: float,
-                 order: int, h: float) -> np.ndarray:
-    if order == 0:
-        return fun(t)
-    prev = lambda s: _fd_t_column(fun, s, order - 1, h)  # noqa: E731
-    return (prev(t + h) - prev(t - h)) / (2.0 * h)
-
-
-def curvature_matrix(phase: PhaseSpec, t: float, fd_step: float = 1e-3,
+def curvature_matrix(phase: PhaseSpec, t: float,
                      det_floor: float = 1e-8) -> np.ndarray:
     """Matrix M(t) with columns d_t^{j+1} grad_y Psi(g(t), t).
 
-    Chart phases over the sphere use the closed form
-    -(gamma_1^{(j+1)}/gamma_1') gamma_*' + gamma_*^{(j+1)}; integral
-    graphs take the Schur-complement block; custom phases fall back to
-    nested central differences with one Richardson pass.
+    Both chart kinds have an exact form.  Chart phases over the sphere
+    use -(gamma_1^{(j+1)}/gamma_1') gamma_*' + gamma_*^{(j+1)}; integral
+    graphs take the Schur-complement block.  Extension phases have no
+    curvature matrix.
     """
-    if phase.kind == "graph":
-        patch = phase.patch
-        if isinstance(patch, SubmanifoldPatch):
-            mat = patch.curvature_block([t])[0]
-        else:
-            d = phase.curve.dim
-            d1 = phase.curve.eval_many([t], 1)[0]
-            if abs(d1[0]) < 1e-14:
-                raise DegeneracyError(
-                    f"gamma_1'({t}) vanishes; chart frame breaks down")
-            cols = []
-            for j in range(1, d):
-                dj = phase.curve.eval_many([t], j + 1)[0]
-                cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
-            mat = np.column_stack(cols)
-    elif phase.kind == "custom":
-        g = solve_stationary(phase, t)
-
-        def col(order):
-            fun = lambda s: np.array(  # noqa: E731
-                [_custom_partial(phase.table, g[0], np.array([s]), 1, 0)[0]])
-            d1 = _fd_t_column(fun, t, order, fd_step)
-            d2 = _fd_t_column(fun, t, order, fd_step / 2.0)
-            return (4.0 * d2 - d1) / 3.0
-
-        mat = np.column_stack([col(2)])
-    else:
+    if phase.kind != "graph":
         raise DegeneracyError("curvature matrix needs a chart phase")
+    if isinstance(phase.patch, SubmanifoldPatch):
+        mat = phase.patch.curvature_block([t])[0]
+    else:
+        d1 = phase.curve.eval_many([t], 1)[0]
+        if abs(d1[0]) < 1e-14:
+            raise DegeneracyError(
+                f"gamma_1'({t}) vanishes; chart frame breaks down")
+        cols = []
+        for j in range(1, phase.curve.dim):
+            dj = phase.curve.eval_many([t], j + 1)[0]
+            cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
+        mat = np.column_stack(cols)
     if abs(np.linalg.det(mat)) < det_floor:
         raise DegeneracyError(
             f"|det M({t})| < {det_floor}: curvature condition fails")
@@ -322,6 +266,27 @@ def _box_phase_sup(phase: PhaseSpec, t_k: float, lam: float, c: float,
     return float(np.max(np.abs(red(ypts, ts))))
 
 
+def _largest_dyadic_c(admissible: Callable[[float], bool],
+                      where: str) -> float:
+    """First c in 8, 4, 2, 1, 1/2, ... down to C_FLOOR with admissible(c);
+    a DomainError counts as a refusal."""
+    c = 8.0
+    while c >= C_FLOOR:
+        try:
+            if admissible(c):
+                return c
+        except DomainError:
+            pass
+        c *= 0.5
+    raise CalibrationError(f"no admissible c above {C_FLOOR} {where}")
+
+
+def _default_interval(phase: PhaseSpec, t_k: float, lam: float) -> tuple:
+    """The interval of length lambda^{-1/(2d)} ending at the anchor."""
+    d = phase.curve.dim
+    return (max(t_k - lam ** (-1.0 / (2 * d)), 0.0), t_k)
+
+
 def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
                 interval: tuple | None = None, rho: float | None = None,
                 threshold: float | None = None,
@@ -332,25 +297,14 @@ def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
     value, so doubling the result always violates the bound (or the
     chart domain).  Raises below 2^-20.
     """
-    d = phase.curve.dim
-    if rho is None:
-        rho = 1.0 / (2 * d)
     if interval is None:
-        interval = (max(t_k - lam ** (-1.0 / (2 * d)), 0.0), t_k)
+        interval = _default_interval(phase, t_k, lam)
     if threshold is None:
         threshold = 1.0 / lam
-    c = 8.0
-    while c >= C_FLOOR:
-        try:
-            sup = _box_phase_sup(phase, t_k, lam, c, interval, rho,
-                                 n_lattice, n_lattice)
-            if sup <= threshold:
-                return c
-        except DomainError:
-            pass
-        c *= 0.5
-    raise CalibrationError(
-        f"no admissible c above {C_FLOOR} at t_k={t_k}, lambda={lam}")
+    return _largest_dyadic_c(
+        lambda c: _box_phase_sup(phase, t_k, lam, c, interval, rho,
+                                 n_lattice, n_lattice) <= threshold,
+        f"at t_k={t_k}, lambda={lam}")
 
 
 def box_phase_check(phase: PhaseSpec, t_k: float, lam: float, c: float,
@@ -358,9 +312,8 @@ def box_phase_check(phase: PhaseSpec, t_k: float, lam: float, c: float,
                     rho: float | None = None,
                     n_lattice: int = LATTICE_DEFAULT) -> float:
     """Sampled sup of |reduced phase| on the box-interval product."""
-    d = phase.curve.dim
     if interval is None:
-        interval = (max(t_k - lam ** (-1.0 / (2 * d)), 0.0), t_k)
+        interval = _default_interval(phase, t_k, lam)
     return _box_phase_sup(phase, t_k, lam, c, interval, rho,
                           n_lattice, n_lattice)
 
@@ -583,19 +536,10 @@ def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
                              rho=float(rho), c=float(cv), a=a,
                              frame=frame, box=box)
 
-    if c is not None:
-        return build(float(c))
-    cv = 8.0
-    while cv >= C_FLOOR:
-        try:
-            rect = build(cv)
-            if rect.phase_sup() <= 1e-2 / lam:
-                return rect
-        except DomainError:
-            pass
-        cv *= 0.5
-    raise CalibrationError(
-        f"no admissible c above {C_FLOOR} for type {a} at lambda={lam}")
+    if c is None:
+        c = _largest_dyadic_c(lambda cv: build(cv).phase_sup() <= 1e-2 / lam,
+                              f"for type {a} at lambda={lam}")
+    return build(c)
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,6 @@ class QuadMeasure:
     weights: np.ndarray    # (n,), strictly positive
     alpha: float
     provenance: str
-    c_mu: float | None = None
     max_spacing: float = float("nan")
 
     def __post_init__(self):
@@ -382,7 +381,7 @@ def pushforward_measure(mu: QuadMeasure, linear_map: np.ndarray,
     op_norm = float(np.linalg.norm(a, 2))
     return QuadMeasure(
         mu.dim, nodes, mu.weights * mass_scale, alpha=mu.alpha,
-        provenance="pushforward", c_mu=None,
+        provenance="pushforward",
         max_spacing=mu.max_spacing * op_norm,
     )
 
@@ -400,7 +399,7 @@ def scaled_measure(mu: QuadMeasure, type_tuple: TypeTuple, ell: int,
     factor = 2.0 ** (-ell * float(_frac(kappa_val)))
     return QuadMeasure(
         mu.dim, mu.nodes * diag[None, :], mu.weights * factor,
-        alpha=mu.alpha, provenance="scaled", c_mu=None,
+        alpha=mu.alpha, provenance="scaled",
         max_spacing=mu.max_spacing * float(np.max(diag)),
     )
 

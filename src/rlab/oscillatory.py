@@ -1,27 +1,27 @@
 """Oscillatory-integral evaluation and norms.
 
-The one evaluation core handles both the plain frequency-domain operator
-(f integrated against e^{i lambda x . curve(t)}) and chart-side phases
-(graph embeddings of the sphere or of integral submanifolds).  Panels are
-sized from an exact upper bound on the t-derivative of the total phase,
-which is a polynomial in t: its largest Bernstein coefficient over the
-segment.  Each panel then carries at most PANEL_CAP = 4 pi radians, well
-inside the range where a 16-point Gauss-Legendre rule is accurate to
-round-off (Trefethen, SIAM Review 50, 2008).
+Every phase is a curve phase x . curve(t): on the frequency side x is an
+ambient point, on the chart side x is the embedding of a chart point
+(graph embeddings of the sphere or of integral submanifolds).  The one
+evaluation core handles both.  Panels are sized from an exact upper bound
+on the t-derivative of the total phase, which is a polynomial in t: its
+largest Bernstein coefficient over the segment.  Each panel then carries
+at most PANEL_CAP = 4 pi radians, well inside the range where a 16-point
+Gauss-Legendre rule is accurate to round-off (Trefethen, SIAM Review 50,
+2008).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import Curve
 from .errors import DataError, ResolutionError
-from .measures import GraphPatch, QuadMeasure, SubmanifoldPatch, gauss_legendre
+from .measures import QuadMeasure, gauss_legendre
 
 PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
@@ -145,14 +145,15 @@ class AmplitudeWindow:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """Phase Psi(y, t) of the chart-side operator.
+    """Phase Psi(y, t) = embed(y) . curve(t) of the chart-side operator.
 
     kind "extension": y is an ambient point x, Psi = x . curve(t).
     kind "graph": Psi = (patch_value(y) - offset, y) . curve(t); the
         sphere chart takes offset 1 (its height enters as phi(y) - 1),
         integral graphs take offset 0.
-    kind "custom": bivariate polynomial Psi = sum c[m, n] y^m t^n for
-        scalar y, mostly for stress-testing the solvers.
+
+    A bivariate polynomial sum c[m, n] y^m t^n for scalar y is the
+    extension phase of poly_curve(c) at the points (1, y, y^2, ...).
     """
 
     kind: str
@@ -160,56 +161,28 @@ class PhaseSpec:
     patch: object | None = None          # GraphPatch | SubmanifoldPatch
     offset: float = 0.0
     window: AmplitudeWindow | None = None
-    table: tuple | None = None           # custom polynomial coefficients
 
     def __post_init__(self):
-        if self.kind not in ("extension", "graph", "custom"):
+        if self.kind not in ("extension", "graph"):
             raise ValueError(f"unknown phase kind {self.kind!r}")
-        if self.kind in ("extension", "graph") and self.curve is None:
+        if self.curve is None:
             raise ValueError("curve required")
         if self.kind == "graph" and self.patch is None:
             raise ValueError("patch required for graph phase")
-        if self.kind == "custom":
-            if self.table is None:
-                raise ValueError("table required for custom phase")
-            tab = tuple(tuple(float(v) for v in row) for row in self.table)
-            object.__setattr__(self, "table", tab)
-
-    @property
-    def base_dim(self) -> int:
-        if self.kind == "extension":
-            return self.curve.dim
-        if self.kind == "graph":
-            return self.patch.base_dim
-        return 1
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Map chart points to ambient frequency points."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.kind == "extension":
-            if y.shape[1] != self.curve.dim:
-                raise ValueError("point dimension mismatch")
-            return y
         if self.kind == "graph":
             return self.patch.embed(y, offset=self.offset)
-        raise ValueError("custom phases have no ambient embedding")
+        if y.shape[1] != self.curve.dim:
+            raise ValueError("point dimension mismatch")
+        return y
 
     def values(self, y: np.ndarray, ts: np.ndarray, order: int = 0) -> np.ndarray:
         """d_t^order Psi on the product grid, shape (n_y, n_t)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.kind == "custom":
-            y = np.atleast_2d(np.asarray(y, dtype=float))[:, 0]
-            out = np.zeros((y.size, ts.size))
-            for m, row in enumerate(self.table):
-                tpart = np.zeros_like(ts)
-                for n, cmn in enumerate(row):
-                    if n >= order and cmn != 0.0:
-                        fall = math.perm(n, order)
-                        tpart += cmn * fall * ts ** (n - order)
-                out += (y ** m)[:, None] * tpart[None, :]
-            return out
-        emb = self.embed(y)
-        return emb @ self.curve.eval_many(ts, order).T
+        return self.embed(y) @ self.curve.eval_many(ts, order).T
 
 
 def graph_phase(curve: Curve, patch, offset: float | None = None,
@@ -242,8 +215,6 @@ def _modulation_point(phase: PhaseSpec, seg: Segment) -> tuple | None:
     if seg.modulation is None:
         return None
     x0, lam_mod = seg.modulation
-    if phase.curve is None:
-        raise ValueError("curve_phase modulation requires a curve-based phase")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (phase.curve.dim,):
         raise ValueError("modulation point dimension mismatch")
@@ -295,18 +266,8 @@ def _phase_rate_bound(phase: PhaseSpec, lam: float, seg: Segment,
     |Bernstein coefficient| bounds it.
     """
     mod = _modulation_point(phase, seg)
-    if phase.kind == "custom":
-        tab = phase.table
-        width = max(1, max(len(row) for row in tab) - 1)
-        rows = np.zeros((len(tab), width))
-        for m, row in enumerate(tab):
-            for n in range(1, len(row)):
-                rows[m, n - 1] = n * row[n]
-        y = np.atleast_2d(np.asarray(ypts, dtype=float))[:, 0]
-        basis = y[:, None] ** np.arange(len(tab))
-    else:
-        rows = phase.curve._float_rows(1)
-        basis = phase.embed(ypts)
+    rows = phase.curve._float_rows(1)
+    basis = phase.embed(ypts)
     bern = rows @ _bernstein_matrix(seg.start, seg.end, rows.shape[1])
     shift = np.zeros(bern.shape[1])
     if mod is not None:
@@ -334,7 +295,7 @@ def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
 
 
 def eval_field(curve_or_phase, lam: float, f: TestFunction,
-               ypts: np.ndarray, apply_window: bool = True) -> np.ndarray:
+               ypts: np.ndarray) -> np.ndarray:
     """Evaluate the operator at chart points, shape (n,) complex.
 
     Work is chunked over points; each chunk shares one panel layout per
@@ -365,7 +326,7 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
                     ph -= mrow[None, :]
                 acc += coeff * (np.exp(1j * ph) @ wb)
         out[lo:hi] = acc
-    if apply_window and phase.window is not None:
+    if phase.window is not None:
         out *= phase.window(ypts)
     return out
 
@@ -385,25 +346,24 @@ def phase_eval(phase: PhaseSpec, lam: float, f: TestFunction, y) -> complex:
 
 
 def field(curve_or_phase, lam: float, f: TestFunction, mu: QuadMeasure,
-          strict: bool = False,
-          required_spacing: float | None = None) -> np.ndarray:
+          strict: bool = False) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
     Sphere measures are held to the frequency spacing rule (see
-    sphere_spacing_rule); other measures are checked only when the caller
-    supplies its own bound.  Violations warn, or raise under strict.
+    sphere_spacing_rule); violations warn, or raise under strict.  Other
+    measures are not checked.
     """
     from .measures import sphere_spacing_rule
 
     phase = _as_phase(curve_or_phase)
-    if required_spacing is None and mu.provenance == "sphere":
-        required_spacing = sphere_spacing_rule(mu.dim, max(lam, 1.0))
-    if required_spacing is not None and mu.max_spacing > required_spacing * (1 + 1e-9):
-        msg = (f"measure spacing {mu.max_spacing:.3e} exceeds the "
-               f"lambda rule {required_spacing:.3e} at lambda={lam:g}")
-        if strict:
-            raise ResolutionError(msg)
-        warnings.warn(msg, stacklevel=2)
+    if mu.provenance == "sphere":
+        rule = sphere_spacing_rule(mu.dim, max(lam, 1.0))
+        if mu.max_spacing > rule * (1 + 1e-9):
+            msg = (f"measure spacing {mu.max_spacing:.3e} exceeds the "
+                   f"lambda rule {rule:.3e} at lambda={lam:g}")
+            if strict:
+                raise ResolutionError(msg)
+            warnings.warn(msg, stacklevel=2)
     return eval_field(phase, lam, f, mu.nodes)
 
 

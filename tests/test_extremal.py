@@ -8,6 +8,7 @@ import pytest
 from rlab.curves import eval_derivative, moment_curve, monomial_curve, poly_curve, torsion_det
 from rlab.errors import CalibrationError, DegeneracyError, DomainError
 from rlab.extremal import (
+    NecessityRect,
     Parallelepiped,
     adapted_frame,
     box_phase_check,
@@ -128,8 +129,14 @@ def test_calibration_is_tight():
         pass
     else:
         assert sup2 > 1.0 / lam
-    with pytest.raises(CalibrationError):
+    # box_phase_check defaults to calibrate_c's interval
+    assert (box_phase_check(PH2, 0.45, lam, c)
+            == box_phase_check(PH2, 0.45, lam, c,
+                               interval=(0.45 - lam ** -0.25, 0.45)))
+    with pytest.raises(CalibrationError) as err:
         calibrate_c(PH2, 0.45, lam, threshold=1e-30)
+    assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
+                              f"at t_k=0.45, lambda={lam}")
 
 
 def test_reduced_phase_vanishes_at_anchor():
@@ -198,7 +205,7 @@ def test_adapted_frame():
     assert float(frame[:, -1] @ g1) > 0
 
 
-def test_necessity_rect():
+def test_necessity_rect(monkeypatch):
     curve = monomial_curve([1, 2, 4])
     lam = 4096.0
     rect = necessity_rect_sphere(curve, 0.0, lam, 0.125)
@@ -215,6 +222,12 @@ def test_necessity_rect():
     assert 0 < mass and abs(mass - flat) / flat < 1e-2
     with pytest.raises(ValueError):
         necessity_rect_sphere(curve, 0.0, lam, 0.5)  # rho cap is 1/7
+    monkeypatch.setattr(NecessityRect, "phase_sup",
+                        lambda self, n_lattice=33: math.inf)
+    with pytest.raises(CalibrationError) as err:
+        necessity_rect_sphere(curve, 0.0, lam, 0.125)
+    assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
+                              f"for type (1, 2, 4) at lambda={lam}")
 
 
 def test_kdim_boxes_and_fields():

@@ -12,15 +12,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rlab.cli import build_parser, cli_main
+from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, sweep_config_from_file
 from rlab.curves import moment_curve
 from rlab.errors import ComputationError, ConfigError, DataError
 from rlab.harness import (
     BumpFamily,
+    KdimRecord,
+    KhintchineRecord,
     KnappFamily,
     RandomFamily,
     SweepConfig,
+    SweepRecord,
     _build_input,
     _evaluate,
     _sweep_fits,
@@ -45,8 +48,8 @@ from rlab.oscillatory import (
     graph_phase,
 )
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _capture(argv):
@@ -459,3 +462,49 @@ def test_cli_never_imports_scipy(tmp_path):
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == b"False\n"
+
+
+def _help_schemas():
+    """{subcommand: columns} from the CLI epilog's 'name: a,b,...' lines;
+    an indented line continues the one above."""
+    schemas, names = {}, ()
+    for line in _CSV_NOTE.splitlines()[2:]:
+        if line.startswith("  "):
+            cols = line.strip()
+        else:
+            head, cols = line.split(":", 1)
+            names = head.split("/")
+            for name in names:
+                schemas[name] = ""
+        for name in names:
+            schemas[name] += cols.strip()
+    return {name: text.split(",") for name, text in schemas.items()}
+
+
+def _readme_schemas():
+    """{subcommand: columns} from README's "CSV schemas" bullet list."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## CSV schemas", 1)[1].split("\n## ", 1)[0]
+    schemas = {}
+    for line in section.splitlines():
+        if line.startswith("- `"):
+            head, cols = line[2:].split(": ", 1)
+            for name in head.split(" / "):
+                schemas[name.strip("`")] = cols.strip("`").split(",")
+    return schemas
+
+
+def test_csv_schema_docs_match_the_written_headers():
+    pd_csv = phase_diagram(2, 2, lam_pair=(16.0, 32.0)).csv_text
+    pd_header = next(line for line in pd_csv.splitlines()
+                     if not line.startswith("#"))
+    written = {
+        "sweep": SweepRecord.HEADER,
+        "knapp": SweepRecord.HEADER,
+        "random-lower": KhintchineRecord.HEADER,
+        "phase-diagram": pd_header.split(","),
+        "kdim": KdimRecord.HEADER,
+    }
+    assert _help_schemas() == written
+    assert _readme_schemas() == written

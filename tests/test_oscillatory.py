@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import rlab.oscillatory as osc
-from rlab.curves import TypeTuple, dyadic_rescale, moment_curve, monomial_curve
+from rlab.curves import (
+    TypeTuple,
+    dyadic_rescale,
+    moment_curve,
+    monomial_curve,
+    poly_curve,
+)
 from rlab.errors import ResolutionError
 from rlab.harness import (
     BumpFamily,
@@ -150,17 +156,24 @@ def test_phase_eval_respects_window():
     assert abs(inner) > 0.0
 
 
-def test_custom_phase_polynomial():
-    # Psi(y, t) = y t + 2 y^2 t^3 evaluated directly
-    phase = PhaseSpec(kind="custom", table=((0.0, 0.0, 0.0, 0.0),
-                                            (0.0, 1.0, 0.0, 0.0),
-                                            (0.0, 0.0, 0.0, 2.0)))
+def _vandermonde(y, n_rows):
+    """The points (1, y, y^2, ...) of scalar chart points y."""
+    return np.asarray(y, dtype=float)[:, :1] ** np.arange(n_rows)
+
+
+def test_polynomial_phase_is_a_curve_phase():
+    # Psi(y, t) = y t + 2 y^2 t^3: the extension phase of the curve with
+    # components 0, t, 2 t^3, at the points (1, y, y^2)
+    phase = extension_phase(poly_curve(((0.0, 0.0, 0.0, 0.0),
+                                        (0.0, 1.0, 0.0, 0.0),
+                                        (0.0, 0.0, 0.0, 2.0))))
     y = np.array([[0.5], [-1.0]])
     ts = np.array([0.2, 0.7])
     want = y[:, :1] * ts[None, :] + 2.0 * y[:, :1] ** 2 * ts[None, :] ** 3
-    assert np.max(np.abs(phase.values(y, ts) - want)) < 1e-14
+    assert np.max(np.abs(phase.values(_vandermonde(y, 3), ts) - want)) < 1e-14
     dt = y[:, :1] + 6.0 * y[:, :1] ** 2 * ts[None, :] ** 2
-    assert np.max(np.abs(phase.values(y, ts, order=1) - dt)) < 1e-14
+    assert np.max(np.abs(phase.values(_vandermonde(y, 3), ts, order=1)
+                         - dt)) < 1e-14
 
 
 def test_lp_norm_closed_forms():
@@ -245,6 +258,8 @@ def test_phase_spec_validation():
         PhaseSpec(kind="graph", curve=MC2)
     with pytest.raises(ValueError):
         PhaseSpec(kind="custom")
+    with pytest.raises(ValueError):
+        PhaseSpec(kind="custom", curve=MC2)
     ext = extension_phase(MC2)
     pts = np.array([[0.1, 0.2]])
     assert np.array_equal(ext.embed(pts), pts)
@@ -257,9 +272,10 @@ def test_phase_spec_validation():
 MC3 = moment_curve(3)
 MC4 = moment_curve(4)
 _RNG = np.random.default_rng(7)
-_CUSTOM = PhaseSpec(kind="custom", table=((0.0, 0.5, 0.0, -1.0),
-                                          (1.0, 0.0, 3.0),
-                                          (0.0, 0.0, 0.0, 0.0, 2.0)))
+# Psi(y, t) = 0.5 t - t^3 + y (1 + 3 t^2) + 2 y^2 t^4 for scalar y
+_POLY = extension_phase(poly_curve(((0.0, 0.5, 0.0, -1.0),
+                                    (1.0, 0.0, 3.0),
+                                    (0.0, 0.0, 0.0, 0.0, 2.0))))
 _CURVE_PHASES = [
     (extension_phase(MC3), _RNG.normal(size=(40, 3))),
     (graph_phase(MC3, sphere_cap_graph(3)),
@@ -272,9 +288,9 @@ _CURVE_PHASES = [
 @pytest.mark.parametrize("phase, ypts, x0", [
     *[(ph, y, None) for ph, y in _CURVE_PHASES],
     *[(ph, y, _RNG.normal(size=ph.curve.dim)) for ph, y in _CURVE_PHASES],
-    (_CUSTOM, _RNG.uniform(-1.5, 1.5, size=(40, 1)), None),
+    (_POLY, _vandermonde(_RNG.uniform(-1.5, 1.5, size=(40, 1)), 3), None),
 ], ids=["extension", "sphere-cap", "submanifold", "extension-modulated",
-        "sphere-cap-modulated", "submanifold-modulated", "custom"])
+        "sphere-cap-modulated", "submanifold-modulated", "polynomial"])
 def test_phase_rate_bound_dominates_dense_sample(phase, ypts, x0):
     lam, lam_mod = 37.0, 53.0
     seg = Segment(0.15, 0.85,
@@ -292,12 +308,6 @@ def test_phase_rate_bound_dominates_dense_sample(phase, ypts, x0):
     assert np.all(bound <= 2.0 * sup)
     # over a point set the bound is the largest per-point bound
     assert _phase_rate_bound(phase, lam, seg, ypts) == np.max(bound)
-
-
-def test_phase_rate_bound_refuses_modulated_custom_phase():
-    seg = Segment(0.0, 1.0, modulation=((1.0,), 5.0))
-    with pytest.raises(ValueError):
-        _phase_rate_bound(_CUSTOM, 5.0, seg, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("start", [0.0, 0.3])
