@@ -18,7 +18,6 @@ from .curves import moment_curve
 from .errors import ComputationError, ConfigError
 from .exponents import exponent_table, hyperplane_omega
 from .harness import (
-    BumpFamily,
     KnappFamily,
     RandomFamily,
     SweepConfig,

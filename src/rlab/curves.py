@@ -74,10 +74,6 @@ def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
     return poly_trim(tuple(x + y for x, y in zip(a, b)))
 
 
-def poly_scale(a: Sequence[Fraction], s: Fraction) -> Poly:
-    return poly_trim(tuple(x * s for x in a))
-
-
 def poly_compose_affine(c: Sequence[Fraction], u: Fraction, t0: Fraction) -> Poly:
     """Coefficients of p(u*t + t0), computed by binomial expansion."""
     out = [Fraction(0)] * max(len(c), 1)

@@ -10,16 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .curves import (
     Curve,
-    TypeTuple,
     detect_type,
-    moment_curve,
-    nondegenerate_tuple,
     poly_derivative,
     poly_eval,
     torsion_det,

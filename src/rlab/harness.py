@@ -555,9 +555,13 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     header = [
         f"phase_diagram d={d} grid_n={grid_n} family={family.name}",
         f"lam_pair={_fmt(lam0)},{_fmt(lam1)} band={_fmt(band)}",
-        "measured_excess = two-point slope of log ratio",
+        "measured_excess = two-point slope of log ratio, to 10 decimals",
     ]
-    rows = [[c[k] for k in cols] for c in cells]
+    # the slope prints to 1e-10 absolute: at 1/q = 0 it is the slope of two
+    # nearly equal sup norms, whose last printed digits would be round-off
+    # (+ 0.0 turns a rounded -0.0 into 0)
+    rows = [[round(c[k], 10) + 0.0 if k == "measured_excess" else c[k]
+             for k in cols] for c in cells]
     csv_text = write_csv(out, header, cols, rows)
     return PhaseDiagramResult(cells=cells, agreement=agreement,
                               n_off_band=n_off, csv_text=csv_text)

@@ -9,6 +9,19 @@ largest Bernstein coefficient over the segment.  Each panel then carries
 at most PANEL_CAP = 4 pi radians, well inside the range where a 16-point
 Gauss-Legendre rule is accurate to round-off (Trefethen, SIAM Review 50,
 2008).
+
+The panels of a segment have equal width h, so for each Gauss index the
+t-nodes across panels form an arithmetic progression, on which the total
+phase is a polynomial of degree D in the panel index.  Its forward
+differences D^l Phi obey D^l Phi(k + 1) = D^l Phi(k) + D^(l+1) Phi(k),
+with D^D Phi constant, so exp(i Phi) moves from panel to panel by D complex
+multiplies: E_l *= E_(l+1) with E_l = exp(i D^l Phi).  The differences
+are taken from the phase's t-coefficients (a binomial shift to the anchor,
+then Stirling numbers), never by subtracting phase values.  Every
+_ANCHOR panels (fewer from degree 3 on, see _anchor_spacing) they are
+taken afresh and exponentiated exactly, which bounds the round-off the
+recurrence accumulates (Press et al., Numerical Recipes, 3rd ed., 2007,
+section 5.4).
 """
 
 from __future__ import annotations
@@ -27,7 +40,7 @@ PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
 MIN_PANELS = 4
 _Y_CHUNK = 512
-_T_BLOCK = 2048
+_ANCHOR = 32                # panels between re-anchors at phase degree <= 2
 
 
 # ----------------------------------------------------------------------
@@ -221,18 +234,9 @@ def _modulation_point(phase: PhaseSpec, seg: Segment) -> tuple | None:
     return x0, lam_mod
 
 
-def _modulation_row(phase: PhaseSpec, seg: Segment,
-                    ts: np.ndarray) -> np.ndarray | None:
-    """lam_mod * x0 . curve(ts) for a modulated segment."""
-    mod = _modulation_point(phase, seg)
-    if mod is None:
-        return None
-    x0, lam_mod = mod
-    return lam_mod * (phase.curve.eval_many(ts) @ x0)
-
-
 def _panel_nodes(seg: Segment, n_panels: int):
-    """Composite Gauss-Legendre nodes/weights over the segment."""
+    """Composite Gauss-Legendre nodes/weights over the segment, as explicit
+    arrays: the layout eval_field's recurrence walks."""
     gx, gw = gauss_legendre(PANEL_ORDER)
     edges = np.linspace(seg.start, seg.end, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -294,12 +298,66 @@ def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
     return max(MIN_PANELS, int(math.ceil(need)))
 
 
+def _scaled_stirling(width: int) -> np.ndarray:
+    """l! S(i, l) at [i, l]: the l-th forward difference at 0, step 1, of
+    u^i (S the Stirling numbers of the second kind)."""
+    tab = np.zeros((width, width))
+    tab[0, 0] = 1.0
+    for i in range(1, width):
+        for l in range(1, i + 1):
+            tab[i, l] = l * (tab[i - 1, l] + tab[i - 1, l - 1])
+    return tab
+
+
+def _anchor_spacing(deg: int) -> int:
+    """Panels between re-anchors of the recurrence for phase degree deg.
+
+    m steps after an anchor, E_0 carries the rounding of E_l raised to the
+    power C(m, l), so the largest amplification is C(K - 1, deg) for
+    spacing K.  K is the largest spacing <= _ANCHOR whose amplification
+    is at most degree 2's at _ANCHOR: 32 up to degree 2, 16 at degree 3,
+    12 at degree 4.
+    """
+    budget = math.comb(_ANCHOR - 1, 2)
+    spacing = _ANCHOR
+    while spacing > 1 and math.comb(spacing - 1, deg) > budget:
+        spacing -= 1
+    return spacing
+
+
+def _difference_maps(start: float, h: float, n_panels: int,
+                     width: int) -> list:
+    """Per anchor panel k0 (every _anchor_spacing-th), the matrix taking the
+    t-coefficients c of a polynomial of degree D = width - 1 to its forward
+    differences D^l, l < D, with step h at the Gauss nodes tau of panel k0.
+
+    With Phi(tau + u h) = sum_i a_i u^i, a_i = h^i sum_k C(k, i) tau^(k-i)
+    c_k, and D^l Phi(tau) = sum_i l! S(i, l) a_i.  Each matrix has shape
+    (D * PANEL_ORDER, width), rows ordered by l, then tau.
+    """
+    deg = width - 1
+    stir = _scaled_stirling(width)[:, :deg]
+    taus = start + 0.5 * h * (1.0 + gauss_legendre(PANEL_ORDER)[0])
+    maps = []
+    for k0 in range(0, n_panels, _anchor_spacing(deg)):
+        powers = (taus + k0 * h)[:, None] ** np.arange(width)
+        out = np.zeros((deg, PANEL_ORDER, width))
+        for k in range(width):
+            for i in range(k + 1):
+                scale = math.comb(k, i) * h ** i
+                out[:, :, k] += np.outer(scale * stir[i], powers[:, k - i])
+        maps.append(out.reshape(deg * PANEL_ORDER, width))
+    return maps
+
+
 def eval_field(curve_or_phase, lam: float, f: TestFunction,
                ypts: np.ndarray) -> np.ndarray:
     """Evaluate the operator at chart points, shape (n,) complex.
 
     Work is chunked over points; each chunk shares one panel layout per
-    segment, sized from the chunk-wide phase-derivative bound.
+    segment, sized from the chunk-wide phase-derivative bound.  Along the
+    panels exp(i Phi) follows the forward-difference recurrence of the
+    module docstring, re-anchored every _anchor_spacing(D) panels.
     """
     phase = _as_phase(curve_or_phase)
     ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
@@ -307,24 +365,39 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
     out = np.zeros(n, dtype=complex)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    gw = gauss_legendre(PANEL_ORDER)[1]
+    rows = phase.curve._float_rows(0)
+    width = rows.shape[1]
+    deg = width - 1
+    spacing = _anchor_spacing(deg)
+    maps = {}       # difference maps per segment layout, shared by chunks
     for lo in range(0, n, _Y_CHUNK):
         hi = min(n, lo + _Y_CHUNK)
         chunk = ypts[lo:hi]
+        scaled = lam * phase.embed(chunk)
         acc = np.zeros(hi - lo, dtype=complex)
         for seg in f.segments:
             if seg.length == 0.0:
                 continue
             n_panels = _segment_panel_count(phase, lam, seg, chunk)
-            ts, ws = _panel_nodes(seg, n_panels)
-            coeff = seg.coefficient
-            for blo in range(0, ts.size, _T_BLOCK):
-                bhi = min(ts.size, blo + _T_BLOCK)
-                tb, wb = ts[blo:bhi], ws[blo:bhi]
-                ph = lam * phase.values(chunk, tb, order=0)
-                mrow = _modulation_row(phase, seg, tb)
-                if mrow is not None:
-                    ph -= mrow[None, :]
-                acc += coeff * (np.exp(1j * ph) @ wb)
+            h = seg.length / n_panels
+            mod = _modulation_point(phase, seg)
+            x = scaled if mod is None else scaled - mod[1] * mod[0]
+            coef = x @ rows                      # (m, D + 1) in t
+            top = np.exp(1j * (math.factorial(deg) * h ** deg) * coef[:, deg])
+            key = (seg.start, h, n_panels)
+            if key not in maps:
+                maps[key] = _difference_maps(seg.start, h, n_panels, width)
+            total = np.zeros((PANEL_ORDER, hi - lo), dtype=complex)
+            for k0, dmap in zip(range(0, n_panels, spacing), maps[key]):
+                diffs = (dmap @ coef.T).reshape(deg, PANEL_ORDER, hi - lo)
+                terms = [*np.exp(1j * diffs), top]
+                for step in range(min(spacing, n_panels - k0)):
+                    if step:
+                        for l in range(deg):
+                            terms[l] *= terms[l + 1]
+                    total += terms[0]
+            acc += seg.coefficient * ((0.5 * h * gw) @ total)
         out[lo:hi] = acc
     if phase.window is not None:
         out *= phase.window(ypts)

@@ -189,6 +189,12 @@ def test_phase_diagram_random_family():
     assert "family=random" in res.csv_text
     assert 0 < res.n_off_band <= 9
     assert res.agreement >= 0.75
+    # the CSV prints the slope to 1e-10 absolute; the cells keep it whole
+    rows = [line.split(",") for line in res.csv_text.splitlines()
+            if not line.startswith("#")][1:]
+    slopes = [c["measured_excess"] for c in res.cells]
+    assert [float(r[4]) for r in rows] == [round(v, 10) for v in slopes]
+    assert any(v != round(v, 10) for v in slopes)
     with pytest.raises(ValueError):     # lambda^(-1/4) > delta at 64
         phase_diagram(2, 3, family=RandomFamily(), lam_pair=(64.0, 1024.0))
 
@@ -234,18 +240,25 @@ def test_panels_column_is_the_widest_chunk_layout(family):
 
 
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
-    argv = [sys.executable, "-m", "rlab", "knapp", "--d", "2", "--lams",
-            "16,32,64", "--qs", "3,4", "--ps", "inf,1.5"]
-    outs = []
-    for n in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
-                   PYTHONPATH=os.pathsep.join(
-                       p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] and outs[0].count(b"\n") > 10
+    (tmp_path / "bump.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
+        "[sweep]\nlams = 64, 128, 256, 512\nqs = 3, 4, 6\n")
+    for args in (["knapp", "--d", "2", "--lams", "16,32,64", "--qs", "3,4",
+                  "--ps", "inf,1.5"],
+                 ["sweep", "--config", "bump.ini"],
+                 ["random-lower", "--lams", "256,1024", "--n-samples", "32",
+                  "--qs", "3,4"]):
+        outs = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+            proc = subprocess.run([sys.executable, "-m", "rlab", *args],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].count(b"\n") > 10, args
 
 
 @pytest.mark.parametrize("run", [

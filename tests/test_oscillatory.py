@@ -342,3 +342,94 @@ def test_wide_panels_match_the_old_layout(case, monkeypatch):
     monkeypatch.setattr(osc, "PANEL_CAP", 0.25 * np.pi)
     narrow = eval_field(curve, lam, f, nodes)
     assert np.max(np.abs(wide - narrow)) <= 1e-13 * np.max(np.abs(narrow))
+
+
+# ----------------------------------------------------------------------
+# panel recurrence
+# ----------------------------------------------------------------------
+
+def _direct_field(phase, lam, f, ypts):
+    """eval_field's sum on the same panels, one np.exp per phase point."""
+    out = np.zeros(ypts.shape[0], dtype=complex)
+    for lo in range(0, ypts.shape[0], osc._Y_CHUNK):
+        chunk = ypts[lo:lo + osc._Y_CHUNK]
+        for seg in f.segments:
+            if seg.length == 0.0:
+                continue
+            ts, ws = _panel_nodes(
+                seg, osc._segment_panel_count(phase, lam, seg, chunk))
+            ph = lam * phase.values(chunk, ts)
+            if seg.modulation is not None:
+                x0, lam_mod = seg.modulation
+                ph -= lam_mod * (phase.curve.eval_many(ts) @ np.asarray(x0))
+            out[lo:lo + chunk.shape[0]] += seg.coefficient * (np.exp(1j * ph) @ ws)
+    if phase.window is not None:
+        out *= phase.window(ypts)
+    return out
+
+
+def _assert_matches_direct(phase, lam, f, ypts):
+    got = eval_field(phase, lam, f, ypts)
+    want = _direct_field(phase, lam, f, ypts)
+    scale = np.max(np.abs(want))
+    # where |F| is far below its L^1 bound the sum is cancellation-bound,
+    # and both evaluations carry the same conditioning error: keep to
+    # fields where the max-norm comparison sees the kernels' round-off
+    assert scale >= 0.05 * sum(abs(s.coefficient) * s.length
+                               for s in f.segments)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def _panels(phase, lam, seg, ypts):
+    return max(osc._segment_panel_count(phase, lam, seg, ypts[lo:lo + osc._Y_CHUNK])
+               for lo in range(0, ypts.shape[0], osc._Y_CHUNK))
+
+
+_GRID = np.stack(np.meshgrid(np.linspace(-0.6, 0.6, 15),
+                             np.linspace(-0.6, 0.6, 15)), -1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("modulated", [False, True],
+                         ids=["plain", "modulated"])
+@pytest.mark.parametrize("phase, ypts, lam", [
+    (extension_phase(MC3), _CURVE_PHASES[0][1], 500.0),
+    (graph_phase(MC3, sphere_cap_graph(3)), _GRID, 500.0),
+    (_CURVE_PHASES[2][0], _CURVE_PHASES[2][1], 3000.0),
+], ids=["extension", "sphere-cap", "submanifold"])
+def test_recurrence_matches_direct_exp(phase, ypts, lam, modulated):
+    # the modulated field peaks at the first point, where |F| = length
+    x0 = phase.embed(ypts[:1])[0] if modulated else None
+    seg = Segment(0.15, 0.85, modulation=None if x0 is None else (x0, lam))
+    # the recurrence runs past at least one re-anchor
+    spacing = osc._anchor_spacing(phase.curve.degree)
+    assert _panels(phase, lam, seg, ypts) > spacing
+    _assert_matches_direct(phase, lam, StepFn((seg,)), ypts)
+
+
+def test_recurrence_over_many_anchors():
+    curve, lam, f, nodes = _sphere_case(2, BumpFamily(), 1024.0, 4)
+    n_panels = _panels(extension_phase(curve), lam, f.segments[0], nodes)
+    assert osc._anchor_spacing(curve.degree) == osc._ANCHOR
+    assert n_panels > 3 * osc._ANCHOR and n_panels % osc._ANCHOR != 0
+    _assert_matches_direct(extension_phase(curve), lam, f, nodes)
+
+
+def test_recurrence_on_a_random_sign_input():
+    curve, lam, f, nodes = _sphere_case(2, RandomFamily(delta=1.0), 256.0, 1)
+    assert len(f.segments) > 1 and {s.sign for s in f.segments} == {-1, 1}
+    _assert_matches_direct(extension_phase(curve), lam, f, nodes)
+
+
+def test_recurrence_on_a_degree_one_curve():
+    line = poly_curve(((0.0, 1.0), (0.5, -2.0)))
+    ypts = np.random.default_rng(5).normal(size=(50, 2))
+    f = indicator(0.1, 0.9, modulation=(ypts[0], 300.0))
+    assert _panels(extension_phase(line), 300.0, f.segments[0], ypts) > 32
+    _assert_matches_direct(extension_phase(line), 300.0, f, ypts)
+
+
+def test_recurrence_at_the_panel_floor():
+    ypts = np.random.default_rng(6).normal(size=(30, 2))
+    f = indicator(0.0, 1.0)
+    assert _panels(extension_phase(MC2), 2.0, f.segments[0], ypts) == osc.MIN_PANELS
+    _assert_matches_direct(extension_phase(MC2), 2.0, f, ypts)
