@@ -53,13 +53,19 @@ def parse_curve(text: str) -> Curve:
 
 
 def parse_floats(text: str) -> tuple:
-    """Comma (or semicolon) separated floats; 'inf' and 'oo' are infinity."""
+    """Comma (or semicolon) separated floats; 'inf' and 'oo' are infinity.
+
+    A token that reads as NaN is refused with ValueError.
+    """
     vals = []
     for tok in text.replace(";", ",").split(","):
         tok = tok.strip()
         if not tok:
             continue
-        vals.append(float("inf") if tok in ("inf", "oo") else float(tok))
+        val = float("inf") if tok in ("inf", "oo") else float(tok)
+        if math.isnan(val):
+            raise ValueError(f"not a number: {tok!r}")
+        vals.append(val)
     return tuple(vals)
 
 

@@ -607,6 +607,9 @@ def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
 # Monte Carlo dimension audit
 # ----------------------------------------------------------------------
 
+_BLOCK = 32                 # nodes per block of the audit's bound pass
+_BOUND_CELLS = 1 << 16      # ball-block pairs per chunk of the bound pass
+
 def _min_spacing(mu: QuadMeasure) -> float:
     """Smallest positive distance between two nodes.
 
@@ -660,14 +663,15 @@ def _column_d2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
-                 radii: np.ndarray) -> list:
-    """Masses of the closed balls B(centers[i], radii[i]) under the nodes.
+                 radii: np.ndarray):
+    """Yield the masses of the closed balls B(centers[i], radii[i]) in turn.
 
     Each ball looks only at the slab of nodes whose coordinate on the
     widest axis lies within its radius of the center, a superset of the
     ball.  Distances round as in np.sum((nodes - c)**2, axis=1) <= r*r
     over every node, and the weights inside are summed in node-index
-    order, so each mass is bit-identical to that brute-force sum.
+    order, so each mass is bit-identical to that brute-force sum.  The
+    sort and the column copy are made once, before the first mass.
     """
     ax = int(np.argmax(nodes.max(axis=0) - nodes.min(axis=0)))
     perm = np.argsort(nodes[:, ax], kind="stable")
@@ -677,11 +681,74 @@ def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     pad = 1e-12 * (np.abs(centers[:, ax]) + radii)
     starts = np.searchsorted(cols[ax], centers[:, ax] - radii - pad, side="left")
     stops = np.searchsorted(cols[ax], centers[:, ax] + radii + pad, side="right")
-    masses = []
     for c, r, lo, hi in zip(centers, radii, starts, stops):
         hit = _column_d2(cols[:, lo:hi], c) <= r * r
-        masses.append(float(np.sum(weights[np.sort(perm[lo:hi][hit])])))
-    return masses
+        yield float(np.sum(weights[np.sort(perm[lo:hi][hit])]))
+
+
+def _mass_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
+                 radii: np.ndarray) -> np.ndarray:
+    """Upper bounds on the masses _ball_masses yields for the same balls.
+
+    The nodes are cut into index-contiguous blocks of _BLOCK, each with a
+    bounding box and a mass.  A ball's bound is the mass of the blocks
+    whose box it reaches, inflated to cover rounding.  The squared
+    distance from the center to a box runs coordinate by coordinate, as
+    _column_d2 does, on gaps no larger than the node's own; rounding is
+    monotone, so a box is never past r*r while a node in it is inside.
+    """
+    n = nodes.shape[0]
+    firsts = np.arange(0, n, _BLOCK)
+    box_lo = np.minimum.reduceat(nodes, firsts).T
+    box_hi = np.maximum.reduceat(nodes, firsts).T
+    block_mass = np.add.reduceat(weights, firsts)
+    # The ball's mass, each block mass and a bound's sum over blocks are
+    # float sums of fewer than n + _BLOCK positive terms, in whatever
+    # order (BLAS included), so each is within a relative (n + _BLOCK) u
+    # of its exact value (u = eps/2).  An inflation of 4 (n + _BLOCK) u
+    # covers the three and the rounding of the inflation itself.
+    inflate = 1.0 + 2.0 * (n + _BLOCK) * np.finfo(float).eps
+    step = max(1, _BOUND_CELLS // firsts.size)
+    bounds = np.empty(radii.size)
+    for s in range(0, radii.size, step):
+        c = centers[s:s + step].T[:, :, None]
+        d2 = np.zeros((c.shape[1], firsts.size))
+        for lo, hi, ci in zip(box_lo, box_hi, c):
+            gap = np.maximum(lo - ci, ci - hi)
+            np.maximum(gap, 0.0, out=gap)
+            gap *= gap
+            d2 += gap
+        r = radii[s:s + step, None]
+        bounds[s:s + step] = (d2 <= r * r) @ block_mass
+    return bounds * inflate
+
+
+def _max_mass_ratio(nodes: np.ndarray, weights: np.ndarray,
+                    centers: np.ndarray, radii: np.ndarray,
+                    alpha: float) -> float:
+    """Largest mass(B(centers[i], radii[i])) / radii[i]**alpha.
+
+    Balls get an exact mass in decreasing order of their bound's ratio,
+    and the pass stops at the first bound ratio that does not exceed the
+    largest exact one: division rounds monotonically, so no ball after
+    it can raise the maximum.  The result equals, bit for bit, the
+    maximum over every ball of its brute-force ratio.
+    """
+    # the brute-force ratio's scalar power: numpy's vectorized power can
+    # round differently in the last bit
+    denoms = np.array([r ** alpha for r in radii])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = _mass_bounds(nodes, weights, centers, radii) / denoms
+    order = np.argsort(-keys, kind="stable")
+    masses = _ball_masses(nodes, weights, centers[order], radii[order])
+    worst = 0.0
+    for i in order:
+        if not keys[i] > worst:
+            break
+        ratio = next(masses) / denoms[i]
+        if ratio > worst:
+            worst = ratio
+    return worst
 
 
 def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
@@ -691,16 +758,20 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     Samples centers near the support (random node plus jitter) and radii
     log-uniform between the floor (default 4x the minimum node spacing)
     and the support diameter; returns the largest observed mass ratio.
-    The floor must be positive; an infinite one means half the diameter.
+    alpha must be finite.  The floor must be positive; an infinite one
+    means half the diameter.
 
-    The ball masses come from a slab-pruned pass over the nodes sorted
-    along the widest axis.  Its distances round as the brute-force
-    |x - c|^2 <= r^2 over every node does, and it sums the weights inside
-    in node-index order, so the result is identical, bit for bit, to the
-    brute-force definition.
+    Balls are pruned by block bounds (``_mass_bounds``): only those whose
+    bound can still beat the largest ratio found get an exact mass, from
+    a slab-pruned pass over the nodes sorted along the widest axis.  Its
+    distances round as the brute-force |x - c|^2 <= r^2 over every node
+    does, and it sums the weights inside in node-index order, so the
+    result is identical, bit for bit, to the brute-force definition.
     """
     if n_samples < 100:
         raise ValueError("n_samples >= 100 required")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     if r_floor is not None and not float(r_floor) > 0:
         raise ValueError(f"r_floor must be positive, got {r_floor!r}")
     rng = np.random.default_rng(seed)
@@ -719,9 +790,4 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     jitter_scale = mu.max_spacing if np.isfinite(mu.max_spacing) else floor
     centers = nodes[idx] + rng.normal(scale=jitter_scale, size=(n_samples, mu.dim))
     radii = floor * (diam / floor) ** rng.uniform(size=n_samples)
-    worst = 0.0
-    for r, mass in zip(radii, _ball_masses(nodes, weights, centers, radii)):
-        ratio = mass / r**alpha
-        if ratio > worst:
-            worst = ratio
-    return worst
+    return _max_mass_ratio(nodes, weights, centers, radii, alpha)

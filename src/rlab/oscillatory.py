@@ -449,16 +449,16 @@ def lq_norm(values: np.ndarray, mu: QuadMeasure, q: float) -> float:
     values = np.asarray(values)
     if values.shape[0] != mu.size:
         raise DataError("field/measure size mismatch")
+    if not q >= 1:
+        raise ValueError("q >= 1 required")
     if math.isinf(q):
         return float(np.max(np.abs(values)))
-    if q < 1:
-        raise ValueError("q >= 1 required")
     return float(np.sum(mu.weights * np.abs(values) ** q) ** (1.0 / q))
 
 
 def lp_norm(f: TestFunction, p: float) -> float:
     """Exact L^p norm of a piecewise-constant-modulus input."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p >= 1 required")
     lens = np.array([s.length for s in f.segments])
     mods = np.array([abs(s.coefficient) for s in f.segments])
@@ -474,7 +474,7 @@ def lorentz_norm(f: TestFunction, p: float, q: float) -> float:
     are the distinct moduli in decreasing order and T_j the cumulative
     lengths; q = inf gives the weak-L^p functional sup v T^{1/p}.
     """
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise ValueError("p, q >= 1 required")
     if math.isinf(p):
         if math.isinf(q):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
-from rlab.config import load_config, parse_curve, sweep_config_from_file
+from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
 from rlab.curves import moment_curve
 from rlab.errors import ComputationError, ConfigError, DataError
 from rlab.harness import (
@@ -243,11 +243,14 @@ def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
     (tmp_path / "bump.ini").write_text(
         "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
         "[sweep]\nlams = 64, 128, 256, 512\nqs = 3, 4, 6\n")
-    for args in (["knapp", "--d", "2", "--lams", "16,32,64", "--qs", "3,4",
-                  "--ps", "inf,1.5"],
-                 ["sweep", "--config", "bump.ini"],
-                 ["random-lower", "--lams", "256,1024", "--n-samples", "32",
-                  "--qs", "3,4"]):
+    # (argv, fewest stdout lines); the audit's block bounds use a BLAS product
+    for args, n_lines in (
+            (["knapp", "--d", "2", "--lams", "16,32,64", "--qs", "3,4",
+              "--ps", "inf,1.5"], 11),
+            (["sweep", "--config", "bump.ini"], 11),
+            (["random-lower", "--lams", "256,1024", "--n-samples", "32",
+              "--qs", "3,4"], 11),
+            (["audit-measure", "--d", "3", "--resolution", "64"], 1)):
         outs = []
         for n in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
@@ -258,7 +261,7 @@ def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
                                   timeout=300)
             assert proc.returncode == 0, proc.stderr.decode()
             outs.append(proc.stdout)
-        assert outs[0] == outs[1] and outs[0].count(b"\n") > 10, args
+        assert outs[0] == outs[1] and outs[0].count(b"\n") >= n_lines, args
 
 
 @pytest.mark.parametrize("run", [
@@ -375,11 +378,27 @@ def test_cli_error_codes():
     ["hyperplane", "--d", "3", "--normal", "1,0"],
     ["kdim", "--d", "4", "--k", "9"],
     ["audit-measure", "--d", "1"],
-], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure"])
-def test_cli_refused_argument_exits_2(argv):
+    ["audit-measure", "--d", "2", "--alpha", "nan"],
+    ["audit-measure", "--d", "2", "--alpha", "inf"],
+    ["knapp", "--lams", "16,32", "--qs", "nan", "--ps", "inf"],
+], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
+        "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan"])
+def test_cli_refused_argument_exits_2(argv, monkeypatch):
+    # a refused argument stops the run before any field is computed
+    def no_field(*args, **kwargs):
+        raise AssertionError("field computed")
+
+    monkeypatch.setattr("rlab.harness.field", no_field)
     code, _, err = _capture(argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, token", [
+    ("nan", "'nan'"), ("16, NaN", "'NaN'"), ("-nan;3", "'-nan'")])
+def test_parse_floats_refuses_nan(text, token):
+    with pytest.raises(ValueError, match=f"not a number: {token}"):
+        parse_floats(text)
 
 
 def test_cli_computed_data_check_exits_3(monkeypatch):

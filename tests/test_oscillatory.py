@@ -199,6 +199,17 @@ def test_lq_norm():
         lq_norm(ones, mu, 0.5)
 
 
+@pytest.mark.parametrize("norm", [
+    lambda: lp_norm(indicator(0.0, 0.5), math.nan),
+    lambda: lq_norm(np.ones(64), sphere_measure(2, 64), math.nan),
+    lambda: lorentz_norm(indicator(0.0, 0.5), math.nan, 2.0),
+    lambda: lorentz_norm(indicator(0.0, 0.5), 2.0, math.nan),
+], ids=["lp", "lq", "lorentz-p", "lorentz-q"])
+def test_norms_refuse_nan_exponents(norm):
+    with pytest.raises(ValueError, match=">= 1 required"):
+        norm()
+
+
 def test_lorentz_norm():
     f = indicator(0.0, 0.7)
     # L^{p,p} collapses to L^p on step functions
