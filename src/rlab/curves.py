@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,6 +72,64 @@ def poly_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
     a = tuple(a) + (Fraction(0),) * (n - len(a))
     b = tuple(b) + (Fraction(0),) * (n - len(b))
     return poly_trim(tuple(x + y for x, y in zip(a, b)))
+
+
+def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple:
+    """Exact quotient and remainder of a by a nonzero b."""
+    b = poly_trim(b)
+    if not any(b):
+        raise ZeroDivisionError("polynomial division by zero")
+    r, m = list(poly_trim(a)), len(b)
+    q = [Fraction(0)] * max(len(r) - m + 1, 1)
+    for s in range(len(r) - m, -1, -1):
+        q[s] = Fraction(r[s + m - 1]) / b[-1]
+        for j, y in enumerate(b):
+            r[s + j] -= q[s] * y
+    return poly_trim(q), poly_trim(r[: max(m - 1, 1)])
+
+
+def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
+    """Monic greatest common divisor; gcd(0, 0) is the zero row."""
+    a, b = poly_trim(a), poly_trim(b)
+    while any(b):
+        a, b = b, poly_divmod(a, b)[1]
+    return tuple(Fraction(c) / a[-1] for c in a) if any(a) else a
+
+
+def poly_squarefree(c: Sequence[Fraction]) -> Poly:
+    """c / gcd(c, c') for a nonzero c: the same zeros, each simple."""
+    return poly_divmod(c, poly_gcd(c, poly_derivative(c)))[0]
+
+
+def poly_root_count(c: Sequence[Fraction], lo, hi) -> int:
+    """Distinct real zeros of a nonzero c in the closed [lo, hi].
+
+    Sturm's theorem: the sign changes V(lo) - V(hi) of the Sturm chain
+    count the zeros in (lo, hi]; a zero at lo is added to them.
+    """
+    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    chain = [poly_squarefree(c)]
+    nxt = poly_derivative(chain[0])
+    while any(nxt):
+        chain.append(nxt)
+        nxt = tuple(-x for x in poly_divmod(chain[-2], chain[-1])[1])
+
+    def changes(t):
+        signs = [v > 0 for v in (poly_eval(f, t) for f in chain) if v != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi) + (poly_eval(chain[0], lo) == 0)
 
 
 def poly_compose_affine(c: Sequence[Fraction], u: Fraction, t0: Fraction) -> Poly:
@@ -261,38 +319,31 @@ def torsion_det(curve: Curve, t):
     return float(det[0]) if scalar else det
 
 
-def torsion_poly(curve: Curve) -> Poly:
-    """Exact coefficient row of t -> det(gamma', ..., gamma^{(d)})."""
-    d = curve.dim
-    rows = [curve.derivative_rows(j) for j in range(1, d + 1)]  # rows[j][i]
-    # Leibniz expansion; d <= 6 keeps this small.
-    from itertools import permutations
-
+def det_poly(curve: Curve, orders: Iterable[int]) -> Poly:
+    """Exact coefficient row of t -> det(gamma^(a_1), ..., gamma^(a_d))."""
+    rows = [curve.derivative_rows(a) for a in orders]  # rows[j][i]
+    d = len(rows)
     total: Poly = (Fraction(0),)
-    for perm in permutations(range(d)):
-        sign = 1
-        seen = list(perm)
-        # parity by counting inversions
-        inv = sum(
-            1 for i in range(d) for j in range(i + 1, d) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        term: Poly = (Fraction(sign),)
+    for perm in permutations(range(d)):  # Leibniz expansion; d <= 6
+        inv = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+        term: Poly = (Fraction(-1 if inv % 2 else 1),)
         for j in range(d):
             term = _poly_mul(term, rows[j][perm[j]])
         total = poly_add(total, term)
-    return poly_trim(total)
+    return total
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] += x * y
-    return poly_trim(out)
+def torsion_poly(curve: Curve) -> Poly:
+    """Exact coefficient row of t -> det(gamma', ..., gamma^{(d)})."""
+    return det_poly(curve, range(1, curve.dim + 1))
+
+
+def type_candidates(curve: Curve, a_max: int | None = None) -> list:
+    """Derivative tuples in increasing (sum, lexicographic) order, with
+    orders up to min(a_max, max_derivative_order); a_max defaults to 2d."""
+    d = curve.dim
+    a_max = min(2 * d if a_max is None else a_max, curve.max_derivative_order)
+    return sorted(combinations(range(1, a_max + 1), d), key=lambda a: (sum(a), a))
 
 
 def detect_type(
@@ -303,17 +354,11 @@ def detect_type(
 ) -> TypeTuple:
     """Minimal derivative tuple whose columns span R^d at t.
 
-    Tuples are scanned in increasing (sum, lexicographic) order; the
-    determinant test is relative to the product of column norms.
+    Tuples are scanned in ``type_candidates`` order; the determinant test
+    is relative to the product of column norms.
     """
-    d = curve.dim
-    if a_max is None:
-        a_max = 2 * d
-    a_max = min(a_max, curve.max_derivative_order)
-    cols = {j: eval_derivative(curve, t, j) for j in range(1, a_max + 1)}
-    candidates = sorted(
-        combinations(range(1, a_max + 1), d), key=lambda a: (sum(a), a)
-    )
+    candidates = type_candidates(curve, a_max)
+    cols = {j: eval_derivative(curve, t, j) for j in set().union(*candidates)}
     for a in candidates:
         m = np.column_stack([cols[j] for j in a])
         norms = np.linalg.norm(m, axis=0)
@@ -323,7 +368,8 @@ def detect_type(
         if abs(float(np.linalg.det(m))) > det_tol * scale:
             return TypeTuple(a)
     raise NotFiniteTypeError(
-        f"no admissible derivative tuple up to order {a_max} at t={t}"
+        f"no admissible derivative tuple up to order {max(cols, default=0)} "
+        f"at t={t}"
     )
 
 

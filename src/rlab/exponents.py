@@ -1,8 +1,8 @@
 """Exact exponent arithmetic: thresholds, region predicates, scaling laws.
 
 Everything here is computed over ``fractions.Fraction`` so boundary
-classifications and predicted slopes are exact; floats never decide a
-region membership.
+classifications, degeneracy scans and predicted slopes are exact; floats
+never decide a region membership or a type.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import numpy as np
 
 from .curves import (
     Curve,
-    detect_type,
-    poly_derivative,
-    poly_eval,
-    torsion_det,
-    torsion_poly,
+    TypeTuple,
+    det_poly,
+    poly_divmod,
+    poly_gcd,
+    poly_root_count,
+    poly_squarefree,
+    type_candidates,
 )
 from .errors import NotFiniteTypeError
 
@@ -329,97 +331,42 @@ def hyperplane_project(c_normal: Sequence, d: int):
 # degeneracy scans
 # ----------------------------------------------------------------------
 
-def _torsion_root_candidates(curve: Curve, lo: float, hi: float, grid_n: int):
-    """Parameter values where the torsion may vanish.
+def domain_types(curve: Curve) -> list:
+    """Every type tuple the curve takes on its closed domain, exactly.
 
-    Combines a sign-change bisection on a uniform grid with the real roots
-    of the exact torsion polynomial (catches even-order zeros).
+    ``rest`` is a square-free polynomial whose zeros are the points not
+    yet typed; the zero row stands for every point, so the first
+    determinant that is not identically zero types the generic points.
+    For each candidate a in ``type_candidates`` order, the zeros of
+    rest / gcd(rest, det_a) have type a, and a Sturm count decides
+    whether one lies in the domain.  No float takes part in a decision.
     """
-    grid = np.linspace(lo, hi, grid_n)
-    tau = torsion_det(curve, grid)
-    cands = [lo, hi]
-    sign = np.sign(tau)
-    for i in range(len(grid) - 1):
-        if sign[i] == 0:
-            cands.append(float(grid[i]))
-        if sign[i] * sign[i + 1] < 0:
-            a, b = float(grid[i]), float(grid[i + 1])
-            fa = float(torsion_det(curve, a))
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = float(torsion_det(curve, m))
-                if fm == 0 or (b - a) < 1e-15:
-                    break
-                if (fa < 0) == (fm < 0):
-                    a, fa = m, fm
-                else:
-                    b = m
-            cands.append(0.5 * (a + b))
-    tp = torsion_poly(curve)
-    coeffs = np.array([float(x) for x in tp])
-    if coeffs.size > 1 and np.any(coeffs[1:] != 0):
-        roots = np.roots(coeffs[::-1])
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(coeffs))))
-        dtp = poly_derivative(tp)
-        for r in roots:
-            if abs(r.imag) > 1e-7:
-                continue
-            x = float(r.real)
-            if not (lo - 1e-9 <= x <= hi + 1e-9):
-                continue
-            # Newton polish on the exact polynomial
-            for _ in range(4):
-                fx = float(poly_eval(tp, Fraction(x).limit_denominator(10**15)))
-                fpx = float(poly_eval(dtp, Fraction(x).limit_denominator(10**15)))
-                if fpx == 0:
-                    break
-                x -= fx / fpx
-            cands.append(min(max(x, lo), hi))
-    return cands
-
-
-def type_profile_max(
-    curve: Curve,
-    grid_n: int = 512,
-    a_max: int | None = None,
-    functional: str = "norm1_minus_a1",
-) -> int:
-    """Maximum of a type-tuple functional over the curve domain.
-
-    The scan covers a uniform grid, the endpoints, and refined torsion
-    zeros, so isolated degeneracies are picked up.
-    """
-    d = curve.dim
     lo, hi = curve.domain
-    grid = list(np.linspace(lo, hi, grid_n))
-    cands = grid + _torsion_root_candidates(curve, lo, hi, grid_n)
-    best = None
-    for t in cands:
-        try:
-            a = detect_type(curve, t, a_max=a_max)
-        except NotFiniteTypeError:
-            raise
-        if functional == "norm1_minus_a1":
-            val = a.norm1 - a[0]
-        elif functional == "norm1":
-            val = a.norm1
-        else:
-            raise ValueError(f"unknown functional {functional!r}")
-        if best is None or val > best:
-            best = val
-    return int(best)
+    rest, types = (Fraction(0),), []
+    for a in type_candidates(curve):
+        det = det_poly(curve, a)
+        if not any(det):
+            continue  # the columns are dependent at every t
+        g = poly_gcd(rest, det)
+        if not any(rest) or poly_root_count(poly_divmod(rest, g)[0], lo, hi):
+            types.append(TypeTuple(a))
+        rest = poly_squarefree(g)
+        if not poly_root_count(rest, lo, hi):
+            return types
+    raise NotFiniteTypeError(
+        f"no admissible derivative tuple at some t in [{lo}, {hi}]"
+    )
 
 
-def kappa_max_scan(curve: Curve, grid_n: int = 512) -> int:
+def kappa_max_scan(curve: Curve) -> int:
     """max over t of (|a(t)|_1 - a_1(t)), the finite-type line coefficient."""
-    return type_profile_max(curve, grid_n=grid_n, functional="norm1_minus_a1")
+    return max(a.norm1 - a[0] for a in domain_types(curve))
 
 
-def hyperplane_omega(c_normal: Sequence, d: int, grid_n: int = 512) -> int:
+def hyperplane_omega(c_normal: Sequence, d: int) -> int:
     """Excess line coefficient of the hyperplane shadow.
 
     omega = max_t |a(t)|_1 - d(d-1)/2 for the projected curve in R^{d-1}.
     """
     _, _, curve = hyperplane_project(c_normal, d)
-    m = type_profile_max(curve, grid_n=grid_n, functional="norm1")
-    return int(m - d * (d - 1) // 2)
+    return max(a.norm1 for a in domain_types(curve)) - d * (d - 1) // 2

@@ -112,13 +112,16 @@ class SweepConfig:
         if len(set(lams)) != len(lams):
             raise ConfigError("lambda values must be distinct")
         for lam in lams:
-            if lam < 16:
-                raise ConfigError(f"lambda {lam} < 16")
+            if not 16 <= lam < math.inf:
+                raise ConfigError(f"lambda {lam} must be finite and >= 16")
             if 2.0 ** round(math.log2(lam)) != lam:
                 raise ConfigError(f"lambda {lam} is not a power of two")
+        qs, ps = (tuple(float(v) for v in vs) for vs in (self.qs, self.ps))
+        if not all(v >= 1 for v in qs + ps):
+            raise ConfigError(f"q and p must be >= 1, got q={qs}, p={ps}")
         object.__setattr__(self, "lams", lams)
-        object.__setattr__(self, "qs", tuple(float(q) for q in self.qs))
-        object.__setattr__(self, "ps", tuple(float(p) for p in self.ps))
+        object.__setattr__(self, "qs", qs)
+        object.__setattr__(self, "ps", ps)
 
 
 @dataclass(frozen=True)

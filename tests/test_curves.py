@@ -11,6 +11,7 @@ from rlab.curves import (
     Curve,
     TypeTuple,
     class_membership,
+    det_poly,
     detect_type,
     dyadic_rescale,
     eval_derivative,
@@ -18,9 +19,13 @@ from rlab.curves import (
     moment_curve,
     nondegenerate_tuple,
     poly_curve,
+    poly_divmod,
+    poly_gcd,
+    poly_root_count,
     rescale_curve,
     torsion_det,
     torsion_poly,
+    type_candidates,
 )
 from rlab.errors import CapabilityError, MonomialFormError, NotFiniteTypeError
 
@@ -62,6 +67,86 @@ def test_torsion_poly_matches_sympy():
         while len(theirs) > 1 and theirs[-1] == 0:
             theirs = theirs[:-1]
         assert ours == theirs
+
+
+def test_det_poly_matches_torsion_poly_and_sympy():
+    rng = np.random.default_rng(8)
+    t = sympy.Symbol("t")
+    for _ in range(5):
+        table = [[int(c) for c in rng.integers(-3, 4, size=6)] for _ in range(3)]
+        curve = poly_curve(table)
+        assert det_poly(curve, range(1, 4)) == torsion_poly(curve)
+        exprs = [sum(c * t**j for j, c in enumerate(row)) for row in table]
+        mat = sympy.Matrix(
+            [[sympy.diff(e, t, k) for e in exprs] for k in (1, 3, 4)]
+        ).T
+        det = sympy.Poly(mat.det(), t)
+        theirs = tuple(Fraction(int(c)) for c in reversed(det.all_coeffs()))
+        while len(theirs) > 1 and theirs[-1] == 0:
+            theirs = theirs[:-1]
+        assert det_poly(curve, (1, 3, 4)) == theirs
+    for d in range(2, 6):
+        mc = moment_curve(d)
+        assert det_poly(mc, range(1, d + 1)) == torsion_poly(mc)
+
+
+def _prod(*factors):
+    """Coefficient row of a product of coefficient rows."""
+    out = (Fraction(1),)
+    for f in factors:
+        out = tuple(
+            sum((out[i] * f[j - i] for i in range(len(out)) if 0 <= j - i < len(f)),
+                Fraction(0))
+            for j in range(len(out) + len(f) - 1)
+        )
+    return out
+
+
+def _from_roots(*roots):
+    """Monic coefficient row of prod (t - r)."""
+    return _prod(*[(-Fraction(r), Fraction(1)) for r in roots])
+
+
+def test_poly_divmod_and_gcd_exact():
+    a = _from_roots(1, 1, -2, Fraction(1, 3))
+    b = _from_roots(1, -2, -2)
+    q, r = poly_divmod(a, b)
+    assert len(r) < len(b)
+    qb = _prod(q, b)
+    assert tuple(x + (r[j] if j < len(r) else 0) for j, x in enumerate(qb)) == a
+    assert poly_gcd(a, b) == _from_roots(1, -2)
+    assert poly_gcd(a, (Fraction(0),)) == a
+    assert poly_gcd((Fraction(6),), a) == (Fraction(1),)
+    assert poly_gcd((Fraction(0),), (Fraction(0),)) == (Fraction(0),)
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(a, (Fraction(0),))
+
+
+TINY = Fraction(1, 10**30)
+
+
+@pytest.mark.parametrize("roots, want", [
+    ((0, Fraction(1, 2)), 2),                     # a zero at lo
+    ((1, Fraction(1, 2)), 2),                     # a zero at hi
+    ((0, 0, 1, 1, 1), 2),                         # repeated zeros count once
+    ((-TINY, 1 + TINY), 0),                       # zeros just outside
+    ((Fraction(1, 3), Fraction(1, 3) + TINY), 2),  # two zeros 1e-30 apart
+    ((), 0),                                      # a nonzero constant
+], ids=["at-lo", "at-hi", "repeated", "just-outside", "close-pair", "constant"])
+def test_poly_root_count_closed_interval(roots, want):
+    c = _from_roots(*roots)
+    assert poly_root_count(c, 0.0, 1.0) == want
+    # a factor t^2 + 1 has no real zero
+    assert poly_root_count(_prod(c, (1, 0, 1)), 0, 1) == want
+
+
+def test_type_candidates_order_and_cap():
+    assert type_candidates(moment_curve(2)) == [
+        (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    assert type_candidates(moment_curve(2), a_max=3) == [(1, 2), (1, 3), (2, 3)]
+    capped = Curve(moment_curve(2).coeffs, max_derivative_order=3)
+    assert type_candidates(capped) == [(1, 2), (1, 3), (2, 3)]
+    assert len(type_candidates(moment_curve(3))) == math.comb(6, 3)
 
 
 def test_eval_derivative_frozen_values():

@@ -6,11 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rlab.curves import monomial_curve, moment_curve
+from rlab.curves import monomial_curve, moment_curve, poly_curve
+from rlab.errors import NotFiniteTypeError
 from rlab.exponents import (
     ExponentPoint,
     alpha_general_region,
     beta,
+    domain_types,
     exponent_table,
     finite_type_region,
     hyperplane_omega,
@@ -226,7 +228,7 @@ def test_hyperplane_omega_random_range():
                  for _ in range(d)]
             if all(x == 0 for x in c):
                 c[0] = Fraction(1)
-            w = hyperplane_omega(c, d, grid_n=128)
+            w = hyperplane_omega(c, d)
             assert 0 <= w <= d - 1
 
 
@@ -236,3 +238,67 @@ def test_kappa_max_scan():
     # the flat quartic component forces a = (1,2,4) at t = 0
     assert kappa_max_scan(monomial_curve([1, 2, 4])) == 6
     assert kappa_max_scan(monomial_curve([1, 3])) == 3
+
+
+def _types(curve):
+    return [a.orders for a in domain_types(curve)]
+
+
+def _flat(m, r):
+    """Coefficient row of (t - r)^m / m!."""
+    return [Fraction(math.comb(m, j)) * (-r) ** (m - j) / math.factorial(m)
+            for j in range(m + 1)]
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5)])
+def test_kappa_max_scan_flat_point_off_any_grid(r):
+    # gamma = (t, (t - r)^4/4!) has type (1, 4) at t = r and (1, 2) elsewhere
+    curve = poly_curve([[0, 1], _flat(4, r)])
+    assert kappa_max_scan(curve) == 4
+    assert _types(curve) == [(1, 2), (1, 4)]
+
+
+def test_kappa_max_scan_flat_point_at_an_irrational_zero():
+    # the torsion t^4 - t^2 + 1/4 = (t^2 - 1/2)^2 is flat at 1/sqrt(2);
+    # gamma''' vanishes there too, so the type is (1, 4), not (1, 3)
+    curve = poly_curve([[0, 1], [0, 0, Fraction(1, 8), 0, Fraction(-1, 12),
+                                 0, Fraction(1, 30)]])
+    assert kappa_max_scan(curve) == 4
+    assert _types(curve) == [(1, 2), (1, 4)]
+
+
+@pytest.mark.parametrize("m, want", [(5, 7), (6, 8)])
+def test_kappa_max_scan_flat_third_component(m, want):
+    curve = poly_curve([[0, 1], [0, 0, Fraction(1, 2)], _flat(m, Fraction(1, 3))])
+    assert kappa_max_scan(curve) == want
+    assert _types(curve) == [(1, 2, 3), (1, 2, m)]
+
+
+@pytest.mark.parametrize("r", [Fraction(1, 2), Fraction(1, 3)])
+def test_kappa_max_scan_type_beyond_the_bound_raises(r):
+    # the type (1, 5) at t = r lies beyond the 2d = 4 order bound
+    with pytest.raises(NotFiniteTypeError):
+        kappa_max_scan(poly_curve([[0, 1], _flat(5, r)]))
+
+
+def test_kappa_max_scan_planar_curve_raises():
+    # the third component is 3t + 2t^2, so the torsion vanishes everywhere
+    with pytest.raises(NotFiniteTypeError):
+        kappa_max_scan(poly_curve([[0, 1], [0, 0, 1], [0, 3, 2]]))
+
+
+def test_domain_types_on_the_closed_domain():
+    # a flat point 1e-30 beyond the right end is not on the domain
+    outside = poly_curve([[0, 1], _flat(4, 1 + Fraction(1, 10**30))])
+    assert _types(outside) == [(1, 2)]
+    # one at an endpoint is
+    assert _types(poly_curve([[0, 1], _flat(4, 1)])) == [(1, 2), (1, 4)]
+    assert _types(monomial_curve([1, 2, 4])) == [(1, 2, 3), (1, 2, 4)]
+    assert _types(moment_curve(4)) == [(1, 2, 3, 4)]
+
+
+def test_domain_types_at_a_cusp():
+    # gamma = (t^2/2, t^3/6) has gamma'(0) = 0 and type (2, 3) there.  The
+    # torsion t^2/2 vanishes to second order and det(gamma', gamma''') = t
+    # to first, yet (1, 3) is the type of no point.
+    assert _types(monomial_curve([2, 3])) == [(1, 2), (2, 3)]

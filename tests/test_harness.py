@@ -72,6 +72,11 @@ def test_sweep_config_validation():
         SweepConfig(curve=mc, family=fam, lams=(48.0,), qs=(3.0,))
     with pytest.raises(ConfigError):
         SweepConfig(curve=mc, family=fam, lams=(64.0,), qs=())
+    for bad in ({"lams": (64.0, math.inf)}, {"qs": (0.5,)},
+                {"qs": (-math.inf,)}, {"ps": (0.5,)}, {"ps": (-math.inf,)}):
+        with pytest.raises(ConfigError):
+            SweepConfig(**{"curve": mc, "family": fam, "lams": (64.0,),
+                           "qs": (3.0,), **bad})
     cfg = SweepConfig(curve=mc, family=fam, lams=(64.0, 16.0), qs=(3.0,))
     assert cfg.ps == (math.inf,)
 
@@ -358,6 +363,17 @@ def test_cli_hyperplane():
     assert code == 0 and "omega=0" in out
 
 
+def test_public_api_lists_every_imported_name():
+    import ast
+
+    import rlab
+
+    tree = ast.parse(open(rlab.__file__).read())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(rlab.__all__) == sorted(imported)
+
+
 def test_cli_error_codes():
     assert _capture(["bogus"])[0] == 2
     assert _capture(["exponents"])[0] == 2          # missing required --d
@@ -381,8 +397,14 @@ def test_cli_error_codes():
     ["audit-measure", "--d", "2", "--alpha", "nan"],
     ["audit-measure", "--d", "2", "--alpha", "inf"],
     ["knapp", "--lams", "16,32", "--qs", "nan", "--ps", "inf"],
+    ["knapp", "--lams", "16,inf", "--qs", "3"],
+    ["knapp", "--lams", "16,32", "--qs=0.5"],
+    ["knapp", "--lams", "16,32", "--qs=-inf"],
+    ["knapp", "--lams", "16,32", "--qs", "3", "--ps=0.5"],
+    ["knapp", "--lams", "16,32", "--qs", "3", "--ps=-inf"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
-        "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan"])
+        "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
+        "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf"])
 def test_cli_refused_argument_exits_2(argv, monkeypatch):
     # a refused argument stops the run before any field is computed
     def no_field(*args, **kwargs):
