@@ -346,18 +346,13 @@ def type_candidates(curve: Curve, a_max: int | None = None) -> list:
     return sorted(combinations(range(1, a_max + 1), d), key=lambda a: (sum(a), a))
 
 
-def detect_type(
-    curve: Curve,
-    t,
-    a_max: int | None = None,
-    det_tol: float = DET_TOL,
-) -> TypeTuple:
+def detect_type(curve: Curve, t) -> TypeTuple:
     """Minimal derivative tuple whose columns span R^d at t.
 
     Tuples are scanned in ``type_candidates`` order; the determinant test
     is relative to the product of column norms.
     """
-    candidates = type_candidates(curve, a_max)
+    candidates = type_candidates(curve)
     cols = {j: eval_derivative(curve, t, j) for j in set().union(*candidates)}
     for a in candidates:
         m = np.column_stack([cols[j] for j in a])
@@ -365,7 +360,7 @@ def detect_type(
         scale = float(np.prod(norms))
         if scale == 0.0:
             continue
-        if abs(float(np.linalg.det(m))) > det_tol * scale:
+        if abs(float(np.linalg.det(m))) > DET_TOL * scale:
             return TypeTuple(a)
     raise NotFiniteTypeError(
         f"no admissible derivative tuple up to order {max(cols, default=0)} "
@@ -373,7 +368,7 @@ def detect_type(
     )
 
 
-def rescale_curve(curve: Curve, t0, u, type_tuple: TypeTuple | None = None) -> Curve:
+def rescale_curve(curve: Curve, t0, u) -> Curve:
     """Taylor-frame rescaling (M_{t0} D_u)^{-1} (gamma(u t + t0) - gamma(t0)).
 
     Exact for polynomial input: the result is again a polynomial curve
@@ -384,9 +379,7 @@ def rescale_curve(curve: Curve, t0, u, type_tuple: TypeTuple | None = None) -> C
     uf = _as_fraction(u)
     if uf == 0:
         raise ValueError("scale u must be nonzero")
-    a = type_tuple or detect_type(curve, float(t0f))
-    if len(a) != d:
-        raise ValueError("type tuple length must match curve dimension")
+    a = detect_type(curve, float(t0f))
     # frame matrix M columns gamma^{(a_i)}(t0), exact
     mcols = [curve.eval_exact(t0f, ai) for ai in a]
     m = [[mcols[j][i] for j in range(d)] for i in range(d)]  # m[i][j]
@@ -439,12 +432,8 @@ def dyadic_rescale(curve: Curve, type_tuple: TypeTuple, ell: int) -> Curve:
     )
 
 
-def class_membership(
-    curve: Curve,
-    type_tuple: TypeTuple,
-    eps: float,
-    n_grid: int = 129,
-) -> tuple[bool, float]:
+def class_membership(curve: Curve, type_tuple: TypeTuple,
+                     eps: float) -> tuple[bool, float]:
     """Check components t^{a_i} phi_i(t) with phi_i near 1/a_i!.
 
     Measures the sup over the domain grid of |phi_i^{(k)} - delta_{k0}/a_i!|
@@ -455,7 +444,7 @@ def class_membership(
         raise ValueError("type tuple length must match curve dimension")
     a_d = type_tuple[-1]
     lo, hi = curve.domain
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, 129)
     deviation = 0.0
     for i, (ai, row) in enumerate(zip(type_tuple, curve.coeffs)):
         if any(c != 0 for c in row[:ai]):
@@ -466,7 +455,6 @@ def class_membership(
         target0 = 1.0 / math.factorial(ai)
         for k in range(a_d + 2):
             dk = poly_derivative(phi, k) if k else phi
-            width = len(dk)
             vals = np.polynomial.polynomial.polyval(
                 grid, np.array([float(c) for c in dk])
             )

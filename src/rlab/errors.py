@@ -63,7 +63,3 @@ class DegeneracyError(ComputationError):
 
 class FrameError(ComputationError):
     """Orthonormal frame construction failed (rank deficiency)."""
-
-
-class ResolutionError(ComputationError):
-    """Quadrature resolution too coarse for the requested frequency."""

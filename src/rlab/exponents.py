@@ -165,14 +165,6 @@ class Region:
             return False
         return None
 
-    def describe(self) -> str:
-        rel = "<=" if self.line_closed else "<"
-        qrel = ">=" if self.threshold_closed else ">"
-        return (
-            f"{self.kind}(d={self.d}): q {qrel} {self.q_threshold}, "
-            f"1/p + {self.line_coeff}/q {rel} 1"
-        )
-
 
 def sphere_region(d: int) -> Region:
     """Sharp range for nondegenerate curves against surface measure."""
@@ -366,7 +358,10 @@ def kappa_max_scan(curve: Curve) -> int:
 def hyperplane_omega(c_normal: Sequence, d: int) -> int:
     """Excess line coefficient of the hyperplane shadow.
 
-    omega = max_t |a(t)|_1 - d(d-1)/2 for the projected curve in R^{d-1}.
+    omega = max_t |a(t)|_1 - d(d-1)/2 for the projected curve in R^{d-1};
+    like hyperplane_region, it needs d >= 3.
     """
+    if d < 3:
+        raise ValueError("d >= 3 required")
     _, _, curve = hyperplane_project(c_normal, d)
     return max(a.norm1 for a in domain_types(curve)) - d * (d - 1) // 2

@@ -67,10 +67,10 @@ class Parallelepiped:
         return float(np.prod(2.0 * self.half_widths)
                      / abs(np.linalg.det(self.transform)))
 
-    def contains(self, y: np.ndarray, slack: float = 1e-12) -> np.ndarray:
+    def contains(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x = (y - self.center) @ self.transform
-        return np.all(np.abs(x) <= self.half_widths * (1.0 + slack), axis=1)
+        return np.all(np.abs(x) <= self.half_widths * (1.0 + 1e-12), axis=1)
 
     def _from_axis(self, x: np.ndarray) -> np.ndarray:
         """Map axis-box coordinates back to ambient points (rows)."""
@@ -142,8 +142,7 @@ def stationary_residual(phase: PhaseSpec, t: float) -> float:
     return float(np.max(np.abs(grad_phi * dgam[0] + dgam[1:])))
 
 
-def curvature_matrix(phase: PhaseSpec, t: float,
-                     det_floor: float = 1e-8) -> np.ndarray:
+def curvature_matrix(phase: PhaseSpec, t: float) -> np.ndarray:
     """Matrix M(t) with columns d_t^{j+1} grad_y Psi(g(t), t).
 
     Both chart kinds have an exact form.  Chart phases over the sphere
@@ -165,9 +164,9 @@ def curvature_matrix(phase: PhaseSpec, t: float,
             dj = phase.curve.eval_many([t], j + 1)[0]
             cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
         mat = np.column_stack(cols)
-    if abs(np.linalg.det(mat)) < det_floor:
+    if abs(np.linalg.det(mat)) < 1e-8:
         raise DegeneracyError(
-            f"|det M({t})| < {det_floor}: curvature condition fails")
+            f"|det M({t})| < 1e-08: curvature condition fails")
     return mat
 
 
@@ -254,15 +253,14 @@ def box_volume_exponent(d: int, k: int | None = None) -> float:
 
 
 def _box_phase_sup(phase: PhaseSpec, t_k: float, lam: float, c: float,
-                   interval: tuple, rho: float | None,
-                   n_lattice: int, n_t: int) -> float:
-    box = knapp_box(phase, t_k, lam, c, rho=rho)
+                   interval: tuple) -> float:
+    box = knapp_box(phase, t_k, lam, c)
     red = reduced_phase(phase, t_k)
-    ypts = box.lattice(n_lattice)
+    ypts = box.lattice(LATTICE_DEFAULT)
     dom = getattr(phase.patch, "domain_radius", np.inf)
     if np.any(np.linalg.norm(ypts, axis=1) >= dom):
         raise DomainError("box sticks out of the chart domain")
-    ts = np.linspace(interval[0], interval[1], n_t)
+    ts = np.linspace(interval[0], interval[1], LATTICE_DEFAULT)
     return float(np.max(np.abs(red(ypts, ts))))
 
 
@@ -288,9 +286,7 @@ def _default_interval(phase: PhaseSpec, t_k: float, lam: float) -> tuple:
 
 
 def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
-                interval: tuple | None = None, rho: float | None = None,
-                threshold: float | None = None,
-                n_lattice: int = LATTICE_DEFAULT) -> float:
+                interval: tuple | None = None) -> float:
     """Largest dyadic c with sampled sup |reduced phase| <= 1/lambda.
 
     Scans c = 8, 4, 2, 1, 1/2, ... and returns the first admissible
@@ -299,23 +295,17 @@ def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
     """
     if interval is None:
         interval = _default_interval(phase, t_k, lam)
-    if threshold is None:
-        threshold = 1.0 / lam
     return _largest_dyadic_c(
-        lambda c: _box_phase_sup(phase, t_k, lam, c, interval, rho,
-                                 n_lattice, n_lattice) <= threshold,
+        lambda c: _box_phase_sup(phase, t_k, lam, c, interval) <= 1.0 / lam,
         f"at t_k={t_k}, lambda={lam}")
 
 
 def box_phase_check(phase: PhaseSpec, t_k: float, lam: float, c: float,
-                    interval: tuple | None = None,
-                    rho: float | None = None,
-                    n_lattice: int = LATTICE_DEFAULT) -> float:
+                    interval: tuple | None = None) -> float:
     """Sampled sup of |reduced phase| on the box-interval product."""
     if interval is None:
         interval = _default_interval(phase, t_k, lam)
-    return _box_phase_sup(phase, t_k, lam, c, interval, rho,
-                          n_lattice, n_lattice)
+    return _box_phase_sup(phase, t_k, lam, c, interval)
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +339,8 @@ class PartitionFamily:
         return tuple((float(a), float(b))
                      for a, b in zip(self.edges[:-1], self.edges[1:]))
 
-    def boxes(self, c: float, rho: float | None = None) -> list:
-        return [knapp_box(self.phase, float(tk), self.lam, c, rho=rho)
+    def boxes(self, c: float) -> list:
+        return [knapp_box(self.phase, float(tk), self.lam, c)
                 for tk in self.anchors]
 
     def segment(self, k: int, sign: int = 1) -> Segment:
@@ -423,16 +413,15 @@ def random_sign_input(partition: PartitionFamily, seed) -> TestFunction:
 # adapted frame and rectangle at a degenerate parameter
 # ----------------------------------------------------------------------
 
-def adapted_frame(curve: Curve, t0: float, a: tuple | None = None):
+def adapted_frame(curve: Curve, t0: float):
     """Orthonormal v_1..v_d with v_i orthogonal to the first d-i
     derivative directions gamma^(a_1)..gamma^(a_{d-i}) at t0.
 
     Returns (V, a) where column i of V is v_{i+1} and a is the type
-    tuple used.  The sign of v_d is fixed by v_d . gamma^(a_1) > 0.
+    tuple at t0.  The sign of v_d is fixed by v_d . gamma^(a_1) > 0.
     """
     d = curve.dim
-    if a is None:
-        a = detect_type(curve, t0)
+    a = detect_type(curve, t0)
     cols = np.column_stack([curve.eval_many([t0], int(ai))[0] for ai in a])
     q, r = np.linalg.qr(cols)
     diag = np.abs(np.diag(r))
@@ -492,14 +481,13 @@ class NecessityRect:
                 - self.curve.eval_many([self.t0], 0))
         return pts @ dgam.T
 
-    def phase_sup(self, n_lattice: int = LATTICE_DEFAULT) -> float:
-        ypts = self.box.lattice(n_lattice)
-        ts = np.linspace(0.0, self.lam ** -self.rho, n_lattice)
+    def phase_sup(self) -> float:
+        ypts = self.box.lattice(LATTICE_DEFAULT)
+        ts = np.linspace(0.0, self.lam ** -self.rho, LATTICE_DEFAULT)
         return float(np.max(np.abs(self.phase(ypts, ts))))
 
-    def sigma_mass(self, n_gl: int = 24) -> float:
-        return cap_box_sigma_mass(self.curve.dim, self.box.half_widths,
-                                  n_gl=n_gl)
+    def sigma_mass(self) -> float:
+        return cap_box_sigma_mass(self.curve.dim, self.box.half_widths)
 
     def input(self) -> TestFunction:
         return knapp_input(self.t0, self.lam, self.rho,

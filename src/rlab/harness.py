@@ -11,7 +11,7 @@ from __future__ import annotations
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +124,16 @@ class SweepConfig:
         object.__setattr__(self, "ps", ps)
 
 
+def _csv_record(cls):
+    """Give a record dataclass its CSV schema: HEADER names the fields in
+    order (lam is written as lambda) and row() gives their values."""
+    names = [f.name for f in fields(cls)]
+    cls.HEADER = ["lambda" if n == "lam" else n for n in names]
+    cls.row = lambda self: [getattr(self, n) for n in names]
+    return cls
+
+
+@_csv_record
 @dataclass(frozen=True)
 class SweepRecord:
     lam: float
@@ -138,16 +148,6 @@ class SweepRecord:
     panels: int
     witness_norm: float = 0.0    # L^q over the dual box only (knapp family)
     witness_ratio: float = 0.0
-
-    def row(self) -> list:
-        return [self.lam, self.p, self.q, self.input_norm, self.field_norm,
-                self.decay_exponent, self.ratio, self.resolution,
-                self.max_spacing, self.panels, self.witness_norm,
-                self.witness_ratio]
-
-    HEADER = ["lambda", "p", "q", "input_norm", "field_norm",
-              "decay_exponent", "ratio", "resolution", "max_spacing",
-              "panels", "witness_norm", "witness_ratio"]
 
 
 def _fmt(v) -> str:
@@ -351,6 +351,7 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
 # randomized lower bound
 # ----------------------------------------------------------------------
 
+@_csv_record
 @dataclass(frozen=True)
 class KhintchineRecord:
     lam: float
@@ -366,16 +367,6 @@ class KhintchineRecord:
     ratio: float                 # mean / lower_bound
     resolution: int
     panels: int
-
-    HEADER = ["lambda", "p", "q", "ell", "interval_len", "c_used",
-              "mean_power", "std_err", "lower_bound", "upper_chain",
-              "ratio", "resolution", "panels"]
-
-    def row(self) -> list:
-        return [self.lam, self.p, self.q, self.ell, self.interval_len,
-                self.c_used, self.mean_power, self.std_err,
-                self.lower_bound, self.upper_chain, self.ratio,
-                self.resolution, self.panels]
 
 
 @dataclass(frozen=True)
@@ -574,6 +565,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
 # k-dimensional graph experiment
 # ----------------------------------------------------------------------
 
+@_csv_record
 @dataclass(frozen=True)
 class KdimRecord:
     lam: float
@@ -586,16 +578,6 @@ class KdimRecord:
     field_ok: int
     resolution: int              # lattice points per box used in the check
     panels: int
-
-    HEADER = ["lambda", "q", "ell", "box_volume", "sum_volumes",
-              "closed_form_slope", "min_field_ratio", "field_ok",
-              "resolution", "panels"]
-
-    def row(self):
-        return [self.lam, self.q, self.ell, self.box_volume,
-                self.sum_volumes, self.closed_form_slope,
-                self.min_field_ratio, self.field_ok, self.resolution,
-                self.panels]
 
 
 @dataclass(frozen=True)

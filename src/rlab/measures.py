@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .curves import Curve, TypeTuple
+from .curves import Curve, TypeTuple, det_poly, poly_root_count
 from .errors import DataError, DomainError, SingularMatrixError
 from .exponents import _frac
 
@@ -107,9 +108,12 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
 
     d=2: uniform angles (trapezoid; exact for trigonometric polynomials).
     d=3: Gauss-Legendre in the polar cosine x uniform azimuth.
+    Resolution 0 picks the builder default (256 nodes, 64 polar).
     """
+    if resolution < 0:
+        raise ValueError("resolution must be >= 0 (0 = default)")
     if d == 2:
-        n = resolution if resolution > 0 else 256
+        n = resolution or 256
         if n < 8:
             raise ValueError("resolution >= 8 required")
         theta = 2.0 * np.pi * np.arange(n) / n
@@ -120,7 +124,7 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
             max_spacing=2.0 * np.pi / n,
         )
     if d == 3:
-        n_u = resolution if resolution > 0 else 64
+        n_u = resolution or 64
         if n_u < 8:
             raise ValueError("resolution >= 8 required")
         n_az = 2 * n_u
@@ -195,21 +199,20 @@ def sphere_cap_graph(d: int) -> GraphPatch:
     )
 
 
-def cap_box_sigma_mass(d: int, half_widths: Sequence[float], center=None,
-                       n_gl: int = 24) -> float:
-    """Surface mass of a chart-coordinate box on S^{d-1}.
+def cap_box_sigma_mass(d: int, half_widths: Sequence[float]) -> float:
+    """Surface mass of a chart-coordinate box centered at 0 on S^{d-1}.
 
     Integrates sqrt(1 + |grad phi|^2) over the box with a tensor
-    Gauss-Legendre rule; orthonormal chart frames all give the same phi.
+    24-point Gauss-Legendre rule; orthonormal chart frames all give the
+    same phi.
     """
     patch = sphere_cap_graph(d)
     m = d - 1
     hw = np.asarray(half_widths, dtype=float)
     if hw.shape != (m,):
         raise ValueError(f"need {m} half widths")
-    c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-    x1, w1 = gauss_legendre(n_gl)
-    axes = [c[i] + hw[i] * x1 for i in range(m)]
+    x1, w1 = gauss_legendre(24)
+    axes = [hw[i] * x1 for i in range(m)]
     wts = [hw[i] * w1 for i in range(m)]
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
@@ -258,8 +261,9 @@ def hyperplane_measure(c_normal: Sequence, d: int, extent: float = 1.0,
 # singular power measures
 # ----------------------------------------------------------------------
 
-def _axis_cells(resolution: int, n_octaves: int = 16):
-    """Symmetric cell partition of [-1, 1], dyadically refined toward 0.
+def _axis_cells(resolution: int):
+    """Symmetric cell partition of [-1, 1], refined toward 0 over 16
+    dyadic octaves.
 
     Returns (lo, hi) arrays.  The refinement keeps tiny boxes centered at
     the origin resolvable at every dyadic scale.
@@ -275,14 +279,14 @@ def _axis_cells(resolution: int, n_octaves: int = 16):
             lo.append(a)
             hi.append(b)
     n_sub = max(4, resolution // 8)
-    for mth in range(n_octaves):
+    for mth in range(16):
         outer = h0 * 2.0**(-mth)
         inner = h0 * 2.0**(-mth - 1)
         sub = np.linspace(inner, outer, n_sub + 1)
         for a, b in zip(sub[:-1], sub[1:]):
             lo.extend([a, -b])
             hi.extend([b, -a])
-    plug = h0 * 2.0**(-n_octaves)
+    plug = h0 * 2.0**-16
     lo.append(-plug)
     hi.append(plug)
     lo = np.asarray(lo)
@@ -495,13 +499,14 @@ class SubmanifoldPatch:
         x = np.linalg.solve(a1, a2)  # A1^{-1} A2
         return b2 - b1 @ x
 
-    def _fint_axis(self, svals: np.ndarray, n_gl: int = 32) -> np.ndarray:
-        """int_0^{s} M_ij(t) dt for each s, shape (n, k, l)."""
-        x, w = gauss_legendre(n_gl)
+    def _fint_axis(self, svals: np.ndarray) -> np.ndarray:
+        """int_0^{s} M_ij(t) dt for each s, shape (n, k, l), by 32-point
+        Gauss-Legendre."""
+        x, w = gauss_legendre(32)
         s = np.asarray(svals, dtype=float)
         ts = 0.5 * s[:, None] * (x[None, :] + 1.0)      # (n, gl)
         ws = 0.5 * s[:, None] * w[None, :]
-        mvals = self.m_matrix(ts.ravel()).reshape(s.size, n_gl, self.k, self.l)
+        mvals = self.m_matrix(ts.ravel()).reshape(s.size, 32, self.k, self.l)
         return np.einsum("ng,ngkl->nkl", ws, mvals)
 
     def value(self, y: np.ndarray) -> np.ndarray:
@@ -567,35 +572,28 @@ class SubmanifoldPatch:
 
 
 def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
-                        resolution: int = 24,
-                        grid_check: int = 33) -> SubmanifoldPatch:
+                        resolution: int = 24) -> SubmanifoldPatch:
     """Build the k-dimensional integral graph adapted to the curve.
 
     Searches coordinate permutations of the curve components until the
-    leading (d-k) x (d-k) derivative block is invertible along [0, extent].
-    The returned patch bundles the graph maps, the ambient surface
-    measure (via ``surface_measure``), and the diagonal line ``g``.
+    leading l x l derivative block (l = d - k, derivative orders 1..l) is
+    invertible on all of [0, extent]: its determinant is an exact
+    polynomial, nonzero with no zero there by a Sturm count.  The
+    returned patch bundles the graph maps, the ambient surface measure
+    (via ``surface_measure``), and the diagonal line ``g``.
     """
-    from itertools import permutations
-
     if d != curve.dim:
         raise ValueError("d must equal curve.dim")
     if not 2 <= k <= d - 1:
         raise ValueError(f"k must satisfy 2 <= k <= d-1, got {k}")
     l = d - k
-    ts = np.linspace(0.0, extent, grid_check)
     for perm in permutations(range(d)):
         rows = tuple(curve.coeffs[i] for i in perm)
-        cand = Curve(rows, domain=curve.domain,
-                     max_derivative_order=curve.max_derivative_order,
-                     name=f"{curve.name}@perm{perm}")
-        cols = [cand.eval_many(ts, j) for j in range(1, l + 1)]
-        a1 = np.stack(cols, axis=2)[:, :l, :]
-        dets = np.abs(np.linalg.det(a1))
-        norms = np.prod(
-            np.maximum(np.linalg.norm(a1, axis=1), 1e-300), axis=1
-        )
-        if np.all(dets > 1e-8 * norms):
+        det = det_poly(Curve(rows[:l]), range(1, l + 1))
+        if any(det) and not poly_root_count(det, 0, extent):
+            cand = Curve(rows, domain=curve.domain,
+                         max_derivative_order=curve.max_derivative_order,
+                         name=f"{curve.name}@perm{perm}")
             return SubmanifoldPatch(curve=cand, k=k, extent=extent, perm=perm,
                                     resolution=resolution)
     raise SingularMatrixError(

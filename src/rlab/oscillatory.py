@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import Curve
-from .errors import DataError, ResolutionError
+from .errors import DataError
 from .measures import QuadMeasure, gauss_legendre
 
 PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
@@ -99,10 +99,6 @@ class TestFunction:
                 raise ValueError("segments must be pairwise disjoint")
         object.__setattr__(self, "segments", segs)
 
-    @property
-    def support_length(self) -> float:
-        return sum(s.length for s in self.segments)
-
     def scaled(self, factor: complex) -> "TestFunction":
         return TestFunction(tuple(
             Segment(s.start, s.end, factor * s.amplitude, s.modulation, s.sign)
@@ -113,43 +109,6 @@ class TestFunction:
 def indicator(start: float, end: float, amplitude: complex = 1.0,
               modulation: tuple | None = None, sign: int = 1) -> TestFunction:
     return TestFunction((Segment(start, end, amplitude, modulation, sign),))
-
-
-# ----------------------------------------------------------------------
-# amplitude windows
-# ----------------------------------------------------------------------
-
-def _smooth_step(u: np.ndarray) -> np.ndarray:
-    """C-infinity step: 1 for u <= 0, 0 for u >= 1."""
-    u = np.clip(u, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(u < 1.0, np.exp(-1.0 / np.maximum(1.0 - u, 1e-300)), 0.0)
-        b = np.where(u > 0.0, np.exp(-1.0 / np.maximum(u, 1e-300)), 0.0)
-    return a / (a + b)
-
-
-@dataclass(frozen=True)
-class AmplitudeWindow:
-    """Product bump: 1 inside |y_i| <= r_i, 0 outside |y_i| >= 2 r_i."""
-
-    radii: tuple
-
-    def __post_init__(self):
-        r = tuple(float(v) for v in np.atleast_1d(self.radii))
-        if any(v <= 0 for v in r):
-            raise ValueError("window radii must be positive")
-        object.__setattr__(self, "radii", r)
-
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        out = np.ones(y.shape[0])
-        for i, r in enumerate(self.radii):
-            out *= _smooth_step(np.abs(y[:, i]) / r - 1.0)
-        return out
-
-    @property
-    def support_radii(self) -> tuple:
-        return tuple(2.0 * r for r in self.radii)
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +132,6 @@ class PhaseSpec:
     curve: Curve | None = None
     patch: object | None = None          # GraphPatch | SubmanifoldPatch
     offset: float = 0.0
-    window: AmplitudeWindow | None = None
 
     def __post_init__(self):
         if self.kind not in ("extension", "graph"):
@@ -198,13 +156,11 @@ class PhaseSpec:
         return self.embed(y) @ self.curve.eval_many(ts, order).T
 
 
-def graph_phase(curve: Curve, patch, offset: float | None = None,
-                window: AmplitudeWindow | None = None) -> PhaseSpec:
+def graph_phase(curve: Curve, patch, offset: float | None = None) -> PhaseSpec:
     """Chart phase for a graph patch; sphere caps default to offset 1."""
     if offset is None:
         offset = 1.0 if getattr(patch, "kind", "") == "sphere_cap" else 0.0
-    return PhaseSpec(kind="graph", curve=curve, patch=patch, offset=offset,
-                     window=window)
+    return PhaseSpec(kind="graph", curve=curve, patch=patch, offset=offset)
 
 
 def extension_phase(curve: Curve) -> PhaseSpec:
@@ -399,32 +355,16 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
                     total += terms[0]
             acc += seg.coefficient * ((0.5 * h * gw) @ total)
         out[lo:hi] = acc
-    if phase.window is not None:
-        out *= phase.window(ypts)
     return out
 
 
-def extension_eval(curve: Curve, lam: float, f: TestFunction, x) -> complex:
-    """T f at a single frequency point x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return complex(eval_field(curve, lam, f, x)[0])
-
-
-def phase_eval(phase: PhaseSpec, lam: float, f: TestFunction, y) -> complex:
-    """Chart-side operator at a single base point (0 outside the window)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if phase.window is not None and float(phase.window(y)[0]) == 0.0:
-        return 0.0 + 0.0j
-    return complex(eval_field(phase, lam, f, y)[0])
-
-
-def field(curve_or_phase, lam: float, f: TestFunction, mu: QuadMeasure,
-          strict: bool = False) -> np.ndarray:
+def field(curve_or_phase, lam: float, f: TestFunction,
+          mu: QuadMeasure) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
     Sphere measures are held to the frequency spacing rule (see
-    sphere_spacing_rule); violations warn, or raise under strict.  Other
-    measures are not checked.
+    sphere_spacing_rule); a violation warns.  Other measures are not
+    checked.
     """
     from .measures import sphere_spacing_rule
 
@@ -432,11 +372,9 @@ def field(curve_or_phase, lam: float, f: TestFunction, mu: QuadMeasure,
     if mu.provenance == "sphere":
         rule = sphere_spacing_rule(mu.dim, max(lam, 1.0))
         if mu.max_spacing > rule * (1 + 1e-9):
-            msg = (f"measure spacing {mu.max_spacing:.3e} exceeds the "
-                   f"lambda rule {rule:.3e} at lambda={lam:g}")
-            if strict:
-                raise ResolutionError(msg)
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(f"measure spacing {mu.max_spacing:.3e} exceeds the "
+                          f"lambda rule {rule:.3e} at lambda={lam:g}",
+                          stacklevel=2)
     return eval_field(phase, lam, f, mu.nodes)
 
 

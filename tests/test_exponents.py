@@ -218,6 +218,9 @@ def test_hyperplane_omega_extremes():
         ed[-1] = 1
         assert hyperplane_omega(e1, d) == d - 1
         assert hyperplane_omega(ed, d) == 0
+    # the shadow of a planar curve on a line has no hyperplane region
+    with pytest.raises(ValueError, match="d >= 3"):
+        hyperplane_omega([1, 0], 2)
 
 
 def test_hyperplane_omega_random_range():

@@ -117,7 +117,7 @@ def test_knapp_box_volume_power_law():
     assert abs(slope3 + 7.0 / 6.0) < 1e-12
 
 
-def test_calibration_is_tight():
+def test_calibration_is_tight(monkeypatch):
     lam = 256.0
     c = calibrate_c(PH2, 0.45, lam)
     assert math.log2(c) == round(math.log2(c))  # dyadic
@@ -133,8 +133,10 @@ def test_calibration_is_tight():
     assert (box_phase_check(PH2, 0.45, lam, c)
             == box_phase_check(PH2, 0.45, lam, c,
                                interval=(0.45 - lam ** -0.25, 0.45)))
+    monkeypatch.setattr("rlab.extremal._box_phase_sup",
+                        lambda *args: math.inf)
     with pytest.raises(CalibrationError) as err:
-        calibrate_c(PH2, 0.45, lam, threshold=1e-30)
+        calibrate_c(PH2, 0.45, lam)
     assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
                               f"at t_k=0.45, lambda={lam}")
 
@@ -223,7 +225,7 @@ def test_necessity_rect(monkeypatch):
     with pytest.raises(ValueError):
         necessity_rect_sphere(curve, 0.0, lam, 0.5)  # rho cap is 1/7
     monkeypatch.setattr(NecessityRect, "phase_sup",
-                        lambda self, n_lattice=33: math.inf)
+                        lambda self: math.inf)
     with pytest.raises(CalibrationError) as err:
         necessity_rect_sphere(curve, 0.0, lam, 0.125)
     assert str(err.value) == (f"no admissible c above {2.0 ** -20} "

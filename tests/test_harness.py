@@ -402,9 +402,12 @@ def test_cli_error_codes():
     ["knapp", "--lams", "16,32", "--qs=-inf"],
     ["knapp", "--lams", "16,32", "--qs", "3", "--ps=0.5"],
     ["knapp", "--lams", "16,32", "--qs", "3", "--ps=-inf"],
+    ["audit-measure", "--d", "2", "--resolution", "-5"],
+    ["hyperplane", "--d", "2", "--normal", "1,0"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
-        "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf"])
+        "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
+        "audit-resolution-negative", "hyperplane-d2"])
 def test_cli_refused_argument_exits_2(argv, monkeypatch):
     # a refused argument stops the run before any field is computed
     def no_field(*args, **kwargs):

@@ -12,7 +12,7 @@ import scipy.integrate
 import scipy.spatial
 import scipy.special
 
-from rlab.curves import TypeTuple, moment_curve
+from rlab.curves import TypeTuple, moment_curve, poly_curve
 from rlab.errors import DataError, DomainError
 from rlab.exponents import kappa
 from rlab.measures import (
@@ -71,6 +71,10 @@ def test_sphere_resolution_rule():
             assert mu.max_spacing <= sphere_spacing_rule(d, lam) * (1 + 1e-9)
     with pytest.raises(ValueError):
         sphere_resolution_for(5, 16.0)
+    # a negative resolution is refused, not read as "use the default"
+    for d in (2, 3):
+        with pytest.raises(ValueError):
+            sphere_measure(d, -5)
 
 
 def test_quad_measure_validation():
@@ -188,6 +192,22 @@ def test_submanifold_closed_forms():
     ts = np.array([0.1, 0.4])
     diag = patch.g(ts)
     assert diag.shape == (2, 2) and np.allclose(diag, np.column_stack([ts, ts]))
+
+
+def test_submanifold_builder_block_singular_between_grid_points():
+    """The identity order's leading block has det = t - 3/10, which
+    vanishes inside [0, 0.75] but at no point of a 33-point grid."""
+    curve = poly_curve([[0, 1], [0, 0, Fraction(-3, 20), Fraction(1, 6)],
+                        [0, 0, Fraction(1, 2)], [0, 0, 0, 0, Fraction(1, 24)]])
+    patch = submanifold_builder(4, 2, curve, extent=0.75)
+    assert patch.perm == (0, 2, 1, 3)
+    # components (t, t^2/2 | t^3/6 - 3t^2/20, t^4/24): M = [[t^2/2, 3/10 - t],
+    # [t^3/3, -t^2/2]] integrates to explicit polynomials
+    y = np.array([[0.31, 0.31], [0.05, 0.7], [0.6, 0.2]])
+    want = np.column_stack([
+        y[:, 0] ** 3 / 6.0 + y[:, 1] ** 4 / 12.0,
+        0.3 * y[:, 0] - y[:, 0] ** 2 / 2.0 - y[:, 1] ** 3 / 6.0])
+    assert np.max(np.abs(patch.value(y) - want)) < 1e-12
 
 
 def test_submanifold_mixed_grad_and_blocks():

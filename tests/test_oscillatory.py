@@ -14,7 +14,6 @@ from rlab.curves import (
     monomial_curve,
     poly_curve,
 )
-from rlab.errors import ResolutionError
 from rlab.harness import (
     BumpFamily,
     KnappFamily,
@@ -30,14 +29,12 @@ from rlab.measures import (
 )
 from rlab.oscillatory import (
     PANEL_CAP,
-    AmplitudeWindow,
     PhaseSpec,
     Segment,
     TestFunction as StepFn,
     _panel_nodes,
     _phase_rate_bound,
     eval_field,
-    extension_eval,
     extension_phase,
     field,
     graph_phase,
@@ -45,7 +42,6 @@ from rlab.oscillatory import (
     lorentz_norm,
     lp_norm,
     lq_norm,
-    phase_eval,
 )
 
 MC2 = moment_curve(2)
@@ -53,9 +49,9 @@ MC2 = moment_curve(2)
 
 def test_dc_value_is_support_length():
     f = indicator(0.1, 0.7)
-    assert abs(extension_eval(MC2, 50.0, f, np.zeros(2)) - 0.6) < 1e-12
+    assert abs(eval_field(MC2, 50.0, f, np.zeros(2))[0] - 0.6) < 1e-12
     # lambda = 0 collapses every phase as well
-    assert abs(extension_eval(MC2, 0.0, f, np.array([3.0, -2.0])) - 0.6) < 1e-12
+    assert abs(eval_field(MC2, 0.0, f, np.array([3.0, -2.0]))[0] - 0.6) < 1e-12
 
 
 def test_extension_against_adaptive_oracle():
@@ -63,7 +59,7 @@ def test_extension_against_adaptive_oracle():
     xs = [np.array([0.31, -0.7]), np.array([-1.2, 0.44])]
     f = indicator(0.0, 1.0)
     for x in xs:
-        got = extension_eval(MC2, lam, f, x)
+        got = eval_field(MC2, lam, f, x)[0]
         want = mpmath.quad(
             lambda t: mpmath.e ** (1j * lam * (x[0] * t + x[1] * t * t / 2)),
             [0, 1],
@@ -74,7 +70,7 @@ def test_extension_against_adaptive_oracle():
 def test_high_frequency_against_dense_gauss():
     lam = 200.0
     x = np.array([0.8, 0.55])
-    got = extension_eval(MC2, lam, indicator(0.0, 1.0), x)
+    got = eval_field(MC2, lam, indicator(0.0, 1.0), x)[0]
     gt, gw = np.polynomial.legendre.leggauss(4000)
     ts = 0.5 * (gt + 1.0)
     ph = lam * (x[0] * ts + x[1] * ts * ts / 2)
@@ -87,10 +83,10 @@ def test_linearity():
     fa = indicator(0.0, 0.4)
     fb = indicator(0.4, 1.0, amplitude=2.0 - 1.0j)
     both = StepFn(fa.segments + fb.segments)
-    va = extension_eval(MC2, lam, fa, x)
-    vb = extension_eval(MC2, lam, fb, x)
-    assert abs(extension_eval(MC2, lam, both, x) - (va + vb)) < 1e-12
-    assert abs(extension_eval(MC2, lam, fa.scaled(3.0j), x) - 3.0j * va) < 1e-12
+    va = eval_field(MC2, lam, fa, x)[0]
+    vb = eval_field(MC2, lam, fb, x)[0]
+    assert abs(eval_field(MC2, lam, both, x)[0] - (va + vb)) < 1e-12
+    assert abs(eval_field(MC2, lam, fa.scaled(3.0j), x)[0] - 3.0j * va) < 1e-12
 
 
 def test_modulation_translates_field():
@@ -102,8 +98,8 @@ def test_modulation_translates_field():
         x0 = rng.normal(size=2)
         x = rng.normal(size=2)
         f_mod = indicator(0.0, 0.8, modulation=(tuple(x0), lam))
-        a = extension_eval(MC2, lam, f_mod, x)
-        b = extension_eval(MC2, lam, indicator(0.0, 0.8), x - x0)
+        a = eval_field(MC2, lam, f_mod, x)[0]
+        b = eval_field(MC2, lam, indicator(0.0, 0.8), x - x0)[0]
         worst = max(worst, abs(a - b))
     assert worst < 1e-9
 
@@ -112,8 +108,8 @@ def test_sign_flips_field():
     lam, x = 32.0, np.array([0.3, 0.3])
     plus = indicator(0.0, 0.5, sign=1)
     minus = indicator(0.0, 0.5, sign=-1)
-    assert abs(extension_eval(MC2, lam, plus, x)
-               + extension_eval(MC2, lam, minus, x)) < 1e-14
+    assert abs(eval_field(MC2, lam, plus, x)[0]
+               + eval_field(MC2, lam, minus, x)[0]) < 1e-14
 
 
 def test_anisotropic_rescaling_identity():
@@ -127,10 +123,10 @@ def test_anisotropic_rescaling_identity():
         for _ in range(5):
             x = rng.uniform(-0.5, 0.5, size=3)
             lam = 29.0
-            lhs = extension_eval(zoom, lam, indicator(0.0, 1.0), x)
-            rhs = 2.0**ell * extension_eval(
+            lhs = eval_field(zoom, lam, indicator(0.0, 1.0), x)[0]
+            rhs = 2.0**ell * eval_field(
                 curve, lam, indicator(0.0, 2.0**-ell), dmat @ x
-            )
+            )[0]
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -143,17 +139,8 @@ def test_chart_field_equals_extension_at_embedded_point():
             emb = phase.embed(y)[0]
             assert abs(np.linalg.norm(emb) - 1.0) < 1e-12
             va = eval_field(phase, lam, f, y)[0]
-            vb = extension_eval(MC2, lam, f, emb)
+            vb = eval_field(MC2, lam, f, emb)[0]
             assert abs(va - vb) < 1e-12
-
-
-def test_phase_eval_respects_window():
-    win = AmplitudeWindow(radii=(0.25,))
-    phase = graph_phase(MC2, sphere_cap_graph(2), window=win)
-    f = indicator(0.0, 1.0)
-    assert phase_eval(phase, 32.0, f, np.array([0.9])) == 0.0
-    inner = phase_eval(phase, 32.0, f, np.array([0.05]))
-    assert abs(inner) > 0.0
 
 
 def _vandermonde(y, n_rows):
@@ -238,12 +225,10 @@ def test_lorentz_norm():
 def test_field_resolution_guard():
     f = indicator(0.0, 1.0)
     coarse = sphere_measure(2, 32)
-    with pytest.raises(ResolutionError):
-        field(MC2, 200.0, f, coarse, strict=True)
     with pytest.warns(UserWarning):
-        field(MC2, 200.0, f, coarse, strict=False)
+        field(MC2, 200.0, f, coarse)
     fine = sphere_measure(2, 2048)
-    vals = field(MC2, 200.0, f, fine, strict=True)
+    vals = field(MC2, 200.0, f, fine)
     assert vals.shape == (fine.size,)
 
 
@@ -374,8 +359,6 @@ def _direct_field(phase, lam, f, ypts):
                 x0, lam_mod = seg.modulation
                 ph -= lam_mod * (phase.curve.eval_many(ts) @ np.asarray(x0))
             out[lo:lo + chunk.shape[0]] += seg.coefficient * (np.exp(1j * ph) @ ws)
-    if phase.window is not None:
-        out *= phase.window(ypts)
     return out
 
 
