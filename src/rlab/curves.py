@@ -346,21 +346,35 @@ def type_candidates(curve: Curve, a_max: int | None = None) -> list:
     return sorted(combinations(range(1, a_max + 1), d), key=lambda a: (sum(a), a))
 
 
+def _singular_frame(curve: Curve, t, orders, m: np.ndarray) -> bool:
+    """Whether the float frame m, columns gamma^(a)(t) for a in orders,
+    is singular to DET_TOL.
+
+    A column is zero when its norm is at most DET_TOL times the curve's
+    own scale for its order at t, the norm of sum_k |c_k| |t|^k over the
+    components: round-off of that size is not scaled back to full size.
+    Otherwise the determinant is compared with the product of the column
+    norms.
+    """
+    norms = np.linalg.norm(m, axis=0)
+    for a, norm in zip(orders, norms):
+        tab = np.abs(curve._float_rows(a))
+        scale = np.polynomial.polynomial.polyval(abs(float(t)), tab.T)
+        if norm <= DET_TOL * np.linalg.norm(scale):
+            return True
+    return abs(float(np.linalg.det(m))) <= DET_TOL * float(np.prod(norms))
+
+
 def detect_type(curve: Curve, t) -> TypeTuple:
     """Minimal derivative tuple whose columns span R^d at t.
 
-    Tuples are scanned in ``type_candidates`` order; the determinant test
-    is relative to the product of column norms.
+    Tuples are scanned in ``type_candidates`` order; the first whose
+    frame is not singular (``_singular_frame``) is the type.
     """
     candidates = type_candidates(curve)
     cols = {j: eval_derivative(curve, t, j) for j in set().union(*candidates)}
     for a in candidates:
-        m = np.column_stack([cols[j] for j in a])
-        norms = np.linalg.norm(m, axis=0)
-        scale = float(np.prod(norms))
-        if scale == 0.0:
-            continue
-        if abs(float(np.linalg.det(m))) > DET_TOL * scale:
+        if not _singular_frame(curve, t, a, np.column_stack([cols[j] for j in a])):
             return TypeTuple(a)
     raise NotFiniteTypeError(
         f"no admissible derivative tuple up to order {max(cols, default=0)} "
@@ -384,9 +398,7 @@ def rescale_curve(curve: Curve, t0, u) -> Curve:
     mcols = [curve.eval_exact(t0f, ai) for ai in a]
     m = [[mcols[j][i] for j in range(d)] for i in range(d)]  # m[i][j]
     mf = np.array([[float(x) for x in row] for row in m])
-    norms = np.linalg.norm(mf, axis=0)
-    scale = float(np.prod(norms))
-    if scale == 0.0 or abs(float(np.linalg.det(mf))) <= DET_TOL * scale:
+    if _singular_frame(curve, t0f, a, mf):
         raise SingularMatrixError(
             f"frame matrix nearly singular at t0={float(t0f)} for tuple {tuple(a)}"
         )

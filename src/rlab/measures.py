@@ -608,6 +608,16 @@ def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
 _BLOCK = 32                 # nodes per block of the audit's bound pass
 _BOUND_CELLS = 1 << 16      # ball-block pairs per chunk of the bound pass
 
+
+def _span(nodes: np.ndarray) -> np.ndarray:
+    """max - min of each coordinate of the (n, dim) nodes.
+
+    Reduced column by column: numpy reduces a narrow array over axis 0
+    an order of magnitude slower.
+    """
+    return np.array([c.max() - c.min() for c in nodes.T])
+
+
 def _min_spacing(mu: QuadMeasure) -> float:
     """Smallest positive distance between two nodes.
 
@@ -623,7 +633,7 @@ def _min_spacing(mu: QuadMeasure) -> float:
     if pts.shape[0] > 40000:
         rng = np.random.default_rng(0)
         pts = pts[rng.choice(pts.shape[0], 40000, replace=False)]
-    extent = pts.max(axis=0) - pts.min(axis=0)
+    extent = _span(pts)
     if not np.any(extent > 0):
         raise DataError("degenerate node set")
     by_extent = np.argsort(-extent, kind="stable")
@@ -665,15 +675,24 @@ def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     """Yield the masses of the closed balls B(centers[i], radii[i]) in turn.
 
     Each ball looks only at the slab of nodes whose coordinate on the
-    widest axis lies within its radius of the center, a superset of the
-    ball.  Distances round as in np.sum((nodes - c)**2, axis=1) <= r*r
-    over every node, and the weights inside are summed in node-index
-    order, so each mass is bit-identical to that brute-force sum.  The
-    sort and the column copy are made once, before the first mass.
+    slab axis lies within its radius of the center, a superset of the
+    ball.  The slab axis is the widest axis whose coordinates are
+    nondecreasing in node-index order, if there is one: a slab is then
+    an index range and its hits are already in node order.  Otherwise
+    it is the widest axis, with the nodes sorted along it once, and
+    each ball's hits are sorted back into node order.  Distances round
+    as in np.sum((nodes - c)**2, axis=1) <= r*r over every node, and
+    the weights inside are summed in node-index order, so each mass is
+    bit-identical to that brute-force sum.
     """
-    ax = int(np.argmax(nodes.max(axis=0) - nodes.min(axis=0)))
-    perm = np.argsort(nodes[:, ax], kind="stable")
-    cols = np.ascontiguousarray(nodes[perm].T)
+    cols = np.ascontiguousarray(nodes.T)
+    in_order = [np.all(c[1:] >= c[:-1]) for c in cols]
+    span = _span(nodes)
+    ax = max(range(len(cols)), key=lambda i: (in_order[i], span[i]))
+    perm = None
+    if not in_order[ax]:
+        perm = np.argsort(cols[ax], kind="stable")
+        cols = cols[:, perm]
     # a node just past c +- r can still pass d2 <= r*r after rounding;
     # the pad covers that, and the rounding of c +- r, with room to spare
     pad = 1e-12 * (np.abs(centers[:, ax]) + radii)
@@ -681,7 +700,10 @@ def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     stops = np.searchsorted(cols[ax], centers[:, ax] + radii + pad, side="right")
     for c, r, lo, hi in zip(centers, radii, starts, stops):
         hit = _column_d2(cols[:, lo:hi], c) <= r * r
-        yield float(np.sum(weights[np.sort(perm[lo:hi][hit])]))
+        if perm is None:
+            yield float(np.sum(weights[lo:hi][hit]))
+        else:
+            yield float(np.sum(weights[np.sort(perm[lo:hi][hit])]))
 
 
 def _mass_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
@@ -694,6 +716,8 @@ def _mass_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
     distance from the center to a box runs coordinate by coordinate, as
     _column_d2 does, on gaps no larger than the node's own; rounding is
     monotone, so a box is never past r*r while a node in it is inside.
+    Each gap is clip(c, lo, hi) - c: IEEE subtraction is antisymmetric,
+    so its square is that of max(lo - c, c - hi, 0) to the bit.
     """
     n = nodes.shape[0]
     firsts = np.arange(0, n, _BLOCK)
@@ -712,8 +736,8 @@ def _mass_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
         c = centers[s:s + step].T[:, :, None]
         d2 = np.zeros((c.shape[1], firsts.size))
         for lo, hi, ci in zip(box_lo, box_hi, c):
-            gap = np.maximum(lo - ci, ci - hi)
-            np.maximum(gap, 0.0, out=gap)
+            gap = np.clip(ci, lo, hi)
+            gap -= ci
             gap *= gap
             d2 += gap
         r = radii[s:s + step, None]
@@ -761,7 +785,9 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
 
     Balls are pruned by block bounds (``_mass_bounds``): only those whose
     bound can still beat the largest ratio found get an exact mass, from
-    a slab-pruned pass over the nodes sorted along the widest axis.  Its
+    a slab-pruned pass (``_ball_masses``).  Its slabs are index ranges
+    along the widest axis on which the nodes are already in order, and
+    cuts of a sort along the widest axis when there is none.  Its
     distances round as the brute-force |x - c|^2 <= r^2 over every node
     does, and it sums the weights inside in node-index order, so the
     result is identical, bit for bit, to the brute-force definition.
@@ -777,9 +803,7 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     n = nodes.shape[0]
     if n == 0:
         raise DataError("empty measure")
-    lo_box = nodes.min(axis=0)
-    hi_box = nodes.max(axis=0)
-    diam = float(np.linalg.norm(hi_box - lo_box))
+    diam = float(np.linalg.norm(_span(nodes)))
     if diam == 0:
         raise DataError("measure support has zero extent")
     floor = 4.0 * _min_spacing(mu) if r_floor is None else float(r_floor)

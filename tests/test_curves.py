@@ -192,6 +192,20 @@ def test_detect_type_degenerate_point():
     assert tuple(detect_type(quartic, 0.25)) == (1, 2, 3)
 
 
+def test_detect_type_column_zero_up_to_round_off():
+    # gamma'' = (0, 2 + 6t - 10t^3) vanishes at a root next to this float
+    # t, where it evaluates to (0, 1.8e-15): a zero column, not a
+    # full-size direction, so the type is (1, 3), and so is the frame
+    # rescale_curve builds
+    curve = poly_curve([[Fraction(-4, 3), Fraction(-1, 2)],
+                        [2, Fraction(-5, 3), 1, 1, 0, Fraction(-1, 2)]])
+    t0 = 0.9059584320194316
+    assert 0 < abs(eval_derivative(curve, t0, 2)[1]) < 1e-14
+    assert tuple(detect_type(curve, t0)) == (1, 3)
+    out = rescale_curve(curve, t0, 1)
+    assert out.eval_exact(0, 1) == (1, 0) and out.eval_exact(0, 3) == (0, 1)
+
+
 def test_detect_type_flat_curve_raises():
     # components proportional to each other never span the plane
     flat = poly_curve([[0, 1], [0, 2]])

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from brute_force import audit_reference
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
 from rlab.curves import moment_curve
@@ -39,6 +40,7 @@ from rlab.measures import (
     QuadMeasure,
     dimension_audit,
     sphere_cap_graph,
+    sphere_measure,
     sphere_resolution_for,
 )
 from rlab.oscillatory import (
@@ -476,6 +478,25 @@ def test_cli_audit_measure():
     code, out, _ = _capture(["audit-measure", "--d", "2", "--kind", "sphere",
                              "--resolution", "512"])
     assert code == 0 and "max mass ratio" in out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("d, resolution", [(2, 128), (3, 16)])
+def test_cli_audit_measure_equals_brute_force(d, resolution, seed, monkeypatch):
+    # the CLI prints 6 decimals, so the ratio it prints is also taken as
+    # computed, on its way to the print, and compared to the last bit
+    ratios = []
+
+    def audit(*args, **kwargs):
+        ratios.append(dimension_audit(*args, **kwargs))
+        return ratios[-1]
+
+    monkeypatch.setattr("rlab.cli.dimension_audit", audit)
+    code, out, _ = _capture(["audit-measure", "--d", str(d), "--kind", "sphere",
+                             "--resolution", str(resolution), "--seed", str(seed)])
+    want = audit_reference(sphere_measure(d, resolution), d - 1, seed=seed)
+    assert code == 0 and len(ratios) == 1 and repr(ratios[0]) == repr(want)
+    assert out == f"max mass ratio mu(B)/r^alpha: {want:.6f}\n"
 
 
 def test_cli_kdim():

@@ -9,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.spatial
 import scipy.special
 
+from brute_force import audit_reference, kdtree_min_spacing
 from rlab.curves import TypeTuple, moment_curve, poly_curve
 from rlab.errors import DataError, DomainError
 from rlab.exponents import kappa
@@ -251,45 +251,6 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def _kdtree_min_spacing(mu):
-    """The positive second-neighbour distance from scipy's cKDTree."""
-    pts = mu.nodes
-    if pts.shape[0] > 40000:
-        rng = np.random.default_rng(0)
-        pts = pts[rng.choice(pts.shape[0], 40000, replace=False)]
-    dist, _ = scipy.spatial.cKDTree(pts).query(pts, k=2)
-    positive = dist[:, 1][dist[:, 1] > 0]
-    if positive.size == 0:
-        raise DataError("degenerate node set")
-    return float(np.min(positive))
-
-
-def _audit_reference(mu, alpha, n_samples=10000, seed=0, r_floor=None):
-    """The brute-force audit: every node against every sampled ball."""
-    rng = np.random.default_rng(seed)
-    nodes, weights = mu.nodes, mu.weights
-    n = nodes.shape[0]
-    lo_box = nodes.min(axis=0)
-    hi_box = nodes.max(axis=0)
-    diam = float(np.linalg.norm(hi_box - lo_box))
-    floor = 4.0 * _kdtree_min_spacing(mu) if r_floor is None else float(r_floor)
-    floor = min(floor, 0.5 * diam)
-    idx = rng.integers(0, n, size=n_samples)
-    jitter_scale = mu.max_spacing if np.isfinite(mu.max_spacing) else floor
-    centers = nodes[idx] + rng.normal(scale=jitter_scale, size=(n_samples, mu.dim))
-    radii = floor * (diam / floor) ** rng.uniform(size=n_samples)
-    worst = 0.0
-    for i in np.argsort(radii):
-        x = centers[i]
-        r = radii[i]
-        d2 = np.sum((nodes - x) ** 2, axis=1)
-        mass = float(np.sum(weights[d2 <= r * r]))
-        ratio = mass / r**alpha
-        if ratio > worst:
-            worst = ratio
-    return worst
-
-
 def _tied_layout():
     """A cross in the plane with duplicated nodes.
 
@@ -303,6 +264,18 @@ def _tied_layout():
     nodes = np.concatenate([arm, column, arm[::7], column[::5]])
     weights = rng.uniform(0.5, 1.5, nodes.shape[0])
     return QuadMeasure(2, nodes, weights, alpha=1.0, provenance="test")
+
+
+def _tied_layout_sorted():
+    """_tied_layout with its nodes, and their weights, sorted along x.
+
+    x stays the widest axis; its 145 keys at x = 0 tie, and the
+    duplicated nodes sit next to each other.
+    """
+    mu = _tied_layout()
+    order = np.argsort(mu.nodes[:, 0], kind="stable")
+    return QuadMeasure(2, mu.nodes[order], mu.weights[order], alpha=1.0,
+                       provenance="test")
 
 
 def _dilate(ell):
@@ -320,14 +293,17 @@ def _dilate(ell):
     (lambda: sphere_measure(3, 150), 2.0, 200, None),
     (_tied_layout, 1.0, 600, None),
     (_tied_layout, 1.0, 600, 0.01),
+    (_tied_layout_sorted, 1.0, 600, None),
+    (_tied_layout_sorted, 1.0, 600, 0.01),
 ], ids=["circle", "circle-default-floor", "sphere", "singular", "dilate",
         "dilate-ell5", "over-40000-nodes", "tied-keys-and-duplicates",
-        "tied-keys-floor"])
+        "tied-keys-floor", "sorted-tied-keys-and-duplicates",
+        "sorted-tied-keys-floor"])
 def test_dimension_audit_equals_brute_force(build, alpha, n_samples, r_floor):
     mu = build()
     got = dimension_audit(mu, alpha, n_samples=n_samples, seed=5, r_floor=r_floor)
-    want = _audit_reference(mu, alpha, n_samples=n_samples, seed=5,
-                            r_floor=r_floor)
+    want = audit_reference(mu, alpha, n_samples=n_samples, seed=5,
+                           r_floor=r_floor)
     assert got == want and got > 0
 
 
@@ -337,29 +313,46 @@ def test_dimension_audit_divides_by_the_scalar_power():
     # maximizing ball is such a radius
     mu = sphere_measure(2, 512)
     got = dimension_audit(mu, 1.5, n_samples=800, seed=3)
-    assert got == _audit_reference(mu, 1.5, n_samples=800, seed=3)
+    assert got == audit_reference(mu, 1.5, n_samples=800, seed=3)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_ball_masses_equal_brute_force_on_boundaries(dim):
-    """Balls whose boundary passes through nodes, to the last bit."""
+@pytest.mark.parametrize("dim, sort_axis", [
+    (2, None), (3, None), (2, 0), (3, 0), (2, 1), (3, 2),
+], ids=["2", "3", "2-sorted", "3-sorted", "2-sorted-on-narrow-axis",
+        "3-sorted-on-narrow-axis"])
+def test_ball_masses_equal_brute_force_on_boundaries(dim, sort_axis):
+    """Balls whose boundary passes through nodes, to the last bit.
+
+    Unsorted nodes take the permuted slab path.  Nodes in nondecreasing
+    order on one axis, the widest (axis 0) or a narrower one, are cut
+    into index-range slabs along it.
+    """
     rng = np.random.default_rng(20 + dim)
-    # widest along axis 0, which the slabs are cut along
+    # widest along axis 0
     nodes = rng.uniform(-1.0, 1.0, size=(1500, dim)) * ([2.0] + [1.0] * (dim - 1))
     centers = nodes[rng.integers(0, 1500, 60)] + rng.normal(scale=0.01, size=(60, dim))
     radii = rng.uniform(0.05, 0.8, 60)
+    ax = 0 if sort_axis is None else sort_axis  # the slab axis
     # nodes a few ulps either side of c +- r on the slab axis
     edge, beyond = [], 0
     for c, r in zip(centers, radii):
-        for x, outward in ((c[0] + r, 1.0), (c[0] - r, -1.0)):
+        for x, outward in ((c[ax] + r, 1.0), (c[ax] - r, -1.0)):
             for k in range(-3, 4):
                 p = c.copy()
-                p[0] = x + k * np.spacing(x)
+                p[ax] = x + k * np.spacing(x)
                 edge.append(p)
                 # past c +- r as rounded, yet inside after rounding
-                beyond += bool(outward * (p[0] - x) > 0
+                beyond += bool(outward * (p[ax] - x) > 0
                                and np.sum((p - c) ** 2) <= r * r)
+    if sort_axis is not None:
+        # tied sort keys (every third node on a 1/16 grid) and duplicates
+        nodes[::3, sort_axis] = np.round(nodes[::3, sort_axis] * 16.0) / 16.0
+        nodes = np.concatenate([nodes, nodes[::11]])
     nodes = np.concatenate([nodes, edge])
+    if sort_axis is not None:
+        nodes = nodes[np.argsort(nodes[:, sort_axis], kind="stable")]
+        in_order = np.all(np.diff(nodes, axis=0) >= 0, axis=0)
+        assert list(np.flatnonzero(in_order)) == [sort_axis]
     weights = rng.uniform(0.5, 1.5, nodes.shape[0])
     # balls whose r*r equals a node's squared distance, and whole-set balls
     d2 = np.sum((nodes - centers[0]) ** 2, axis=1)
@@ -540,7 +533,7 @@ def test_min_spacing_closest_pair_with_duplicated_ends():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.1, 0.0], [1.0, 0.0]])
     mu = _points_measure(pts)
     assert _min_spacing(mu) == 0.1 == _brute_min_spacing(pts)
-    assert _kdtree_min_spacing(mu) == 0.9
+    assert kdtree_min_spacing(mu) == 0.9
 
 
 def test_audit_measure_runs_without_scipy(tmp_path):
