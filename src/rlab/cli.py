@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import parse_floats, resolve_threads, sweep_config_from_file
+from .config import parse_floats, sweep_config_from_file
 from .curves import moment_curve
 from .errors import ComputationError, ConfigError
 from .exponents import exponent_table, hyperplane_omega
@@ -49,9 +49,6 @@ _FLAGS = {
     "seed": dict(type=int, default=None,
                  help="seed for every random draw (default 0)"),
     "out": dict(default=None, help="CSV output path (default stdout)"),
-    "threads": dict(type=int, default=None,
-                    help="threads over lambda (default RLAB_THREADS, else 1); "
-                         "output does not depend on it"),
 }
 
 
@@ -75,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="decay sweep from a config file",
                         description="Flags override the file's [sweep] "
                                     "values.")
-    _add_flags(sp, "config", "seed", "out", "threads")
+    _add_flags(sp, "config", "seed", "out")
 
     sp = sub.add_parser("knapp", help="knapp-family excess sweep")
     sp.add_argument("--d", type=int, default=2)
@@ -84,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lams", default="64,128,256,512,1024")
     sp.add_argument("--qs", default="3,4")
     sp.add_argument("--ps", default="inf")
-    _add_flags(sp, "out", "threads")
+    _add_flags(sp, "out")
 
     sp = sub.add_parser("random-lower",
                         help="randomized lower-bound experiment")
@@ -93,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-samples", type=int, default=64)
     sp.add_argument("--lams", default="256,1024,4096")
     sp.add_argument("--qs", default="3")
-    _add_flags(sp, "seed", "out", "threads")
+    _add_flags(sp, "seed", "out")
 
     sp = sub.add_parser("phase-diagram", help="excess-sign grid")
     sp.add_argument("--d", type=int, default=2)
@@ -105,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "i.e. 256 at d=2")
     sp.add_argument("--family", default="knapp",
                     choices=("knapp", "random"))
-    _add_flags(sp, "seed", "out", "threads")
+    _add_flags(sp, "seed", "out")
 
     sp = sub.add_parser("hyperplane", help="hyperplane shadow coefficient")
     sp.add_argument("--d", type=int, required=True)
@@ -158,8 +155,7 @@ def _run(args) -> int:
 
     if args.command == "sweep":
         config = sweep_config_from_file(
-            args.config, {"seed": args.seed, "out": args.out,
-                          "threads": args.threads})
+            args.config, {"seed": args.seed, "out": args.out})
         res = decay_sweep(config)
         _emit(res, config.out)
         for (p, q), fit in sorted(res.fits.items()):
@@ -173,8 +169,7 @@ def _run(args) -> int:
                              family=KnappFamily(t0=args.t0, rho=args.rho),
                              lams=parse_floats(args.lams),
                              qs=parse_floats(args.qs),
-                             ps=parse_floats(args.ps), out=args.out,
-                             threads=resolve_threads(args.threads))
+                             ps=parse_floats(args.ps), out=args.out)
         res = decay_sweep(config)
         _emit(res, config.out)
         for (p, q), fit in sorted(res.fits.items()):
@@ -191,8 +186,7 @@ def _run(args) -> int:
             family=RandomFamily(delta=args.delta,
                                 n_samples=args.n_samples),
             lams=parse_floats(args.lams), qs=parse_floats(args.qs),
-            seed=args.seed or 0, out=args.out,
-            threads=resolve_threads(args.threads))
+            seed=args.seed or 0, out=args.out)
         res = khintchine_experiment(config)
         _emit(res, config.out)
         print(f"# ratio band across lambda: {res.band():.4f}")
@@ -205,8 +199,7 @@ def _run(args) -> int:
                     else parse_floats(args.lam_pair))
         res = phase_diagram(args.d, args.grid_n, family=family,
                             lam_pair=lam_pair, out=args.out,
-                            seed=args.seed or 0,
-                            threads=resolve_threads(args.threads))
+                            seed=args.seed or 0)
         _emit(res, args.out)
         print(f"# off-band cells: {res.n_off_band}  "
               f"sign agreement: {res.agreement:.4f}")

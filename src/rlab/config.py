@@ -86,18 +86,6 @@ def parse_family(section) -> object:
     raise ConfigError(f"unknown family kind {kind!r}")
 
 
-def resolve_threads(flag: int | None, file_value: int | None = None) -> int:
-    """Worker threads: the --threads flag, else [sweep] threads, else
-    the RLAB_THREADS environment variable, else 1."""
-    value = flag if flag is not None else file_value
-    if value is None:
-        try:
-            value = int(os.environ.get("RLAB_THREADS", ""))
-        except ValueError:
-            value = 1
-    return max(1, value)
-
-
 def load_config(path: str) -> configparser.ConfigParser:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -135,6 +123,4 @@ def sweep_config_from_file(path: str, overrides: dict | None = None
         raise ConfigError("[sweep] must set lams and qs")
     return SweepConfig(curve=curve, family=family, lams=lams, qs=qs, ps=ps,
                        seed=int(pick("seed", sweep.getint("seed", 0))),
-                       out=pick("out", sweep.get("out", None)),
-                       threads=resolve_threads(overrides.get("threads"),
-                                               sweep.getint("threads", None)))
+                       out=pick("out", sweep.get("out", None)))

@@ -575,23 +575,3 @@ def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
 
         c = _largest_dyadic_c(admissible, f"for type {a} at lambda={lam}")
     return build(c)
-
-
-# ----------------------------------------------------------------------
-# boxes for k-dimensional graphs
-# ----------------------------------------------------------------------
-
-def kdim_boxes(phase: PhaseSpec, lam: float, c: float,
-               extent: float | None = None) -> list:
-    """Calibrated-scale dual boxes along the diagonal g(t) = (t,..,t).
-
-    The parameter range is tiled by the usual lambda^{-1/(2d)} rule and
-    each anchor gets the box {y : M(t_m)^T (y - g(t_m)) in R-bar}.
-    """
-    patch = phase.patch
-    if not isinstance(patch, SubmanifoldPatch):
-        raise ValueError("kdim boxes need an integral-graph phase")
-    if extent is None:
-        extent = patch.extent
-    part = partition_family(phase, extent, lam)
-    return [knapp_box(phase, float(tm), lam, c) for tm in part.anchors]

@@ -2,15 +2,13 @@
 
 Each experiment produces an in-memory list of records plus a CSV dump
 with a self-describing '#' header.  CSV output contains no timing data:
-reruns with identical config, seed and thread count must be
-byte-identical.
+reruns with identical config and seed must be byte-identical.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -47,6 +45,7 @@ from .oscillatory import (
 )
 
 DEFAULT_SIGN_SAMPLES = 64
+PHASE_BAND = 0.02           # phase_diagram scores |predicted| > this only
 
 
 # ----------------------------------------------------------------------
@@ -72,6 +71,10 @@ class KnappFamily:
 
     name = "knapp"
 
+    def __post_init__(self):
+        if self.rho is not None and not 0 < self.rho < math.inf:
+            raise ConfigError(f"rho {self.rho} must be finite and positive")
+
 
 @dataclass(frozen=True)
 class RandomFamily:
@@ -81,6 +84,11 @@ class RandomFamily:
     n_samples: int = DEFAULT_SIGN_SAMPLES
 
     name = "random"
+
+    def __post_init__(self):
+        if not 0 < self.delta < math.inf:
+            raise ConfigError(
+                f"delta {self.delta} must be finite and positive")
 
 
 def default_bump_point(d: int) -> np.ndarray:
@@ -103,7 +111,6 @@ class SweepConfig:
     ps: tuple = (float("inf"),)
     seed: int = 0
     out: str | None = None
-    threads: int = 1
 
     def __post_init__(self):
         lams = tuple(float(v) for v in self.lams)
@@ -172,14 +179,6 @@ def write_csv(path_or_buf, header_lines: list, columns: list,
     elif path_or_buf is not None:
         path_or_buf.write(text)
     return text
-
-
-def _ordered_map(fn, items, threads: int):
-    """Parallel map that preserves order (and determinism)."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ----------------------------------------------------------------------
@@ -330,8 +329,7 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
                     witness_ratio=(wit / (lam ** -s * fn)) if wit else 0.0))
         return recs
 
-    nested = _ordered_map(run_one, sorted(config.lams), config.threads)
-    records = [r for sub in nested for r in sub]
+    records = [r for lam in sorted(config.lams) for r in run_one(lam)]
     fits = _sweep_fits(config, records) if len(config.lams) >= 2 else {}
 
     header = [
@@ -380,16 +378,13 @@ class KhintchineResult:
         return max(ratios) / min(ratios)
 
 
-def khintchine_experiment(config: SweepConfig,
-                          c: float | None = None) -> KhintchineResult:
+def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
     """Empirical mean of ||sum_k eps_k T chi_k||_q^q against its bounds.
 
     Each interval's indicator is recentered at its own anchor; the sign
-    patterns are drawn once from the seed before any parallel dispatch
-    and every draw reuses the same per-interval fields, so the sample
-    set never depends on thread count.  A shared dyadic c (the min of
-    the per-lambda calibrations) keeps the box volumes an exact power
-    law in lambda.
+    patterns are drawn once from the seed and every draw reuses the same
+    per-interval fields.  A shared dyadic c (the min of the per-lambda
+    calibrations) keeps the box volumes an exact power law in lambda.
     """
     fam = config.family
     if not isinstance(fam, RandomFamily):
@@ -405,12 +400,9 @@ def khintchine_experiment(config: SweepConfig,
     lams = sorted(config.lams)
 
     parts = {lam: partition_family(phase, delta, lam) for lam in lams}
-    if c is None:
-        c = min(
-            calibrate_c(phase, float(part.anchors[-1]), lam,
+    c = min(calibrate_c(phase, float(part.anchors[-1]), lam,
                         interval=part.intervals[-1])
-            for lam, part in parts.items()
-        )
+            for lam, part in parts.items())
 
     rng = np.random.default_rng(config.seed)
     max_ell = max(p_.ell for p_ in parts.values())
@@ -445,8 +437,7 @@ def khintchine_experiment(config: SweepConfig,
                     resolution=mu.size, panels=sample.panels))
         return recs
 
-    nested = _ordered_map(run_one, lams, config.threads)
-    records = [r for sub in nested for r in sub]
+    records = [r for lam in lams for r in run_one(lam)]
 
     header = [
         f"khintchine_experiment d={d} delta={_fmt(delta)}",
@@ -473,16 +464,16 @@ class PhaseDiagramResult:
 
 
 def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
-                  band: float = 0.02, out=None, seed: int = 0,
-                  threads: int = 1) -> PhaseDiagramResult:
+                  out=None, seed: int = 0) -> PhaseDiagramResult:
     """Measured two-lambda excess slopes over the (1/p, 1/q) square.
 
     One field per lambda serves the whole grid: only the normalization
     lambda^{-(d-1)/q} ||f||_p changes from cell to cell.  Sign agreement
-    is scored against the region classification outside a band around
-    the predicted-excess zero set.  lam_pair defaults to (64, 1024) for
-    the Knapp family and (256, 1024) for the random one, whose default
-    delta = 1/4 needs lambda >= delta^(-2d) (256 at d = 2).
+    is scored against the region classification outside the band
+    |predicted excess| <= PHASE_BAND around its zero set.  lam_pair
+    defaults to (64, 1024) for the Knapp family and (256, 1024) for the
+    random one, whose default delta = 1/4 needs lambda >= delta^(-2d)
+    (256 at d = 2).
     """
     if family is None:
         family = KnappFamily()
@@ -500,12 +491,11 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     region = sphere_region(d)
     config = SweepConfig(curve=curve, family=family,
                          lams=tuple(sorted(lam_pair)), qs=(2.0,),
-                         ps=(2.0,), seed=seed, threads=threads)
+                         ps=(2.0,), seed=seed)
     phase = graph_phase(curve, sphere_cap_graph(d))
 
-    samples = _ordered_map(
-        lambda lam: _evaluate(curve, lam, [_build_input(config, lam, phase)]),
-        config.lams, config.threads)
+    samples = [_evaluate(curve, lam, [_build_input(config, lam, phase)])
+               for lam in config.lams]
     lam0, lam1 = config.lams
     dlog = math.log(lam1) - math.log(lam0)
 
@@ -528,7 +518,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
             measured = (math.log(ratios[1]) - math.log(ratios[0])) / dlog
             predicted = float(predicted_excess(pt, family.name, d))
             cls = region.classify(pt)
-            off_band = abs(predicted) > band
+            off_band = abs(predicted) > PHASE_BAND
             match = None
             if off_band and cls != "boundary":
                 want_positive = cls == "exterior"
@@ -548,7 +538,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
             "measured_excess", "off_band", "sign_match"]
     header = [
         f"phase_diagram d={d} grid_n={grid_n} family={family.name}",
-        f"lam_pair={_fmt(lam0)},{_fmt(lam1)} band={_fmt(band)}",
+        f"lam_pair={_fmt(lam0)},{_fmt(lam1)} band={_fmt(PHASE_BAND)}",
         "measured_excess = two-point slope of log ratio, to 10 decimals",
     ]
     # the slope prints to 1e-10 absolute: at 1/q = 0 it is the slope of two
@@ -589,8 +579,7 @@ class KdimResult:
 
 
 def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
-                    extent: float = 0.75, c: float | None = None,
-                    out=None) -> KdimResult:
+                    extent: float = 0.75, out=None) -> KdimResult:
     """Sign of the excess slope across the k-dimensional threshold.
 
     The slope of log[lambda^{-q/(2d)} N(lambda) |P-bar| / lambda^{-k}]
@@ -618,10 +607,9 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     qc = float(kdim_threshold(d, k))
     lams = sorted(float(v) for v in lams)
 
-    if c is None:
-        part0 = partition_family(phase, extent, lams[0])
-        c = calibrate_c(phase, float(part0.anchors[-1]), lams[0],
-                        interval=part0.intervals[-1])
+    part0 = partition_family(phase, extent, lams[0])
+    c = calibrate_c(phase, float(part0.anchors[-1]), lams[0],
+                    interval=part0.intervals[-1])
 
     records = []
     slopes = {float(q): -(float(q) - qc) / (2 * d) for q in qs}

@@ -201,7 +201,7 @@ def test_c06_bump_decay_slopes():
     t0 = time.perf_counter()
     cfg = SweepConfig(curve=moment_curve(2), family=BumpFamily(),
                       lams=(64.0, 128.0, 256.0, 512.0, 1024.0),
-                      qs=(3.0, 4.0, 6.0), ps=(INF,), seed=0, threads=1)
+                      qs=(3.0, 4.0, 6.0), ps=(INF,), seed=0)
     res = decay_sweep(cfg)
     parts = []
     for q in (3.0, 4.0, 6.0):
@@ -215,7 +215,7 @@ def test_c06_bump_decay_slopes():
 
     cfg3 = SweepConfig(curve=moment_curve(3), family=BumpFamily(),
                        lams=(16.0, 32.0, 64.0), qs=(7.0,), ps=(INF,),
-                       seed=0, threads=1)
+                       seed=0)
     fit3 = decay_sweep(cfg3).fits[(INF, 7.0)]
     err3 = abs(fit3["norm_slope"] + 2.0 / 7.0)
     assert err3 <= 0.1, fit3["norm_slope"]
@@ -228,7 +228,7 @@ def test_c07_knapp_excess_slopes():
     t0 = time.perf_counter()
     cfg = SweepConfig(curve=moment_curve(2), family=KnappFamily(),
                       lams=tuple(2.0 ** k for k in range(6, 13)),
-                      qs=(3.0, 4.0), ps=(INF, 1.5, 6.0), seed=0, threads=1)
+                      qs=(3.0, 4.0), ps=(INF, 1.5, 6.0), seed=0)
     res = decay_sweep(cfg)
     parts = []
     for p, q in ((INF, 3.0), (1.5, 3.0), (6.0, 4.0)):
@@ -249,7 +249,7 @@ def test_c08_random_sign_lower_bound_band():
     cfg = SweepConfig(curve=moment_curve(2),
                       family=RandomFamily(delta=0.25, n_samples=64),
                       lams=(256.0, 1024.0, 4096.0), qs=(3.0,), ps=(INF,),
-                      seed=0, threads=1)
+                      seed=0)
     res = khintchine_experiment(cfg)
     ratios = [r.ratio for r in res.records]
     assert all(r >= 1.0 for r in ratios)          # the bound actually holds
@@ -384,13 +384,11 @@ def test_c12_dimension_audits():
 def test_c13_csv_determinism():
     t0 = time.perf_counter()
     dcfg = SweepConfig(curve=moment_curve(2), family=BumpFamily(),
-                       lams=(16.0, 32.0), qs=(3.0,), ps=(INF,), seed=5,
-                       threads=1)
+                       lams=(16.0, 32.0), qs=(3.0,), ps=(INF,), seed=5)
     assert decay_sweep(dcfg).csv_text == decay_sweep(dcfg).csv_text
     rcfg = SweepConfig(curve=moment_curve(2),
                        family=RandomFamily(delta=0.25, n_samples=32),
-                       lams=(256.0,), qs=(3.0,), ps=(INF,), seed=7,
-                       threads=1)
+                       lams=(256.0,), qs=(3.0,), ps=(INF,), seed=7)
     assert (khintchine_experiment(rcfg).csv_text
             == khintchine_experiment(rcfg).csv_text)
     k1 = kdim_experiment(4, 2, moment_curve(4), (16.0, 32.0), (7.0, 9.0))

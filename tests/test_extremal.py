@@ -19,7 +19,6 @@ from rlab.extremal import (
     calibrate_c,
     curvature_matrix,
     grad_y,
-    kdim_boxes,
     knapp_box,
     knapp_input,
     mixed_determinant,
@@ -240,8 +239,8 @@ def test_kdim_boxes_and_fields():
     phase = PhaseSpec(kind="graph", curve=patch.curve, patch=patch, offset=0.0)
     lam = 32.0
     c = calibrate_c(phase, 0.75, lam, interval=(0.75 - lam ** (-1.0 / 8.0), 0.75))
-    boxes = kdim_boxes(phase, lam, c, extent=0.75)
     part = partition_family(phase, 0.75, lam)
+    boxes = part.boxes(c)
     assert len(boxes) == part.ell
     for tm, box in zip(part.anchors, boxes):
         assert box.contains(solve_stationary(phase, float(tm)))[0]

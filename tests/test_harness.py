@@ -272,19 +272,19 @@ def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
 
 
 @pytest.mark.parametrize("run", [
-    lambda t: decay_sweep(SweepConfig(
+    lambda: decay_sweep(SweepConfig(
         curve=moment_curve(2), family=BumpFamily(), lams=(16.0, 32.0),
-        qs=(3.0,), threads=t)),
-    lambda t: decay_sweep(SweepConfig(
+        qs=(3.0,))),
+    lambda: decay_sweep(SweepConfig(
         curve=moment_curve(2), family=RandomFamily(delta=1.0),
-        lams=(16.0, 32.0), qs=(3.0,), seed=3, threads=t)),
-    lambda t: khintchine_experiment(SweepConfig(
+        lams=(16.0, 32.0), qs=(3.0,), seed=3)),
+    lambda: khintchine_experiment(SweepConfig(
         curve=moment_curve(2), family=RandomFamily(delta=1.0, n_samples=32),
-        lams=(16.0, 32.0), qs=(3.0,), seed=3, threads=t)),
-    lambda t: phase_diagram(2, 3, lam_pair=(16.0, 32.0), threads=t),
+        lams=(16.0, 32.0), qs=(3.0,), seed=3)),
+    lambda: phase_diagram(2, 3, lam_pair=(16.0, 32.0)),
 ], ids=["bump", "random", "khintchine", "phase-diagram"])
-def test_thread_count_does_not_change_csv(run):
-    assert run(2).csv_text == run(1).csv_text
+def test_rerun_csv_is_byte_identical(run):
+    assert run().csv_text == run().csv_text
 
 
 def test_kdim_experiment_slopes():
@@ -322,8 +322,8 @@ def test_sweep_config_from_file(tmp_path):
     assert isinstance(cfg.family, KnappFamily) and cfg.family.t0 == 0.3
     assert cfg.lams == (64.0, 128.0) and cfg.ps == (math.inf, 2.0)
     assert cfg.seed == 4
-    over = sweep_config_from_file(str(path), {"seed": 9, "threads": 2})
-    assert over.seed == 9 and over.threads == 2
+    over = sweep_config_from_file(str(path), {"seed": 9})
+    assert over.seed == 9
 
     bare = tmp_path / "bare.ini"
     bare.write_text("[family]\nkind = bump\n")
@@ -335,20 +335,6 @@ def test_sweep_config_from_file(tmp_path):
         sweep_config_from_file(str(nolams))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.ini"))
-
-
-def test_sweep_threads_resolution(tmp_path, monkeypatch):
-    # --threads flag > [sweep] threads > RLAB_THREADS > 1
-    base = "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 64\nqs = 3\n"
-    plain, pinned = tmp_path / "plain.ini", tmp_path / "pinned.ini"
-    plain.write_text(base)
-    pinned.write_text(base + "threads = 2\n")
-    monkeypatch.delenv("RLAB_THREADS", raising=False)
-    assert sweep_config_from_file(str(plain)).threads == 1
-    monkeypatch.setenv("RLAB_THREADS", "3")
-    assert sweep_config_from_file(str(plain)).threads == 3
-    assert sweep_config_from_file(str(pinned)).threads == 2
-    assert sweep_config_from_file(str(pinned), {"threads": 4}).threads == 4
 
 
 def test_cli_exponents_output():
@@ -374,6 +360,31 @@ def test_public_api_lists_every_imported_name():
     imported = [alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(rlab.__all__) == sorted(imported)
+
+
+def _forbid_fields(monkeypatch):
+    """Make every field evaluation and calibration fail the test."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("field computed")
+
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibration run")
+
+    monkeypatch.setattr("rlab.harness.field", no_field)
+    monkeypatch.setattr("rlab.harness.eval_field", no_field)
+    monkeypatch.setattr("rlab.harness.calibrate_c", no_calibration)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", os.path.join(ROOT, "perfbench", "bump-d2.ini")],
+    ["knapp"], ["random-lower"], ["phase-diagram"],
+], ids=["sweep", "knapp", "random-lower", "phase-diagram"])
+def test_cli_refuses_threads_flag(argv, monkeypatch):
+    # sweeps run their lambdas in order; --threads is an unknown flag
+    _forbid_fields(monkeypatch)
+    code, _, err = _capture(argv + ["--threads", "2"])
+    assert code == 2
+    assert "unrecognized arguments: --threads 2" in err
 
 
 def test_cli_error_codes():
@@ -415,24 +426,32 @@ def test_cli_error_codes():
     ["kdim", "--qs", "0.5"],
     ["kdim", "--extent", "inf"],
     ["kdim", "--extent", "0"],
+    ["random-lower", "--delta", "inf"],
+    ["random-lower", "--delta", "nan"],
+    ["random-lower", "--delta", "0"],
+    ["random-lower", "--delta", "-1"],
+    ["knapp", "--rho", "0"],
+    ["knapp", "--rho", "-1"],
+    ["knapp", "--rho", "inf"],
+    ["knapp", "--rho", "nan"],
+    ["sweep", "--config", "random-delta-1e400.ini"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
         "audit-resolution-negative", "hyperplane-d2", "kdim-lam-zero",
         "kdim-lam-inf", "kdim-lam-negative", "kdim-lam-duplicate",
         "kdim-lams-empty", "kdim-q-negative", "kdim-q-half",
-        "kdim-extent-inf", "kdim-extent-zero"])
-def test_cli_refused_argument_exits_2(argv, monkeypatch):
+        "kdim-extent-inf", "kdim-extent-zero", "random-delta-inf",
+        "random-delta-nan", "random-delta-zero", "random-delta-negative",
+        "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
+        "knapp-rho-nan", "sweep-random-delta-overflow"])
+def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
-    def no_field(*args, **kwargs):
-        raise AssertionError("field computed")
-
-    def no_calibration(*args, **kwargs):
-        raise AssertionError("calibration run")
-
-    monkeypatch.setattr("rlab.harness.field", no_field)
-    monkeypatch.setattr("rlab.harness.eval_field", no_field)
-    monkeypatch.setattr("rlab.harness.calibrate_c", no_calibration)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "random-delta-1e400.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[family]\nkind = random\n"
+        "delta = 1e400\n\n[sweep]\nlams = 256\nqs = 3\n")
+    _forbid_fields(monkeypatch)
     code, _, err = _capture(argv)
     assert code == 2
     assert err.startswith("error:")

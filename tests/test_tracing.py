@@ -1,14 +1,19 @@
-"""The traced benchmark mode still fits the package it instruments.
+"""The benchmark's files still fit the package they drive.
 
 ``perfbench/tracing.py`` rebinds rlab names and reads call arguments by
 parameter name.  It is loaded from its source here, without installing
-it or writing anything under ``perfbench/``.
+it or writing anything under ``perfbench/``.  ``perfbench/bump-d2.ini``
+is read as the ``bump-d2`` workload reads it.
 """
 
 import importlib
 import inspect
 import os
 import types
+
+from rlab.cli import build_parser
+from rlab.config import load_config, sweep_config_from_file
+from rlab.harness import BumpFamily
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,3 +52,15 @@ def test_trace_targets_resolve_with_the_parameters_they_read():
         checked.add(attr)
     assert {"dimension_audit", "necessity_rect_sphere",
             "_segment_panel_count"} <= checked
+
+
+def test_bump_d2_config_loads_and_its_argv_parses():
+    path = os.path.join(ROOT, "perfbench", "bump-d2.ini")
+    argv = ["sweep", "--config", path, "--seed", "42"]
+    args = build_parser().parse_args(argv)
+    assert (args.command, args.config, args.seed) == ("sweep", path, 42)
+    cfg = sweep_config_from_file(args.config, {"seed": args.seed})
+    assert cfg.curve.dim == 2 and isinstance(cfg.family, BumpFamily)
+    assert len(cfg.lams) >= 2 and cfg.seed == 42 and cfg.out is None
+    # the file still sets [sweep] threads, a key the loader ignores
+    assert "threads" in load_config(path)["sweep"]
