@@ -83,14 +83,17 @@ class Parallelepiped:
                                      indexing="ij")).reshape(m, -1).T
         return self._from_axis(signs * self.half_widths)
 
-    def lattice(self, n_per_axis: int = LATTICE_DEFAULT) -> np.ndarray:
-        """Tensor lattice including all corners, mapped into the set."""
+    def _axis_lattice(self, n_per_axis: int = LATTICE_DEFAULT) -> np.ndarray:
+        """Tensor lattice of the axis box, all corners included (rows)."""
         if n_per_axis < 2:
             raise ValueError("need at least 2 lattice points per axis")
         axes = [np.linspace(-h, h, n_per_axis) for h in self.half_widths]
         grid = np.array(np.meshgrid(*axes, indexing="ij"))
-        x = grid.reshape(self.dim, -1).T
-        return self._from_axis(x)
+        return grid.reshape(self.dim, -1).T
+
+    def lattice(self, n_per_axis: int = LATTICE_DEFAULT) -> np.ndarray:
+        """Tensor lattice including all corners, mapped into the set."""
+        return self._from_axis(self._axis_lattice(n_per_axis))
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +520,12 @@ class NecessityRect:
         return pts @ dgam.T
 
     def _grid(self) -> tuple:
-        """The box lattice and the t nodes that phase_sup samples."""
-        return (self.box.lattice(LATTICE_DEFAULT),
+        """The box lattice and the t nodes that phase_sup samples.
+
+        The rectangle is an axis box of the chart, so its lattice is the
+        axis lattice itself, with no solve against the identity.
+        """
+        return (self.box._axis_lattice(LATTICE_DEFAULT),
                 np.linspace(0.0, self.lam ** -self.rho, LATTICE_DEFAULT))
 
     def phase_sup(self) -> float:

@@ -439,6 +439,28 @@ def patch_measure(center: Sequence[float], half_widths: Sequence[float],
 # k-dimensional integral graphs
 # ----------------------------------------------------------------------
 
+_T_BLOCK = 2048             # t-nodes per block of a many-point M(t) evaluation
+
+
+def _blockwise(rows: np.ndarray, per_row: int, kernel: Callable,
+               shape: tuple) -> np.ndarray:
+    """kernel over consecutive blocks of rows, into one (n, *shape) array.
+
+    rows is a 1-d array of parameters, each standing for per_row
+    t-nodes, and a block holds at most _T_BLOCK t-nodes (at least one
+    row).  kernel(block) returns the block's (len(block), *shape) result.
+    The solves, polyvals, matmuls and einsums of a kernel treat each row
+    on its own, so the result is bit-identical to one call on every row,
+    while the scratch arrays stay the size of one block.
+    """
+    rows = np.atleast_1d(np.asarray(rows, dtype=float))
+    step = max(1, _T_BLOCK // per_row)
+    out = np.empty((rows.shape[0],) + shape)
+    for lo in range(0, rows.shape[0], step):
+        out[lo:lo + step] = kernel(rows[lo:lo + step])
+    return out
+
+
 @dataclass(frozen=True)
 class SubmanifoldPatch:
     """Graph chart of a k-dimensional model submanifold in R^d.
@@ -487,27 +509,36 @@ class SubmanifoldPatch:
         b2 = full[:, l:, l:]
         return a1, a2, b1, b2
 
-    def m_matrix(self, ts: np.ndarray) -> np.ndarray:
-        """M(t) = -B1 A1^{-1}, shape (n, k, l)."""
+    def _m_batch(self, ts: np.ndarray) -> np.ndarray:
+        """M(t) at every t of ts in one batch, shape (n, k, l)."""
         a1, _, b1, _ = self.blocks(ts)
         zt = np.linalg.solve(np.swapaxes(a1, 1, 2), np.swapaxes(b1, 1, 2))
         return -np.swapaxes(zt, 1, 2)
 
+    def m_matrix(self, ts: np.ndarray) -> np.ndarray:
+        """M(t) = -B1 A1^{-1}, shape (n, k, l)."""
+        return _blockwise(ts, 1, self._m_batch, (self.k, self.l))
+
     def curvature_block(self, ts: np.ndarray) -> np.ndarray:
         """(B2 - B1 A1^{-1} A2)(t), the k x k twisted curvature matrix."""
-        a1, a2, b1, b2 = self.blocks(ts)
-        x = np.linalg.solve(a1, a2)  # A1^{-1} A2
-        return b2 - b1 @ x
+        def kernel(tb):
+            a1, a2, b1, b2 = self.blocks(tb)
+            return b2 - b1 @ np.linalg.solve(a1, a2)
 
-    def _fint_axis(self, svals: np.ndarray) -> np.ndarray:
-        """int_0^{s} M_ij(t) dt for each s, shape (n, k, l), by 32-point
+        return _blockwise(ts, 1, kernel, (self.k, self.k))
+
+    def _fint_axis(self, svals: np.ndarray, i: int) -> np.ndarray:
+        """int_0^{s} M_ij(t) dt for each s and j, shape (n, l), by 32-point
         Gauss-Legendre."""
         x, w = gauss_legendre(32)
-        s = np.asarray(svals, dtype=float)
-        ts = 0.5 * s[:, None] * (x[None, :] + 1.0)      # (n, gl)
-        ws = 0.5 * s[:, None] * w[None, :]
-        mvals = self.m_matrix(ts.ravel()).reshape(s.size, 32, self.k, self.l)
-        return np.einsum("ng,ngkl->nkl", ws, mvals)
+
+        def kernel(s):
+            ts = 0.5 * s[:, None] * (x[None, :] + 1.0)      # (n, gl)
+            ws = 0.5 * s[:, None] * w[None, :]
+            mvals = self._m_batch(ts.ravel()).reshape(s.size, 32, self.k, self.l)
+            return np.einsum("ng,ngkl->nkl", ws, mvals)[:, i, :]
+
+        return _blockwise(svals, 32, kernel, (self.l,))
 
     def value(self, y: np.ndarray) -> np.ndarray:
         """phi(y), shape (n, l); phi_j = sum_i int_0^{y_i} M_ij."""
@@ -515,8 +546,7 @@ class SubmanifoldPatch:
         out = np.zeros((y.shape[0], self.l))
         for i in range(self.k):
             uniq, inv = np.unique(y[:, i], return_inverse=True)
-            tab = self._fint_axis(uniq)[:, i, :]  # (m, l)
-            out += tab[inv]
+            out += self._fint_axis(uniq, i)[inv]
         return out
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
@@ -546,11 +576,12 @@ class SubmanifoldPatch:
         Zero for order = 1..l by construction of phi; for order = l+j the
         values are the columns of the curvature block.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        mv = self.m_matrix(ts)                       # (n, k, l)
-        ga = self.curve.eval_many(ts, order)[:, :self.l]   # (n, l)
-        gb = self.curve.eval_many(ts, order)[:, self.l:]   # (n, k)
-        return np.einsum("nkl,nl->nk", mv, ga) + gb
+        def kernel(tb):
+            gam = self.curve.eval_many(tb, order)
+            return (np.einsum("nkl,nl->nk", self._m_batch(tb), gam[:, :self.l])
+                    + gam[:, self.l:])
+
+        return _blockwise(ts, 1, kernel, (self.k,))
 
     def surface_measure(self, resolution: int | None = None) -> QuadMeasure:
         """Ambient measure on the graph with k-dimensional area weights."""

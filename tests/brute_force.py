@@ -1,6 +1,6 @@
-"""Brute-force references shared by the audit tests.
+"""Brute-force references shared by the audit and chart tests.
 
-Each computes from the definition, with no pruning, what
+Each computes from the definition, with no pruning or blocking, what
 ``rlab.measures`` computes fast; the tests compare the two bit for bit.
 """
 
@@ -65,3 +65,52 @@ def calibrate_reference(full_sup, bound):
             pass
         c *= 0.5
     return None
+
+
+def _m_one_shot(patch, ts):
+    """M(t) = -B1 A1^{-1} at every t in one batch, shape (n, k, l)."""
+    a1, _, b1, _ = patch.blocks(ts)
+    zt = np.linalg.solve(np.swapaxes(a1, 1, 2), np.swapaxes(b1, 1, 2))
+    return -np.swapaxes(zt, 1, 2)
+
+
+class OneShotChart:
+    """A SubmanifoldPatch's chart maps with each M(t) batch taken whole.
+
+    value, jacobian, mixed_grad and curvature_block evaluate every t-node
+    of a call in one batch: 32 Gauss-Legendre nodes per unique
+    coordinate for value, one node per unique coordinate for jacobian.
+    """
+
+    def __init__(self, patch):
+        self.patch = patch
+
+    def value(self, y):
+        p = self.patch
+        x, w = np.polynomial.legendre.leggauss(32)
+        out = np.zeros((y.shape[0], p.l))
+        for i in range(p.k):
+            s, inv = np.unique(y[:, i], return_inverse=True)
+            ts = 0.5 * s[:, None] * (x[None, :] + 1.0)
+            ws = 0.5 * s[:, None] * w[None, :]
+            mvals = _m_one_shot(p, ts.ravel()).reshape(s.size, 32, p.k, p.l)
+            out += np.einsum("ng,ngkl->nkl", ws, mvals)[:, i, :][inv]
+        return out
+
+    def jacobian(self, y):
+        p = self.patch
+        out = np.zeros((y.shape[0], p.l, p.k))
+        for i in range(p.k):
+            s, inv = np.unique(y[:, i], return_inverse=True)
+            out[:, :, i] = _m_one_shot(p, s)[:, i, :][inv]
+        return out
+
+    def mixed_grad(self, ts, order):
+        p = self.patch
+        gam = p.curve.eval_many(ts, order)
+        return (np.einsum("nkl,nl->nk", _m_one_shot(p, ts), gam[:, :p.l])
+                + gam[:, p.l:])
+
+    def curvature_block(self, ts):
+        a1, a2, b1, b2 = self.patch.blocks(ts)
+        return b2 - b1 @ np.linalg.solve(a1, a2)

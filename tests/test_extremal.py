@@ -218,6 +218,10 @@ def test_necessity_rect(monkeypatch):
     # half-widths follow c lam^{-1 + rho a_{d+1-i}}
     want = [rect.c * lam ** (-1.0 + 0.125 * 4), rect.c * lam ** (-1.0 + 0.125 * 2)]
     assert np.allclose(rect.box.half_widths, want)
+    # phase_sup samples the axis lattice: the mapped lattice, bit for bit
+    ypts, ts = rect._grid()
+    assert np.array_equal(ypts, rect.box.lattice())
+    assert np.array_equal(rect.phase(ypts, ts), rect.phase(rect.box.lattice(), ts))
     emb = rect.embed(rect.box.lattice(3))
     assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-12
     assert abs(np.linalg.norm(rect.modulation_point) - 1.0) < 1e-12

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rlab.measures
 from brute_force import audit_reference
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
@@ -300,6 +301,15 @@ def test_kdim_experiment_slopes():
     again = kdim_experiment(4, 2, moment_curve(4), (16.0, 32.0),
                             (7.0, 8.0, 9.0))
     assert again.csv_text == res.csv_text
+
+
+def test_kdim_csv_does_not_depend_on_chart_blocks(monkeypatch):
+    """The d=4, k=3 run prints the same CSV when its chart evaluates
+    every M(t) batch in one block."""
+    args = (4, 3, moment_curve(4), (16.0,), (8.0,))
+    blocked = kdim_experiment(*args).csv_text
+    monkeypatch.setattr(rlab.measures, "_T_BLOCK", 1 << 62)
+    assert kdim_experiment(*args).csv_text == blocked
 
 
 def test_parse_curve():

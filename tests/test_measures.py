@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from brute_force import audit_reference, kdtree_min_spacing
+import rlab.measures
+from brute_force import OneShotChart, audit_reference, kdtree_min_spacing
 from rlab.curves import TypeTuple, moment_curve, poly_curve
 from rlab.errors import DataError, DomainError
 from rlab.exponents import kappa
+from rlab.extremal import knapp_box
 from rlab.measures import (
     QuadMeasure,
     _ball_masses,
@@ -35,6 +38,7 @@ from rlab.measures import (
     sphere_spacing_rule,
     submanifold_builder,
 )
+from rlab.oscillatory import PhaseSpec
 
 
 def test_sphere_total_mass():
@@ -233,6 +237,52 @@ def test_submanifold_surface_measure():
     base = mu.nodes[:, patch.l:]
     lifted = patch.value(base)
     assert np.max(np.abs(mu.nodes[:, : patch.l] - lifted)) < 1e-10
+
+
+def _rotated_lattice(k, n_per_axis):
+    """The d=4 integral graph of dimension k over moment(4), and the
+    lattice of a Knapp box, sheared by its curvature block, at t = 0.5."""
+    patch = submanifold_builder(4, k, moment_curve(4), extent=0.75)
+    phase = PhaseSpec(kind="graph", curve=patch.curve, patch=patch, offset=0.0)
+    return patch, knapp_box(phase, 0.5, 16.0, 0.5).lattice(n_per_axis)
+
+
+@pytest.mark.parametrize("t_block", [None, 32, 77])
+@pytest.mark.parametrize("k,n_per_axis", [(2, 33), (3, 9)])
+def test_blocked_chart_matches_one_shot(k, n_per_axis, t_block, monkeypatch):
+    """Every chart map equals its one-shot evaluation bit for bit, at the
+    default block size and at small blocks: 32 t-nodes hold one
+    quadrature row, and leave a last block of one row of the 1,089
+    jacobian coordinates at k=2."""
+    if t_block is not None:
+        monkeypatch.setattr(rlab.measures, "_T_BLOCK", t_block)
+    patch, y = _rotated_lattice(k, n_per_axis)
+    ref = OneShotChart(patch)
+    assert len(np.unique(y[:, 0])) * 32 > 2 * rlab.measures._T_BLOCK
+    assert np.array_equal(patch.value(y), ref.value(y))
+    assert np.array_equal(patch.embed(y)[:, :patch.l], ref.value(y))
+    assert np.array_equal(patch.jacobian(y), ref.jacobian(y))
+    ts = np.abs(y.ravel())
+    for order in (1, 2, 3, 4):
+        assert np.array_equal(patch.mixed_grad(ts, order),
+                              ref.mixed_grad(ts, order))
+    assert np.array_equal(patch.curvature_block(ts), ref.curvature_block(ts))
+
+
+def test_blocked_chart_value_memory():
+    """value on a 17^3 lattice allocates a few blocks, not a batch of
+    32 x 4 x 4 entries for every Gauss node of every unique coordinate."""
+    patch, y = _rotated_lattice(3, 17)
+    peaks = []
+    for evaluate in (patch.value, OneShotChart(patch).value):
+        tracemalloc.start()
+        try:
+            evaluate(y)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    blocked, one_shot = peaks
+    assert blocked < 4e6 and 4 * blocked < one_shot, peaks
 
 
 def test_dimension_audit_bounded_and_unbounded():
