@@ -424,6 +424,10 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
                 powers[i] = float(np.sum(mu.weights * np.abs(combo) ** q))
             lb = lam ** (-q / (2 * d)) * vol
             mean = float(np.mean(powers))
+            # spread about the first draw, so equal powers (every draw of
+            # one interval) give exactly 0, not the rounding of their mean
+            std_err = float(np.std(powers - powers[0])
+                            / math.sqrt(fam.n_samples))
             for p in config.ps:
                 upper = lam ** (-(d - 1)) * delta ** (
                     q / p if not math.isinf(p) else 0.0)
@@ -431,8 +435,7 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
                     lam=lam, p=p, q=q, ell=part.ell,
                     interval_len=part.intervals[0][1] - part.intervals[0][0],
                     c_used=c, mean_power=mean,
-                    std_err=float(np.std(powers)
-                                  / math.sqrt(fam.n_samples)),
+                    std_err=std_err,
                     lower_bound=lb, upper_chain=upper, ratio=mean / lb,
                     resolution=mu.size, panels=sample.panels))
         return recs

@@ -19,9 +19,11 @@ multiplies: E_l *= E_(l+1) with E_l = exp(i D^l Phi).  The differences
 are taken from the phase's t-coefficients (a binomial shift to the anchor,
 then Stirling numbers), never by subtracting phase values.  Every
 _ANCHOR panels (fewer from degree 3 on, see _anchor_spacing) they are
-taken afresh and exponentiated exactly, which bounds the round-off the
+taken afresh and exponentiated again, which bounds the round-off the
 recurrence accumulates (Press et al., Numerical Recipes, 3rd ed., 2007,
-section 5.4).
+section 5.4).  E_0 .. E_(D-1), D * 16 values per point, come from the
+table-driven _cis to within 1 ulp; E_D, one value per point and segment,
+from libm's exp.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ PANEL_ORDER = 16            # Gauss-Legendre points per panel
 MIN_PANELS = 4
 _Y_CHUNK = 512
 _ANCHOR = 32                # panels between re-anchors at phase degree <= 2
+_CIS_N = 1024               # table entries per turn in _cis
+_CIS_HEAD = 15              # bits per head part of _cis's split of 2 pi / N
+_CIS_RANGE = 1e9            # |theta| below which every k * head is exact
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +173,110 @@ def extension_phase(curve: Curve) -> PhaseSpec:
 
 
 # ----------------------------------------------------------------------
+# exp(i theta) by table
+# ----------------------------------------------------------------------
+
+def _fixed_pi(bits: int) -> int:
+    """pi * 2**bits to within a few units, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239)."""
+    def arctan_inv(x):
+        term = total = (1 << bits) // x
+        n = 1
+        while term:
+            term //= x * x
+            n += 2
+            total += term // n if n % 4 == 1 else -(term // n)
+        return total
+    return 16 * arctan_inv(5) - 4 * arctan_inv(239)
+
+
+def _cis_constants():
+    """The table exp(2 pi i k / N), k < N, and the split of 2 pi / N.
+
+    Both come from 2 pi / N in fixed point with 128 fractional bits, in
+    Python integers, so no platform's long double is involved.
+    exp(2 pi i j / N) for j <= N/8 is the j-th power of the Taylor sum
+    for j = 1, off by a few hundred units of 2**-bits; the quarter-wave
+    and quadrant symmetries give the rest, so zeros and +-1 are exact.
+    An int-over-int quotient rounds correctly, so an entry misses 0.5 ulp
+    only if its value lies that close to a rounding tie (the tests check
+    all N).  The split is three heads of _CIS_HEAD bits on consecutive
+    bit ranges, then the rounded tail.
+    """
+    bits = 128
+    one = 1 << bits
+    step = 2 * _fixed_pi(bits) // _CIS_N                    # 2 pi / N
+    re, im, tr, ti, n = one, 0, one, 0, 0
+    while tr or ti:
+        n += 1
+        tr, ti = (-ti * step >> bits) // n, (tr * step >> bits) // n
+        re, im = re + tr, im + ti
+    cos, sin, pr, pi_ = [], [], one, 0
+    for _ in range(_CIS_N // 8 + 1):
+        cos.append(pr / one)
+        sin.append(pi_ / one)
+        pr, pi_ = (pr * re - pi_ * im) >> bits, (pr * im + pi_ * re) >> bits
+    quarter = np.array(cos + sin[-2::-1])    # cos(2 pi j / N), j <= N/4
+    first = quarter[:-1] + 1j * quarter[:0:-1]
+    table = np.concatenate([first, 1j * first, -first, -1j * first])
+    split, low = [], step.bit_length()
+    for _ in range(3):
+        low -= _CIS_HEAD
+        head = step >> low << low
+        split.append(head / one)
+        step -= head
+    return table, (*split, step / one)
+
+
+_CIS_TABLE, _CIS_SPLIT = _cis_constants()
+
+
+def _cis(theta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """exp(i theta) into out, within 1 ulp of 1.0 for |theta| <= _CIS_RANGE
+    (Tang, ACM TOMS 15, 1989).
+
+    theta is flat, out complex of theta's size and work a float scratch
+    of at least five times it.  With k = rint(theta N / 2 pi), the
+    reduced r = theta - k 2 pi / N is exact up to the tail part of the
+    split, as every k * head is; |r| <= pi / N up to the rounding of
+    theta N / 2 pi.  Short Taylor sums give z = (cos r - 1) + i sin r,
+    and the result is T + T z with T the table entry of k mod N, so z's
+    rounding is scaled by |z| < 4e-3.  Outside the range, and for a
+    non-finite theta, it is libm's exp.
+    """
+    size = theta.size
+    if size and not (-_CIS_RANGE <= theta.min() and theta.max() <= _CIS_RANGE):
+        with np.errstate(invalid="ignore"):      # nan and inf give nan
+            return np.exp(1j * theta, out=out)
+    k, r, t = work[:3 * size].reshape(3, size)
+    z = work[3 * size:5 * size].view(complex)
+    np.multiply(theta, _CIS_N / (2.0 * np.pi), out=k)
+    np.rint(k, out=k)
+    idx = t.view(np.int64)
+    np.copyto(idx, k, casting="unsafe")
+    np.bitwise_and(idx, _CIS_N - 1, out=idx)
+    np.take(_CIS_TABLE, idx, out=out)
+    head, *rest = _CIS_SPLIT
+    np.multiply(k, head, out=r)
+    np.subtract(theta, r, out=r)
+    for part in rest:
+        np.multiply(k, part, out=t)
+        r -= t
+    r2 = np.multiply(r, r, out=k)
+    np.multiply(r2, 1.0 / 24.0, out=t)      # cos r - 1 = r2 (r2/24 - 1/2)
+    t -= 0.5
+    np.multiply(t, r2, out=z.real)
+    np.multiply(r2, 1.0 / 120.0, out=t)     # sin r = r + r r2 (r2/120 - 1/6)
+    t -= 1.0 / 6.0
+    t *= r2
+    t *= r
+    np.add(r, t, out=z.imag)
+    z *= out
+    out += z
+    return out
+
+
+# ----------------------------------------------------------------------
 # evaluation core
 # ----------------------------------------------------------------------
 
@@ -234,14 +343,15 @@ def _phase_rate_bound(phase: PhaseSpec, lam: float, seg: Segment,
         x0, lam_mod = mod
         shift = lam_mod * (x0 @ bern)
     # elementwise, so a point's bound does not depend on the points
-    # batched with it: the bound over all nodes is the widest chunk's
-    sup = 0.0
+    # batched with it: the bound over all nodes is the widest chunk's.
+    # np.max keeps a nan bound (from a nan point) that max() would drop
+    sups = []
     for col, off in zip(bern.T, shift):
         vals = np.full(basis.shape[0], -off)
         for b, c in zip(basis.T, lam * col):
             vals += c * b
-        sup = max(sup, float(np.max(np.abs(vals, out=vals), initial=0.0)))
-    return sup
+        sups.append(np.max(np.abs(vals, out=vals), initial=0.0))
+    return float(np.max(sups, initial=0.0))
 
 
 def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
@@ -251,6 +361,9 @@ def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
     if seg.length == 0.0:
         return 0
     need = _phase_rate_bound(phase, lam, seg, ypts) * seg.length / PANEL_CAP
+    if not math.isfinite(need):
+        raise ValueError(f"phase rate bound is not finite ({need}): "
+                         "lambda and the points must be finite")
     return max(MIN_PANELS, int(math.ceil(need)))
 
 
@@ -272,7 +385,9 @@ def _anchor_spacing(deg: int) -> int:
     power C(m, l), so the largest amplification is C(K - 1, deg) for
     spacing K.  K is the largest spacing <= _ANCHOR whose amplification
     is at most degree 2's at _ANCHOR: 32 up to degree 2, 16 at degree 3,
-    12 at degree 4.
+    12 at degree 4.  That largest power falls on E_deg, which is libm's
+    exp (within half an ulp); E_0 .. E_(deg-1), raised to smaller powers,
+    are _cis's (within 1 ulp).
     """
     budget = math.comb(_ANCHOR - 1, 2)
     spacing = _ANCHOR
@@ -315,23 +430,30 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
     panels exp(i Phi) follows the forward-difference recurrence of the
     module docstring, re-anchored every _anchor_spacing(D) panels.
     """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative")
     phase = _as_phase(curve_or_phase)
     ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
     n = ypts.shape[0]
     out = np.zeros(n, dtype=complex)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     gw = gauss_legendre(PANEL_ORDER)[1]
     rows = phase.curve._float_rows(0)
     width = rows.shape[1]
     deg = width - 1
     spacing = _anchor_spacing(deg)
     maps = {}       # difference maps per segment layout, shared by chunks
+    # E_0 .. E_(D-1) of one anchor, and _cis's float scratch for one E_l
+    # at a time: sized for the widest chunk, sliced for a narrower last one
+    size = PANEL_ORDER * min(n, _Y_CHUNK)
+    anchors = np.empty(deg * size, dtype=complex)
+    work = np.empty(5 * size)
     for lo in range(0, n, _Y_CHUNK):
         hi = min(n, lo + _Y_CHUNK)
         chunk = ypts[lo:hi]
         scaled = lam * phase.embed(chunk)
         acc = np.zeros(hi - lo, dtype=complex)
+        cols = PANEL_ORDER * (hi - lo)
+        chunk_anchors = anchors[:deg * cols].reshape(deg, cols)
         for seg in f.segments:
             if seg.length == 0.0:
                 continue
@@ -346,8 +468,10 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
                 maps[key] = _difference_maps(seg.start, h, n_panels, width)
             total = np.zeros((PANEL_ORDER, hi - lo), dtype=complex)
             for k0, dmap in zip(range(0, n_panels, spacing), maps[key]):
-                diffs = (dmap @ coef.T).reshape(deg, PANEL_ORDER, hi - lo)
-                terms = [*np.exp(1j * diffs), top]
+                diffs = (dmap @ coef.T).reshape(deg, cols)
+                for theta, e_l in zip(diffs, chunk_anchors):
+                    _cis(theta, e_l, work)
+                terms = [*chunk_anchors.reshape(deg, PANEL_ORDER, hi - lo), top]
                 for step in range(min(spacing, n_panels - k0)):
                     if step:
                         for l in range(deg):

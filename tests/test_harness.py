@@ -162,6 +162,18 @@ def test_khintchine_single_interval_has_zero_variance():
     assert again.csv_text == res.csv_text
 
 
+def test_khintchine_equal_powers_give_exactly_zero_std_err():
+    """One interval per lambda: all 64 sign draws have the same power, and
+    the spread of equal values is 0, not the rounding of their mean."""
+    cfg = SweepConfig(curve=moment_curve(2),
+                      family=RandomFamily(delta=0.25, n_samples=64),
+                      lams=(256.0, 1024.0), qs=(3.0,), seed=0)
+    res = khintchine_experiment(cfg)
+    assert [r.ell for r in res.records] == [1, 1]
+    assert [r.std_err for r in res.records] == [0.0, 0.0]
+    assert ",0," in res.csv_text.splitlines()[-1]
+
+
 def test_khintchine_validation():
     mc = moment_curve(2)
     with pytest.raises(ConfigError):

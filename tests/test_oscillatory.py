@@ -1,6 +1,7 @@
 """Oscillatory field evaluation: oracles, covariances, norms, resolution."""
 
 import math
+import os
 
 import mpmath
 import numpy as np
@@ -14,12 +15,14 @@ from rlab.curves import (
     monomial_curve,
     poly_curve,
 )
+from rlab.config import sweep_config_from_file
 from rlab.harness import (
     BumpFamily,
     KnappFamily,
     RandomFamily,
     SweepConfig,
     _build_input,
+    decay_sweep,
 )
 from rlab.measures import (
     sphere_cap_graph,
@@ -427,3 +430,153 @@ def test_recurrence_at_the_panel_floor():
     f = indicator(0.0, 1.0)
     assert _panels(extension_phase(MC2), 2.0, f.segments[0], ypts) == osc.MIN_PANELS
     _assert_matches_direct(extension_phase(MC2), 2.0, f, ypts)
+
+
+# ----------------------------------------------------------------------
+# table exponentials
+# ----------------------------------------------------------------------
+
+_EPS = 2.0 ** -52           # one ulp of 1.0, the modulus of exp(i theta)
+
+
+def _cis(theta):
+    theta = np.ascontiguousarray(theta, dtype=float)
+    out = np.empty(theta.size, dtype=complex)
+    return osc._cis(theta, out, np.empty(5 * theta.size))
+
+
+def _cis_error(theta, got):
+    """|got - exp(i theta)| in ulps of 1.0, against mpmath at 160 bits."""
+    with mpmath.workprec(160):
+        return max(float(abs(mpmath.mpc(g.real, g.imag)
+                             - mpmath.expj(mpmath.mpf(float(t))))) / _EPS
+                   for t, g in zip(theta, got))
+
+
+def test_cis_table_is_correctly_rounded():
+    n = osc._CIS_N
+    table = osc._CIS_TABLE
+    assert table.shape == (n,)
+    with mpmath.workprec(160):
+        for k in range(n):
+            # cos and sin of pi * (2k/n), with 2k/n exact: zeros stay zeros
+            x = mpmath.mpf(2 * k) / n
+            for got, exact in ((table[k].real, mpmath.cospi(x)),
+                               (table[k].imag, mpmath.sinpi(x))):
+                half_ulp = np.spacing(abs(float(exact))) / 2
+                assert abs(mpmath.mpf(float(got)) - exact) <= half_ulp, k
+
+
+def test_cis_split_heads_multiply_exactly():
+    *heads, tail = osc._CIS_SPLIT
+    assert len(heads) == 3
+    # |k| < 2**38 over the range, so k * head has at most 53 bits
+    assert osc._CIS_RANGE * osc._CIS_N / (2 * math.pi) < 2.0 ** 38
+    assert osc._CIS_HEAD + 38 <= 53
+    for head in heads:
+        mant = math.frexp(head)[0]
+        assert (mant * 2 ** osc._CIS_HEAD).is_integer()
+    # consecutive bit ranges: each part is below the last bit of the one
+    # before, and together they are 2 pi / N to the tail's precision
+    for hi, lo in zip(heads, heads[1:] + [tail]):
+        assert abs(lo) < 2.0 ** (math.frexp(hi)[1] - osc._CIS_HEAD)
+    with mpmath.workprec(200):
+        step = 2 * mpmath.pi / osc._CIS_N
+        total = sum(mpmath.mpf(p) for p in osc._CIS_SPLIT)
+        assert abs(total - step) <= step * 2.0 ** -100
+
+
+def test_cis_within_one_ulp():
+    rng = np.random.default_rng(11)
+    step = 2 * math.pi / osc._CIS_N
+    mags = 10.0 ** np.arange(-3, 10)                # 1e-3 ... 1e9
+    spread = (mags[:, None] * rng.uniform(1.0, 10.0, size=(13, 24))).ravel()
+    spread = spread[spread <= osc._CIS_RANGE]
+    ks = np.concatenate([np.arange(-40, 41),
+                         rng.integers(-2 ** 37, 2 ** 37, size=120)]).astype(float)
+    multiples = ks * step                           # r ~ rounding of theta
+    # theta N / 2 pi lands on k + 1/2: rint's tie, |r| at its largest
+    ties = (ks + 0.5) * step
+    ties = np.concatenate([ties, np.nextafter(ties, np.inf),
+                           np.nextafter(ties, -np.inf)])
+    ties = ties[np.abs(ties) <= osc._CIS_RANGE]
+    theta = np.concatenate([spread, -spread, multiples, ties,
+                            [0.0, -0.0, osc._CIS_RANGE, -osc._CIS_RANGE]])
+    got = _cis(theta)
+    assert _cis_error(theta, got) <= 1.0
+    # and on the same points libm's exp, which _cis replaces, is as close
+    assert _cis_error(theta, np.exp(1j * theta)) <= 1.0
+
+
+def test_cis_at_the_rint_tie_rounds_either_way():
+    step = 2 * math.pi / osc._CIS_N
+    theta = (np.arange(-20, 20) + 0.5) * step
+    # some of these products are exact ties, which rint sends to even k
+    scaled = theta * (osc._CIS_N / (2 * math.pi))
+    assert np.any(scaled == np.arange(-20, 20) + 0.5)
+    assert _cis_error(theta, _cis(theta)) <= 1.0
+
+
+def test_cis_non_finite_and_out_of_range():
+    # tier-1 turns RuntimeWarning into an error: no cast or invalid warning
+    theta = np.array([0.25, np.nan, np.inf, -np.inf, -3.0])
+    got = _cis(theta)
+    assert np.all(np.isnan(got[1:4].real)) and np.all(np.isnan(got[1:4].imag))
+    assert _cis_error(theta[[0, 4]], got[[0, 4]]) <= 1.0
+    assert np.all(np.isnan(_cis(np.full(7, np.nan))))
+    # past the range of exact heads, libm takes over
+    far = np.array([1.5, 4.0e9, -1.0e12])
+    assert np.array_equal(_cis(far), np.exp(1j * far))
+    assert _cis(np.empty(0)).shape == (0,)
+
+
+def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
+    """The benchmark's bump-d2 sweep: libm sees one top value per point."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = sweep_config_from_file(os.path.join(root, "perfbench", "bump-d2.ini"))
+    counts = {"libm": 0, "table": 0, "phase": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, x, *args, **kwargs):
+            counts["libm"] += np.size(x)
+            return np.exp(x, *args, **kwargs)
+
+    def counting_cis(theta, out, work):
+        counts["table"] += theta.size
+        return cis(theta, out, work)
+
+    def counting_panels(phase, lam, seg, ypts):
+        n_panels = panels(phase, lam, seg, ypts)
+        counts["phase"] += len(ypts) * n_panels * osc.PANEL_ORDER
+        return n_panels
+
+    cis, panels = osc._cis, osc._segment_panel_count
+    monkeypatch.setattr(osc, "np", CountingNumpy())
+    monkeypatch.setattr(osc, "_cis", counting_cis)
+    monkeypatch.setattr(osc, "_segment_panel_count", counting_panels)
+    decay_sweep(cfg)
+    # 640 + 1280 + 2560 + 5120 nodes, one segment each
+    assert counts == {"libm": 9_600, "table": 585_728, "phase": 6_340_608}
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+def test_eval_field_refuses_a_lambda_that_is_not_finite(lam):
+    f = indicator(0.1, 0.7)   # lambda = 0: test_dc_value_is_support_length
+    # refused up front: a nan lambda used to size MIN_PANELS and return nan
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        eval_field(MC2, lam, f, np.zeros(2))
+
+
+def test_a_nan_point_is_refused_not_evaluated():
+    seg = Segment(0.0, 1.0)
+    ypts = np.array([[0.3, 0.2], [np.nan, 0.1], [0.1, 0.1]])
+    ext = extension_phase(MC2)
+    # max() would drop the nan and size the panels for the finite points
+    assert math.isnan(_phase_rate_bound(ext, 50.0, seg, ypts))
+    with pytest.raises(ValueError, match="not finite"):
+        osc._segment_panel_count(ext, 50.0, seg, ypts)
+    with pytest.raises(ValueError, match="not finite"):
+        eval_field(MC2, 50.0, StepFn((seg,)), ypts)
