@@ -1,7 +1,8 @@
 """Extremal constructions: stationary maps, dual boxes, frames, and inputs.
 
 Everything that witnesses sharpness lives here: the stationary point map
-g(t) and curvature matrix M(t) of a chart phase, the calibrated dual
+g(t) and curvature matrix M(t) of a chart phase (taken from its patch,
+which alone knows the chart), the calibrated dual
 parallelepipeds on which the oscillatory field stays essentially constant,
 the orthonormal frame adapted to a degenerate parameter, and the three
 input families (short-interval, modulated bump, random signs).
@@ -9,7 +10,6 @@ input families (short-interval, modulated bump, random signs).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,7 +23,7 @@ from .errors import (
     FrameError,
     StationaryError,
 )
-from .measures import GraphPatch, SubmanifoldPatch, cap_box_sigma_mass
+from .measures import cap_box_sigma_mass, sphere_cap_graph
 from .oscillatory import PhaseSpec, Segment, TestFunction
 
 LATTICE_DEFAULT = 33
@@ -100,74 +100,49 @@ class Parallelepiped:
 # stationary map and curvature matrix
 # ----------------------------------------------------------------------
 
+def _grad(phase: PhaseSpec, y: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """gradient_y of embed(y) . gam at one chart point, shape (m,): gam
+    itself for an extension phase, else the graph part of gam through
+    the chart Jacobian plus its base part."""
+    patch = phase.patch
+    if patch is None:
+        return gam
+    jac = patch.jacobian(np.atleast_2d(np.asarray(y, dtype=float)))[0]
+    return jac.T @ gam[: patch.l] + gam[patch.l:]
+
+
 def grad_y(phase: PhaseSpec, y: np.ndarray, t: float) -> np.ndarray:
     """gradient_y Psi(y, t) for a single chart point, shape (m,)."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if phase.kind == "extension":
-        return phase.curve.eval_many([t], 0)[0]
-    patch = phase.patch
-    if isinstance(patch, SubmanifoldPatch):
-        gam = phase.curve.eval_many([t], 0)[0]
-        jac = patch.jacobian(y)[0]                      # (l, k)
-        return jac.T @ gam[: patch.l] + gam[patch.l:]
-    gam = phase.curve.eval_many([t], 0)[0]
-    grad_phi = patch.jacobian(y)[0, 0]
-    return grad_phi * gam[0] + gam[1:]
+    return _grad(phase, y, phase.curve.eval_many([t], 0)[0])
 
 
 def solve_stationary(phase: PhaseSpec, t: float) -> np.ndarray:
     """The point g(t) where d_t grad_y Psi vanishes, for a chart phase.
 
-    Sphere caps get the closed form g = v / sqrt(1 + |v|^2) with
-    v = -gamma_*'(t)/gamma_1'(t); integral graphs are stationary on the
+    Sphere caps have a closed form; integral graphs are stationary on the
     diagonal by construction.  Extension phases have no stationary map.
     """
-    if phase.kind != "graph":
+    if phase.patch is None:
         raise StationaryError("stationary map needs a chart phase")
-    patch = phase.patch
-    if isinstance(patch, SubmanifoldPatch):
-        return np.full(patch.k, float(t))
-    dgam = phase.curve.eval_many([t], 1)[0]
-    if abs(dgam[0]) < 1e-14:
-        raise StationaryError(
-            f"first curve component has vanishing derivative at t={t}")
-    v = -dgam[1:] / dgam[0]
-    return v / math.sqrt(1.0 + float(v @ v))
+    return phase.patch.stationary(phase.curve, t)
 
 
 def stationary_residual(phase: PhaseSpec, t: float) -> float:
     """|d_t grad_y Psi(g(t), t)|, computed from the curve directly."""
     g = solve_stationary(phase, t)
-    patch = phase.patch
-    if isinstance(patch, SubmanifoldPatch):
-        return float(np.max(np.abs(patch.mixed_grad([t], 1)[0])))
-    dgam = phase.curve.eval_many([t], 1)[0]
-    grad_phi = patch.jacobian(np.atleast_2d(g))[0, 0]
-    return float(np.max(np.abs(grad_phi * dgam[0] + dgam[1:])))
+    return float(np.max(np.abs(
+        _grad(phase, g, phase.curve.eval_many([t], 1)[0]))))
 
 
 def curvature_matrix(phase: PhaseSpec, t: float) -> np.ndarray:
     """Matrix M(t) with columns d_t^{j+1} grad_y Psi(g(t), t).
 
-    Both chart kinds have an exact form.  Chart phases over the sphere
-    use -(gamma_1^{(j+1)}/gamma_1') gamma_*' + gamma_*^{(j+1)}; integral
-    graphs take the Schur-complement block.  Extension phases have no
-    curvature matrix.
+    Both charts have an exact form (``curvature`` of the patch).
+    Extension phases have no curvature matrix.
     """
-    if phase.kind != "graph":
+    if phase.patch is None:
         raise DegeneracyError("curvature matrix needs a chart phase")
-    if isinstance(phase.patch, SubmanifoldPatch):
-        mat = phase.patch.curvature_block([t])[0]
-    else:
-        d1 = phase.curve.eval_many([t], 1)[0]
-        if abs(d1[0]) < 1e-14:
-            raise DegeneracyError(
-                f"gamma_1'({t}) vanishes; chart frame breaks down")
-        cols = []
-        for j in range(1, phase.curve.dim):
-            dj = phase.curve.eval_many([t], j + 1)[0]
-            cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
-        mat = np.column_stack(cols)
+    mat = phase.patch.curvature(phase.curve, t)
     if abs(np.linalg.det(mat)) < 1e-8:
         raise DegeneracyError(
             f"|det M({t})| < 1e-08: curvature condition fails")
@@ -175,18 +150,13 @@ def curvature_matrix(phase: PhaseSpec, t: float) -> np.ndarray:
 
 
 def mixed_determinant(phase: PhaseSpec, t: float) -> float:
-    """det grad_y d_t grad_y Psi at (g(t), t) for sphere chart phases.
+    """det grad_y d_t grad_y Psi at (g(t), t) for chart phases.
 
-    Equals gamma_1'(t)^{d-1} det H phi(g(t)); the d = 2 case reduces to
-    the product gamma_1' * det H phi.
+    On sphere caps it equals gamma_1'(t)^{d-1} det H phi(g(t)).
     """
-    patch = phase.patch
-    if not isinstance(patch, GraphPatch):
-        raise DegeneracyError("mixed determinant implemented for sphere caps")
-    g = np.atleast_2d(solve_stationary(phase, t))
-    hess = patch.hessian(g)[0]
-    d1 = phase.curve.eval_many([t], 1)[0][0]
-    return float(d1 ** (phase.curve.dim - 1) * np.linalg.det(hess))
+    if phase.patch is None:
+        raise DegeneracyError("mixed determinant needs a chart phase")
+    return float(np.linalg.det(phase.patch.mixed_hessian(phase.curve, t)))
 
 
 # ----------------------------------------------------------------------
@@ -214,31 +184,23 @@ def reduced_phase(phase: PhaseSpec, t_k: float) -> Callable:
     return value
 
 
-def _box_axes(phase: PhaseSpec) -> np.ndarray:
-    """Frequency-scale exponents i for each box axis (as integers)."""
-    d = phase.curve.dim
-    if isinstance(phase.patch, SubmanifoldPatch):
-        k = phase.patch.k
-        return np.arange(d - k + 1, d + 1)
-    return np.arange(2, d + 1)
-
-
 def knapp_box(phase: PhaseSpec, t_k: float, lam: float, c: float,
               rho: float | None = None) -> Parallelepiped:
     """Dual box at the anchor: {y : M(t_k)^T (y - g(t_k)) in R}.
 
     The axis rectangle R has half-widths c lambda^{-1+i rho} where i runs
-    over 2..d for hypersurface charts and d-k+1..d for k-dimensional
-    graphs; rho defaults to 1/(2d).
+    over d-k+1..d for a chart of dimension k (2..d on sphere caps); rho
+    defaults to 1/(2d).
     """
     if c <= 0:
         raise ValueError("c must be positive")
     d = phase.curve.dim
     if rho is None:
         rho = 1.0 / (2 * d)
-    axes = _box_axes(phase)
+    center = solve_stationary(phase, t_k)
+    axes = np.arange(d - center.size + 1, d + 1)
     hw = c * lam ** (-1.0 + axes * rho)
-    return Parallelepiped(center=solve_stationary(phase, t_k),
+    return Parallelepiped(center=center,
                           transform=curvature_matrix(phase, t_k),
                           half_widths=hw)
 
@@ -261,14 +223,12 @@ def _box_samples(phase: PhaseSpec, t_k: float, lam: float, c: float,
     """The reduced phase at t_k, the lattice of the box of constant c and
     the t nodes of the interval, LATTICE_DEFAULT per axis.
 
-    Raises DomainError when the lattice leaves the chart domain, before
-    any phase value is computed.
+    On a lattice that leaves the chart domain the reduced phase raises
+    DomainError: the chart's embedding refuses it before any phase value
+    is computed.
     """
     box = knapp_box(phase, t_k, lam, c)
     ypts = box.lattice(LATTICE_DEFAULT)
-    dom = getattr(phase.patch, "domain_radius", np.inf)
-    if np.any(np.linalg.norm(ypts, axis=1) >= dom):
-        raise DomainError("box sticks out of the chart domain")
     ts = np.linspace(interval[0], interval[1], LATTICE_DEFAULT)
     return reduced_phase(phase, t_k), ypts, ts
 
@@ -497,24 +457,16 @@ class NecessityRect:
         return -self.frame[:, -1]
 
     def embed(self, y: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        r2 = np.sum(y * y, axis=1)
-        if np.any(r2 >= 1.0):
-            raise DomainError("chart point outside the unit ball")
-        height = -np.sqrt(1.0 - r2)    # phi(y) - 1
-        v = self.frame
-        return y @ v[:, :-1].T + height[:, None] * v[:, -1][None, :]
+        """The cap's points (phi(y) - 1, y) in the frame (v_d, v_1, ...)."""
+        return sphere_cap_graph(self.curve.dim).embed(y) @ np.roll(self.frame, 1, axis=1).T
 
     def phase(self, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Reduced phase (Sum y_i v_i + phi(y) v_d) . (gamma(t+t0)-gamma(t0))."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        r2 = np.sum(y * y, axis=1)
-        if np.any(r2 >= 1.0):
-            raise DomainError("chart point outside the unit ball")
-        phi = 1.0 - np.sqrt(1.0 - r2)
+        phi = sphere_cap_graph(self.curve.dim).value(y)
         v = self.frame
-        pts = y @ v[:, :-1].T + phi[:, None] * v[:, -1][None, :]
+        pts = y @ v[:, :-1].T + phi * v[:, -1][None, :]
         dgam = (self.curve.eval_many(ts + self.t0, 0)
                 - self.curve.eval_many([self.t0], 0))
         return pts @ dgam.T

@@ -221,7 +221,7 @@ def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
     d = curve.dim
     mu = sphere_measure(d, sphere_resolution_for(d, lam))
     fields = [field(curve, lam, f, mu) for f in inputs]
-    ext = PhaseSpec(kind="extension", curve=curve)
+    ext = PhaseSpec(curve)
     panels = sum(_segment_panel_count(ext, lam, seg, mu.nodes)
                  for f in inputs for seg in f.segments if seg.length > 0)
     return _Sample(lam=lam, mu=mu, inputs=inputs, fields=fields,
@@ -606,7 +606,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     if not 0 < extent < math.inf:
         raise ConfigError(f"extent {extent} must be finite and positive")
     patch = submanifold_builder(d, k, curve, extent=extent)
-    phase = PhaseSpec(kind="graph", curve=curve, patch=patch, offset=0.0)
+    phase = graph_phase(patch.curve, patch)
     qc = float(kdim_threshold(d, k))
     lams = sorted(float(v) for v in lams)
 

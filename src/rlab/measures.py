@@ -6,6 +6,11 @@ box masses, Monte Carlo dimension audits) consumes this one container.
 
 Resolution semantics are per builder: node count on the circle, polar
 count for the 2-sphere, cells per axis elsewhere.
+
+The graph charts ``SphereCap`` and ``SubmanifoldPatch`` alone know a chart
+phase embed(y) . curve(t): each has chart dimension k, l graph outputs,
+``embed``, ``jacobian``, ``check_curve``, and the stationary point,
+curvature matrix and mixed Hessian of the phase.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curves import Curve, TypeTuple, det_poly, poly_root_count
-from .errors import DataError, DomainError, SingularMatrixError
+from .errors import (
+    DataError,
+    DegeneracyError,
+    DomainError,
+    SingularMatrixError,
+    StationaryError,
+)
 from .exponents import _frac
 
 _GL_CACHE: dict = {}
@@ -73,30 +84,6 @@ class QuadMeasure:
         """Integrate a callable or a per-node value array."""
         vals = f(self.nodes) if callable(f) else np.asarray(f)
         return complex(np.sum(self.weights * vals))
-
-
-@dataclass(frozen=True)
-class GraphPatch:
-    """Graph chart y -> (graph(y), y) with derivative oracles.
-
-    The graph outputs occupy the leading ``n_graph`` ambient slots; the
-    base point fills the rest.  ``offset`` is subtracted from the graph
-    values by phase evaluators that want the chart to sit on the surface
-    itself (e.g. the unit sphere near -e_1 uses offset one).
-    """
-
-    base_dim: int
-    n_graph: int
-    value: Callable
-    jacobian: Callable
-    hessian: Callable | None
-    domain_radius: float
-    kind: str
-
-    def embed(self, y: np.ndarray, offset: float = 0.0) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        g = self.value(y) - offset
-        return np.concatenate([g, y], axis=1)
 
 
 # ----------------------------------------------------------------------
@@ -166,37 +153,89 @@ def sphere_spacing_rule(d: int, lam: float) -> float:
     raise ValueError("d in {2, 3}")
 
 
-def sphere_cap_graph(d: int) -> GraphPatch:
-    """Chart phi(y) = 1 - sqrt(1 - |y|^2) of the unit sphere near -e_1."""
-    if d < 2:
-        raise ValueError("d >= 2 required")
-    m = d - 1
+@dataclass(frozen=True)
+class SphereCap:
+    """Chart y -> (phi(y) - 1, y) of the unit sphere near -e_1, with
+    phi(y) = 1 - sqrt(1 - |y|^2) on the open unit ball of R^(d-1); every
+    map refuses a point outside that ball with DomainError.
+    """
 
-    def _s(y):
+    d: int
+    l = 1                   # one graph output, the height
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("d >= 2 required")
+
+    @property
+    def k(self) -> int:
+        return self.d - 1
+
+    def _root(self, y):
+        """y as rows, and sqrt(1 - |y|^2) for each row."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         r2 = np.sum(y * y, axis=1)
         if np.any(r2 >= 1.0):
             raise DomainError("chart point outside the open unit ball")
         return y, np.sqrt(1.0 - r2)
 
-    def value(y):
-        y, s = _s(y)
+    def value(self, y: np.ndarray) -> np.ndarray:
+        """phi(y), shape (n, 1)."""
+        y, s = self._root(y)
         return (1.0 - s)[:, None]
 
-    def jacobian(y):
-        y, s = _s(y)
+    def jacobian(self, y: np.ndarray) -> np.ndarray:
+        """grad phi(y), shape (n, 1, d - 1)."""
+        y, s = self._root(y)
         return (y / s[:, None])[:, None, :]
 
-    def hessian(y):
-        y, s = _s(y)
-        eye = np.eye(m)[None, :, :]
+    def hessian(self, y: np.ndarray) -> np.ndarray:
+        """Hessian of phi at y, shape (n, d - 1, d - 1)."""
+        y, s = self._root(y)
+        eye = np.eye(self.k)[None, :, :]
         outer = y[:, :, None] * y[:, None, :]
         return eye / s[:, None, None] + outer / (s**3)[:, None, None]
 
-    return GraphPatch(
-        base_dim=m, n_graph=1, value=value, jacobian=jacobian,
-        hessian=hessian, domain_radius=1.0, kind="sphere_cap",
-    )
+    def embed(self, y: np.ndarray) -> np.ndarray:
+        """Points (phi(y) - 1, y) of the unit sphere."""
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        return np.concatenate([self.value(y) - 1.0, y], axis=1)
+
+    def check_curve(self, curve: Curve):
+        if curve.dim != self.d:
+            raise ValueError(f"a cap in R^{self.d} needs a curve in "
+                             f"R^{self.d}, got R^{curve.dim}")
+
+    def stationary(self, curve: Curve, t: float) -> np.ndarray:
+        """g(t) = v / sqrt(1 + |v|^2) with v = -gamma_*'(t)/gamma_1'(t)."""
+        dgam = curve.eval_many([t], 1)[0]
+        if abs(dgam[0]) < 1e-14:
+            raise StationaryError(
+                f"first curve component has vanishing derivative at t={t}")
+        v = -dgam[1:] / dgam[0]
+        return v / math.sqrt(1.0 + float(v @ v))
+
+    def curvature(self, curve: Curve, t: float) -> np.ndarray:
+        """M(t), column j the exact -(gamma_1^{(j+1)}/gamma_1') gamma_*'
+        + gamma_*^{(j+1)}, j = 1 .. d - 1."""
+        d1 = curve.eval_many([t], 1)[0]
+        if abs(d1[0]) < 1e-14:
+            raise DegeneracyError(
+                f"gamma_1'({t}) vanishes; chart frame breaks down")
+        cols = []
+        for j in range(1, self.d):
+            dj = curve.eval_many([t], j + 1)[0]
+            cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
+        return np.column_stack(cols)
+
+    def mixed_hessian(self, curve: Curve, t: float) -> np.ndarray:
+        """grad_y d_t grad_y Psi at (g(t), t): gamma_1'(t) times the
+        Hessian of phi at g(t)."""
+        g = self.stationary(curve, t)
+        return curve.eval_many([t], 1)[0][0] * self.hessian(g)[0]
+
+
+sphere_cap_graph = SphereCap     # the builder name the experiments call
 
 
 def cap_box_sigma_mass(d: int, half_widths: Sequence[float]) -> float:
@@ -468,34 +507,19 @@ class SubmanifoldPatch:
     The leading l = d - k ambient coordinates are the integrals
     phi_j(y) = sum_i int_0^{y_i} M_ij(t) dt with M = -B1 A1^{-1} built from
     derivative blocks of the (possibly permuted) curve; the diagonal
-    t -> (t, ..., t) is the distinguished parameter line.
+    t -> (t, ..., t) is the distinguished parameter line.  The chart
+    methods of its phase take the phase's curve, which ``check_curve``
+    holds to ``curve``.
     """
 
     curve: Curve          # permuted so the leading l x l block is invertible
     k: int
     extent: float
     perm: tuple
-    resolution: int = 24
 
     @property
     def l(self) -> int:
         return self.curve.dim - self.k
-
-    @property
-    def base_dim(self) -> int:
-        return self.k
-
-    @property
-    def n_graph(self) -> int:
-        return self.l
-
-    @property
-    def domain_radius(self) -> float:
-        return float("inf")
-
-    @property
-    def kind(self) -> str:
-        return "integral_graph"
 
     def blocks(self, ts: np.ndarray):
         """A1 (n,l,l), A2 (n,l,k), B1 (n,k,l), B2 (n,k,k) at parameter ts."""
@@ -559,16 +583,29 @@ class SubmanifoldPatch:
             out[:, :, i] = tab[inv]
         return out
 
-    hessian = None
-
-    def embed(self, y: np.ndarray, offset: float = 0.0) -> np.ndarray:
+    def embed(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        return np.concatenate([self.value(y) - offset, y], axis=1)
+        return np.concatenate([self.value(y), y], axis=1)
 
-    def g(self, ts) -> np.ndarray:
-        """Distinguished parameter line g(t) = (t, ..., t)."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.repeat(ts[:, None], self.k, axis=1)
+    def check_curve(self, curve: Curve):
+        """Refuse a phase curve other than the (permuted) one the graph
+        was built from: the chart maps would not fit its phase."""
+        if curve.coeffs != self.curve.coeffs:
+            raise ValueError(f"the patch is built for {self.curve.name}, "
+                             f"not {curve.name}; pass patch.curve")
+
+    def stationary(self, curve: Curve, t: float) -> np.ndarray:
+        """The diagonal g(t) = (t, ..., t)."""
+        return np.full(self.k, float(t))
+
+    def curvature(self, curve: Curve, t: float) -> np.ndarray:
+        """M(t), the curvature block at t."""
+        return self.curvature_block([t])[0]
+
+    def mixed_hessian(self, curve: Curve, t: float) -> np.ndarray:
+        """grad_y d_t grad_y Psi at (g(t), t) = diag(sum_j M_ij' gamma_j'),
+        which is -diag(d_t^2 grad_y Psi) by d/dt (M A1 + B1) = 0."""
+        return -np.diag(self.mixed_grad([t], 2)[0])
 
     def mixed_grad(self, ts, order: int) -> np.ndarray:
         """d_t^order grad_y psi evaluated along (g(t), t), shape (n, k).
@@ -583,9 +620,8 @@ class SubmanifoldPatch:
 
         return _blockwise(ts, 1, kernel, (self.k,))
 
-    def surface_measure(self, resolution: int | None = None) -> QuadMeasure:
+    def surface_measure(self, resolution: int = 24) -> QuadMeasure:
         """Ambient measure on the graph with k-dimensional area weights."""
-        resolution = self.resolution if resolution is None else resolution
         edges = np.linspace(0.0, self.extent, resolution + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
@@ -602,8 +638,8 @@ class SubmanifoldPatch:
         )
 
 
-def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
-                        resolution: int = 24) -> SubmanifoldPatch:
+def submanifold_builder(d: int, k: int, curve: Curve,
+                        extent: float = 1.0) -> SubmanifoldPatch:
     """Build the k-dimensional integral graph adapted to the curve.
 
     Searches coordinate permutations of the curve components until the
@@ -611,7 +647,9 @@ def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
     invertible on all of [0, extent]: its determinant is an exact
     polynomial, nonzero with no zero there by a Sturm count.  The
     returned patch bundles the graph maps, the ambient surface measure
-    (via ``surface_measure``), and the diagonal line ``g``.
+    (via ``surface_measure``), and the chart data of its phase: the
+    diagonal line ``stationary`` and the curvature block.  Its phase
+    takes ``patch.curve``, the permuted curve.
     """
     if d != curve.dim:
         raise ValueError("d must equal curve.dim")
@@ -625,8 +663,7 @@ def submanifold_builder(d: int, k: int, curve: Curve, extent: float = 1.0,
             cand = Curve(rows, domain=curve.domain,
                          max_derivative_order=curve.max_derivative_order,
                          name=f"{curve.name}@perm{perm}")
-            return SubmanifoldPatch(curve=cand, k=k, extent=extent, perm=perm,
-                                    resolution=resolution)
+            return SubmanifoldPatch(curve=cand, k=k, extent=extent, perm=perm)
     raise SingularMatrixError(
         "no coordinate permutation makes the leading block invertible"
     )

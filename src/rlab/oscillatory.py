@@ -122,35 +122,31 @@ def indicator(start: float, end: float, amplitude: complex = 1.0,
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """Phase Psi(y, t) = embed(y) . curve(t) of the chart-side operator.
+    """Phase Psi(y, t) = embed(y) . curve(t).
 
-    kind "extension": y is an ambient point x, Psi = x . curve(t).
-    kind "graph": Psi = (patch_value(y) - offset, y) . curve(t); the
-        sphere chart takes offset 1 (its height enters as phi(y) - 1),
-        integral graphs take offset 0.
+    With no patch it is an extension phase: y is an ambient point x and
+    Psi = x . curve(t).  With a chart patch (``measures.SphereCap`` or
+    ``measures.SubmanifoldPatch``), embed is the patch's map of chart
+    points onto its surface, and the patch must accept the curve.
 
     A bivariate polynomial sum c[m, n] y^m t^n for scalar y is the
     extension phase of poly_curve(c) at the points (1, y, y^2, ...).
     """
 
-    kind: str
-    curve: Curve | None = None
-    patch: object | None = None          # GraphPatch | SubmanifoldPatch
-    offset: float = 0.0
+    curve: Curve
+    patch: object | None = None
 
     def __post_init__(self):
-        if self.kind not in ("extension", "graph"):
-            raise ValueError(f"unknown phase kind {self.kind!r}")
         if self.curve is None:
             raise ValueError("curve required")
-        if self.kind == "graph" and self.patch is None:
-            raise ValueError("patch required for graph phase")
+        if self.patch is not None:
+            self.patch.check_curve(self.curve)
 
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Map chart points to ambient frequency points."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.kind == "graph":
-            return self.patch.embed(y, offset=self.offset)
+        if self.patch is not None:
+            return self.patch.embed(y)
         if y.shape[1] != self.curve.dim:
             raise ValueError("point dimension mismatch")
         return y
@@ -161,15 +157,14 @@ class PhaseSpec:
         return self.embed(y) @ self.curve.eval_many(ts, order).T
 
 
-def graph_phase(curve: Curve, patch, offset: float | None = None) -> PhaseSpec:
-    """Chart phase for a graph patch; sphere caps default to offset 1."""
-    if offset is None:
-        offset = 1.0 if getattr(patch, "kind", "") == "sphere_cap" else 0.0
-    return PhaseSpec(kind="graph", curve=curve, patch=patch, offset=offset)
+def graph_phase(curve: Curve, patch) -> PhaseSpec:
+    """Chart phase of a patch; a ``SubmanifoldPatch`` takes its own
+    ``patch.curve``."""
+    return PhaseSpec(curve, patch)
 
 
 def extension_phase(curve: Curve) -> PhaseSpec:
-    return PhaseSpec(kind="extension", curve=curve)
+    return PhaseSpec(curve)
 
 
 # ----------------------------------------------------------------------

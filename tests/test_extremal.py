@@ -7,7 +7,7 @@ import pytest
 
 from brute_force import calibrate_reference
 from rlab.curves import eval_derivative, moment_curve, monomial_curve, poly_curve, torsion_det
-from rlab.errors import CalibrationError, DegeneracyError, DomainError
+from rlab.errors import CalibrationError, DegeneracyError, DomainError, StationaryError
 from rlab.extremal import (
     LATTICE_DEFAULT,
     NecessityRect,
@@ -73,6 +73,41 @@ def test_mixed_determinant_closed_form():
         v = -t
         want = (1.0 + v * v) ** 1.5
         assert abs(mixed_determinant(PH2, t) - want) < 1e-12
+
+
+def test_mixed_determinant_on_integral_graphs():
+    """The mixed Hessian of an integral graph against central differences
+    in y of d_t grad_y Psi at (g(t), t); it vanishes when k < d - 1."""
+    t, h = 0.4, 1e-6
+    for d, k in ((3, 2), (4, 3), (4, 2)):
+        patch = submanifold_builder(d, k, moment_curve(d), extent=0.75)
+        phase = graph_phase(patch.curve, patch)
+        dgam = patch.curve.eval_many([t], 1)[0]
+
+        def dt_grad(y):
+            jac = patch.jacobian(y[None, :])[0]
+            return jac.T @ dgam[:patch.l] + dgam[patch.l:]
+
+        g = solve_stationary(phase, t)
+        fd = np.column_stack([(dt_grad(g + h * e) - dt_grad(g - h * e)) / (2 * h)
+                              for e in np.eye(k)])
+        assert np.max(np.abs(patch.mixed_hessian(patch.curve, t) - fd)) < 1e-6
+        assert abs(mixed_determinant(phase, t) - np.linalg.det(fd)) < 1e-6
+        assert (abs(mixed_determinant(phase, t)) > 0.03) == (k == d - 1)
+
+
+def test_extension_phases_have_no_chart_data():
+    ext = PhaseSpec(MC2)
+    with pytest.raises(StationaryError):
+        solve_stationary(ext, 0.3)
+    with pytest.raises(StationaryError):
+        knapp_box(ext, 0.3, 64.0, 1.0)
+    with pytest.raises(DegeneracyError):
+        curvature_matrix(ext, 0.3)
+    with pytest.raises(DegeneracyError):
+        mixed_determinant(ext, 0.3)
+    assert np.array_equal(grad_y(ext, np.array([0.1, 0.2]), 0.3),
+                          MC2.eval_many([0.3], 0)[0])
 
 
 def test_grad_y_matches_finite_difference():
@@ -240,7 +275,7 @@ def test_necessity_rect(monkeypatch):
 
 def test_kdim_boxes_and_fields():
     patch = submanifold_builder(4, 2, moment_curve(4), extent=0.75)
-    phase = PhaseSpec(kind="graph", curve=patch.curve, patch=patch, offset=0.0)
+    phase = graph_phase(patch.curve, patch)
     lam = 32.0
     c = calibrate_c(phase, 0.75, lam, interval=(0.75 - lam ** (-1.0 / 8.0), 0.75))
     part = partition_family(phase, 0.75, lam)
@@ -257,7 +292,7 @@ def test_kdim_boxes_and_fields():
 
 def _kdim_phase(extent=0.75):
     patch = submanifold_builder(4, 2, moment_curve(4), extent=extent)
-    return PhaseSpec(kind="graph", curve=patch.curve, patch=patch, offset=0.0)
+    return graph_phase(patch.curve, patch)
 
 
 def test_calibration_matches_full_lattice_reference():

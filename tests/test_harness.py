@@ -16,8 +16,9 @@ import rlab.measures
 from brute_force import audit_reference
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
-from rlab.curves import moment_curve
+from rlab.curves import moment_curve, poly_curve
 from rlab.errors import ComputationError, ConfigError, DataError
+from rlab.extremal import calibrate_c, partition_family, stationary_residual
 from rlab.harness import (
     BumpFamily,
     KdimRecord,
@@ -43,6 +44,7 @@ from rlab.measures import (
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
+    submanifold_builder,
 )
 from rlab.oscillatory import (
     _Y_CHUNK,
@@ -313,6 +315,27 @@ def test_kdim_experiment_slopes():
     again = kdim_experiment(4, 2, moment_curve(4), (16.0, 32.0),
                             (7.0, 8.0, 9.0))
     assert again.csv_text == res.csv_text
+
+
+def test_kdim_phase_takes_the_patch_curve():
+    """submanifold_builder permutes this curve's components, so the
+    chart and its phase must both take the permuted curve."""
+    curve = poly_curve(((0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 1), (0, 0, 1)))
+    patch = submanifold_builder(4, 2, curve, extent=0.75)
+    assert patch.perm == (2, 3, 0, 1)
+    with pytest.raises(ValueError):
+        graph_phase(curve, patch)
+    phase = graph_phase(patch.curve, patch)
+    for t in (0.2, 0.4, 0.7):
+        assert stationary_residual(phase, t) < 1e-8
+    part = partition_family(phase, 0.75, 16.0)
+    c = calibrate_c(phase, float(part.anchors[-1]), 16.0,
+                    interval=part.intervals[-1])
+    assert c == 2.0
+    res = kdim_experiment(4, 2, curve, (16.0, 32.0), (7.0, 9.0))
+    assert res.csv_text.splitlines()[0] == (
+        "# kdim_experiment d=4 k=2 extent=0.75 c=2")
+    assert all(rec.field_ok == 1 for rec in res.records)
 
 
 def test_kdim_csv_does_not_depend_on_chart_blocks(monkeypatch):

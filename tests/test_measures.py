@@ -38,7 +38,7 @@ from rlab.measures import (
     sphere_spacing_rule,
     submanifold_builder,
 )
-from rlab.oscillatory import PhaseSpec
+from rlab.oscillatory import graph_phase
 
 
 def test_sphere_total_mass():
@@ -184,7 +184,7 @@ def test_patch_measure():
 def test_submanifold_closed_forms():
     """d=4, k=2 graph over the moment curve integrates to explicit cubics."""
     patch = submanifold_builder(4, 2, moment_curve(4))
-    assert patch.l == 2 and patch.base_dim == 2
+    assert patch.l == 2 and patch.k == 2
     rng = np.random.default_rng(6)
     y = rng.uniform(0.02, 0.7, size=(40, 2))
     got = patch.value(y)
@@ -194,7 +194,7 @@ def test_submanifold_closed_forms():
     assert np.max(np.abs(got[:, 1] - want1)) < 1e-9
     # embedded diagonal: g(t) = (t, t) lifts into the ambient graph
     ts = np.array([0.1, 0.4])
-    diag = patch.g(ts)
+    diag = np.vstack([patch.stationary(patch.curve, t) for t in ts])
     assert diag.shape == (2, 2) and np.allclose(diag, np.column_stack([ts, ts]))
 
 
@@ -230,8 +230,8 @@ def test_submanifold_mixed_grad_and_blocks():
 
 
 def test_submanifold_surface_measure():
-    patch = submanifold_builder(4, 2, moment_curve(4), extent=0.5, resolution=12)
-    mu = patch.surface_measure()
+    patch = submanifold_builder(4, 2, moment_curve(4), extent=0.5)
+    mu = patch.surface_measure(12)
     assert mu.dim == 4 and np.all(mu.weights > 0)
     # every node lies on the graph: leading block reproduced by value()
     base = mu.nodes[:, patch.l:]
@@ -243,7 +243,7 @@ def _rotated_lattice(k, n_per_axis):
     """The d=4 integral graph of dimension k over moment(4), and the
     lattice of a Knapp box, sheared by its curvature block, at t = 0.5."""
     patch = submanifold_builder(4, k, moment_curve(4), extent=0.75)
-    phase = PhaseSpec(kind="graph", curve=patch.curve, patch=patch, offset=0.0)
+    phase = graph_phase(patch.curve, patch)
     return patch, knapp_box(phase, 0.5, 16.0, 0.5).lattice(n_per_axis)
 
 

@@ -250,15 +250,9 @@ def test_segment_validation():
 
 def test_phase_spec_validation():
     with pytest.raises(ValueError):
-        PhaseSpec(kind="nope")
+        PhaseSpec(None)
     with pytest.raises(ValueError):
-        PhaseSpec(kind="extension")
-    with pytest.raises(ValueError):
-        PhaseSpec(kind="graph", curve=MC2)
-    with pytest.raises(ValueError):
-        PhaseSpec(kind="custom")
-    with pytest.raises(ValueError):
-        PhaseSpec(kind="custom", curve=MC2)
+        graph_phase(MC2, sphere_cap_graph(3))
     ext = extension_phase(MC2)
     pts = np.array([[0.1, 0.2]])
     assert np.array_equal(ext.embed(pts), pts)
@@ -270,6 +264,7 @@ def test_phase_spec_validation():
 
 MC3 = moment_curve(3)
 MC4 = moment_curve(4)
+_GRAPH4 = submanifold_builder(4, 2, MC4)
 _RNG = np.random.default_rng(7)
 # Psi(y, t) = 0.5 t - t^3 + y (1 + 3 t^2) + 2 y^2 t^4 for scalar y
 _POLY = extension_phase(poly_curve(((0.0, 0.5, 0.0, -1.0),
@@ -279,8 +274,7 @@ _CURVE_PHASES = [
     (extension_phase(MC3), _RNG.normal(size=(40, 3))),
     (graph_phase(MC3, sphere_cap_graph(3)),
      _RNG.uniform(-0.6, 0.6, size=(40, 2))),
-    (PhaseSpec(kind="graph", curve=MC4, patch=submanifold_builder(4, 2, MC4),
-               offset=0.0), _RNG.uniform(0.0, 0.75, size=(40, 2))),
+    (graph_phase(_GRAPH4.curve, _GRAPH4), _RNG.uniform(0.0, 0.75, size=(40, 2))),
 ]
 
 
