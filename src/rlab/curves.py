@@ -1,8 +1,8 @@
 """Polynomial space curves with exact coefficient arithmetic.
 
 Curves are stored per component as polynomial coefficient rows over
-``fractions.Fraction``, so derivatives, affine reparametrization, and the
-Taylor-frame rescaling are computed exactly.  Cached float coefficient
+``fractions.Fraction``, so derivatives, torsion determinants and the
+dyadic rescaling are computed exactly.  Cached float coefficient
 tables back the vectorized evaluation used by the oscillatory quadrature.
 """
 
@@ -16,12 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    MonomialFormError,
-    NotFiniteTypeError,
-    SingularMatrixError,
-)
+from .errors import CapabilityError, NotFiniteTypeError
 
 Poly = tuple  # coefficient row; index = power of t
 
@@ -132,36 +127,6 @@ def poly_root_count(c: Sequence[Fraction], lo, hi) -> int:
     return changes(lo) - changes(hi) + (poly_eval(chain[0], lo) == 0)
 
 
-def poly_compose_affine(c: Sequence[Fraction], u: Fraction, t0: Fraction) -> Poly:
-    """Coefficients of p(u*t + t0), computed by binomial expansion."""
-    out = [Fraction(0)] * max(len(c), 1)
-    for j, cj in enumerate(c):
-        if cj == 0:
-            continue
-        for m in range(j + 1):
-            out[m] += cj * math.comb(j, m) * u**m * t0 ** (j - m)
-    return poly_trim(out)
-
-
-def _fraction_solve(m: list[list[Fraction]], rhs: list[list[Fraction]]):
-    """Solve M X = RHS exactly by Gaussian elimination with partial pivoting."""
-    n = len(m)
-    a = [row[:] + r[:] for row, r in zip(m, rhs)]
-    w = len(a[0])
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise SingularMatrixError("exact pivot vanished")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:w] for row in a]
-
-
 # ----------------------------------------------------------------------
 # type tuples
 # ----------------------------------------------------------------------
@@ -194,10 +159,6 @@ class TypeTuple:
 
     def __getitem__(self, i):
         return self.orders[i]
-
-
-def nondegenerate_tuple(d: int) -> TypeTuple:
-    return TypeTuple(tuple(range(1, d + 1)))
 
 
 # ----------------------------------------------------------------------
@@ -382,49 +343,6 @@ def detect_type(curve: Curve, t) -> TypeTuple:
     )
 
 
-def rescale_curve(curve: Curve, t0, u) -> Curve:
-    """Taylor-frame rescaling (M_{t0} D_u)^{-1} (gamma(u t + t0) - gamma(t0)).
-
-    Exact for polynomial input: the result is again a polynomial curve
-    with exactly computed coefficients.
-    """
-    d = curve.dim
-    t0f = _as_fraction(t0)
-    uf = _as_fraction(u)
-    if uf == 0:
-        raise ValueError("scale u must be nonzero")
-    a = detect_type(curve, float(t0f))
-    # frame matrix M columns gamma^{(a_i)}(t0), exact
-    mcols = [curve.eval_exact(t0f, ai) for ai in a]
-    m = [[mcols[j][i] for j in range(d)] for i in range(d)]  # m[i][j]
-    mf = np.array([[float(x) for x in row] for row in m])
-    if _singular_frame(curve, t0f, a, mf):
-        raise SingularMatrixError(
-            f"frame matrix nearly singular at t0={float(t0f)} for tuple {tuple(a)}"
-        )
-    # shifted, scaled components as exact polynomials
-    shifted = []
-    for row in curve.coeffs:
-        comp = poly_compose_affine(row, uf, t0f)
-        comp = poly_add(comp, (-poly_eval(row, t0f),))
-        shifted.append(list(comp))
-    width = max(len(c) for c in shifted)
-    for c in shifted:
-        c.extend([Fraction(0)] * (width - len(c)))
-    # solve M y = shifted coefficient columns, then divide row i by u^{a_i}
-    sol = _fraction_solve(m, shifted)
-    new_rows = []
-    for i in range(d):
-        fac = Fraction(1) / uf ** a[i]
-        new_rows.append(poly_trim(tuple(c * fac for c in sol[i])))
-    return Curve(
-        tuple(new_rows),
-        domain=curve.domain,
-        max_derivative_order=curve.max_derivative_order,
-        name=f"{curve.name}@rescale",
-    )
-
-
 def dyadic_rescale(curve: Curve, type_tuple: TypeTuple, ell: int) -> Curve:
     """Anisotropic dyadic zoom: component i -> 2^{ell a_i} p_i(2^{-ell} t)."""
     if ell < 0:
@@ -442,34 +360,3 @@ def dyadic_rescale(curve: Curve, type_tuple: TypeTuple, ell: int) -> Curve:
         max_derivative_order=curve.max_derivative_order,
         name=f"{curve.name}@zoom{ell}",
     )
-
-
-def class_membership(curve: Curve, type_tuple: TypeTuple,
-                     eps: float) -> tuple[bool, float]:
-    """Check components t^{a_i} phi_i(t) with phi_i near 1/a_i!.
-
-    Measures the sup over the domain grid of |phi_i^{(k)} - delta_{k0}/a_i!|
-    for k = 0..a_d+1 and returns (within eps, measured deviation).
-    """
-    d = curve.dim
-    if len(type_tuple) != d:
-        raise ValueError("type tuple length must match curve dimension")
-    a_d = type_tuple[-1]
-    lo, hi = curve.domain
-    grid = np.linspace(lo, hi, 129)
-    deviation = 0.0
-    for i, (ai, row) in enumerate(zip(type_tuple, curve.coeffs)):
-        if any(c != 0 for c in row[:ai]):
-            raise MonomialFormError(
-                f"component {i} has nonvanishing coefficients below t^{ai}"
-            )
-        phi = poly_trim(row[ai:]) if len(row) > ai else (Fraction(0),)
-        target0 = 1.0 / math.factorial(ai)
-        for k in range(a_d + 2):
-            dk = poly_derivative(phi, k) if k else phi
-            vals = np.polynomial.polynomial.polyval(
-                grid, np.array([float(c) for c in dk])
-            )
-            ref = target0 if k == 0 else 0.0
-            deviation = max(deviation, float(np.max(np.abs(vals - ref))))
-    return (deviation <= eps, deviation)

@@ -32,10 +32,6 @@ class NotFiniteTypeError(ComputationError):
     """No admissible derivative tuple found up to the search bound."""
 
 
-class MonomialFormError(ComputationError):
-    """Curve component lacks the required vanishing order at zero."""
-
-
 class DataError(ComputationError, ValueError):
     """Nodes, weights or field values failed a sanity check.
 

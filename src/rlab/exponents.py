@@ -206,34 +206,11 @@ def hyperplane_region(omega, d: int) -> Region:
     )
 
 
-def kdim_region(d: int, k: int) -> Region:
-    """Known sufficient range against k-dimensional graph measures."""
-    qc = kdim_threshold(d, k)
-    return Region(
-        kind="kdim",
-        d=d,
-        q_threshold=qc,
-        line_coeff=qc - 1,
-        line_closed=False,
-    )
-
-
 def kdim_threshold(d: int, k: int) -> Fraction:
     """Critical q for k-dimensional measures: (2d-k+1)k/2 + 1."""
     if not 2 <= k <= d - 1:
         raise ValueError(f"k must satisfy 2 <= k <= d-1, got k={k}, d={d}")
     return Fraction((2 * d - k + 1) * k, 2) + 1
-
-
-def alpha_general_region(a, alpha, d: int) -> Region:
-    """Range against alpha-dimensional measures for a type-a curve."""
-    return Region(
-        kind="alpha_general",
-        d=d,
-        q_threshold=beta(alpha, d) + 1,
-        line_coeff=kappa(a, alpha),
-        line_closed=True,
-    )
 
 
 def exponent_table(d: int) -> dict:

@@ -149,16 +149,6 @@ def curvature_matrix(phase: PhaseSpec, t: float) -> np.ndarray:
     return mat
 
 
-def mixed_determinant(phase: PhaseSpec, t: float) -> float:
-    """det grad_y d_t grad_y Psi at (g(t), t) for chart phases.
-
-    On sphere caps it equals gamma_1'(t)^{d-1} det H phi(g(t)).
-    """
-    if phase.patch is None:
-        raise DegeneracyError("mixed determinant needs a chart phase")
-    return float(np.linalg.det(phase.patch.mixed_hessian(phase.curve, t)))
-
-
 # ----------------------------------------------------------------------
 # reduced phase and calibrated boxes
 # ----------------------------------------------------------------------

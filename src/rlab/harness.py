@@ -61,6 +61,10 @@ class BumpFamily:
 
     name = "bump"
 
+    def __post_init__(self):
+        if not 0 < self.eps0 < math.inf:
+            raise ConfigError(f"eps0 {self.eps0} must be finite and positive")
+
 
 @dataclass(frozen=True)
 class KnappFamily:

@@ -9,8 +9,8 @@ count for the 2-sphere, cells per axis elsewhere.
 
 The graph charts ``SphereCap`` and ``SubmanifoldPatch`` alone know a chart
 phase embed(y) . curve(t): each has chart dimension k, l graph outputs,
-``embed``, ``jacobian``, ``check_curve``, and the stationary point,
-curvature matrix and mixed Hessian of the phase.
+``embed``, ``jacobian``, ``check_curve``, and the stationary point and
+curvature matrix of the phase.
 """
 
 from __future__ import annotations
@@ -189,13 +189,6 @@ class SphereCap:
         y, s = self._root(y)
         return (y / s[:, None])[:, None, :]
 
-    def hessian(self, y: np.ndarray) -> np.ndarray:
-        """Hessian of phi at y, shape (n, d - 1, d - 1)."""
-        y, s = self._root(y)
-        eye = np.eye(self.k)[None, :, :]
-        outer = y[:, :, None] * y[:, None, :]
-        return eye / s[:, None, None] + outer / (s**3)[:, None, None]
-
     def embed(self, y: np.ndarray) -> np.ndarray:
         """Points (phi(y) - 1, y) of the unit sphere."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -228,12 +221,6 @@ class SphereCap:
             cols.append(-(dj[0] / d1[0]) * d1[1:] + dj[1:])
         return np.column_stack(cols)
 
-    def mixed_hessian(self, curve: Curve, t: float) -> np.ndarray:
-        """grad_y d_t grad_y Psi at (g(t), t): gamma_1'(t) times the
-        Hessian of phi at g(t)."""
-        g = self.stationary(curve, t)
-        return curve.eval_many([t], 1)[0][0] * self.hessian(g)[0]
-
 
 sphere_cap_graph = SphereCap     # the builder name the experiments call
 
@@ -260,40 +247,6 @@ def cap_box_sigma_mass(d: int, half_widths: Sequence[float]) -> float:
     jac = patch.jacobian(pts)[:, 0, :]
     area = np.sqrt(1.0 + np.sum(jac * jac, axis=1))
     return float(np.sum(wall * area))
-
-
-# ----------------------------------------------------------------------
-# hyperplane graphs
-# ----------------------------------------------------------------------
-
-def hyperplane_measure(c_normal: Sequence, d: int, extent: float = 1.0,
-                       resolution: int = 32) -> QuadMeasure:
-    """Lebesgue measure of the hyperplane {c . x = 0} over a coordinate box.
-
-    The coordinate with the largest |c_k| is solved for: x_k = h . xbar,
-    so each cell carries weight sqrt(1 + |h|^2) * cell volume.
-    """
-    c = np.asarray([float(_frac(x)) for x in c_normal], dtype=float)
-    if c.shape != (d,):
-        raise ValueError(f"normal must have length {d}")
-    k = int(np.argmax(np.abs(c)))
-    if c[k] == 0:
-        raise ValueError("normal vector must be nonzero")
-    h = np.array([-c[i] / c[k] for i in range(d) if i != k])
-    m = d - 1
-    edges = np.linspace(-extent, extent, resolution + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    width = edges[1] - edges[0]
-    grids = np.meshgrid(*([mids] * m), indexing="ij")
-    xbar = np.column_stack([g.ravel() for g in grids])
-    xk = xbar @ h
-    nodes = np.insert(xbar, k, xk, axis=1)
-    area = math.sqrt(1.0 + float(h @ h))
-    weights = np.full(xbar.shape[0], (width**m) * area)
-    return QuadMeasure(
-        d, nodes, weights, alpha=float(m), provenance="hyperplane",
-        max_spacing=width * area,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -408,25 +361,8 @@ def box_mass(mu: QuadMeasure, half_widths: Sequence[float], center=None) -> floa
 
 
 # ----------------------------------------------------------------------
-# images and anisotropic dilates
+# anisotropic dilates
 # ----------------------------------------------------------------------
-
-def pushforward_measure(mu: QuadMeasure, linear_map: np.ndarray,
-                        mass_scale: float = 1.0) -> QuadMeasure:
-    """Image of mu under x -> transpose(linear_map) x, weights scaled."""
-    a = np.asarray(linear_map, dtype=float)
-    if a.shape != (mu.dim, mu.dim) or not np.all(np.isfinite(a)):
-        raise ValueError("linear_map must be a finite square matrix")
-    if mass_scale <= 0:
-        raise ValueError("mass_scale must be positive")
-    nodes = mu.nodes @ a  # row form of transpose(a) @ x
-    op_norm = float(np.linalg.norm(a, 2))
-    return QuadMeasure(
-        mu.dim, nodes, mu.weights * mass_scale, alpha=mu.alpha,
-        provenance="pushforward",
-        max_spacing=mu.max_spacing * op_norm,
-    )
-
 
 def scaled_measure(mu: QuadMeasure, type_tuple: TypeTuple, ell: int,
                    kappa_val) -> QuadMeasure:
@@ -443,34 +379,6 @@ def scaled_measure(mu: QuadMeasure, type_tuple: TypeTuple, ell: int,
         mu.dim, mu.nodes * diag[None, :], mu.weights * factor,
         alpha=mu.alpha, provenance="scaled",
         max_spacing=mu.max_spacing * float(np.max(diag)),
-    )
-
-
-# ----------------------------------------------------------------------
-# Lebesgue patches (chart-side integration grids)
-# ----------------------------------------------------------------------
-
-def patch_measure(center: Sequence[float], half_widths: Sequence[float],
-                  spacing: float) -> QuadMeasure:
-    """Uniform midpoint grid over a box, weights = cell volume."""
-    c = np.atleast_1d(np.asarray(center, dtype=float))
-    hw = np.atleast_1d(np.asarray(half_widths, dtype=float))
-    if c.shape != hw.shape:
-        raise ValueError("center/half_widths shape mismatch")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    axes, widths = [], []
-    for ci, hi in zip(c, hw):
-        n = max(3, int(math.ceil(2.0 * hi / spacing)))
-        edges = np.linspace(ci - hi, ci + hi, n + 1)
-        axes.append(0.5 * (edges[:-1] + edges[1:]))
-        widths.append(edges[1] - edges[0])
-    grids = np.meshgrid(*axes, indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    weights = np.full(nodes.shape[0], float(np.prod(widths)))
-    return QuadMeasure(
-        len(hw), nodes, weights, alpha=float(len(hw)), provenance="patch",
-        max_spacing=float(np.max(widths)),
     )
 
 
@@ -514,7 +422,6 @@ class SubmanifoldPatch:
 
     curve: Curve          # permuted so the leading l x l block is invertible
     k: int
-    extent: float
     perm: tuple
 
     @property
@@ -602,11 +509,6 @@ class SubmanifoldPatch:
         """M(t), the curvature block at t."""
         return self.curvature_block([t])[0]
 
-    def mixed_hessian(self, curve: Curve, t: float) -> np.ndarray:
-        """grad_y d_t grad_y Psi at (g(t), t) = diag(sum_j M_ij' gamma_j'),
-        which is -diag(d_t^2 grad_y Psi) by d/dt (M A1 + B1) = 0."""
-        return -np.diag(self.mixed_grad([t], 2)[0])
-
     def mixed_grad(self, ts, order: int) -> np.ndarray:
         """d_t^order grad_y psi evaluated along (g(t), t), shape (n, k).
 
@@ -620,23 +522,6 @@ class SubmanifoldPatch:
 
         return _blockwise(ts, 1, kernel, (self.k,))
 
-    def surface_measure(self, resolution: int = 24) -> QuadMeasure:
-        """Ambient measure on the graph with k-dimensional area weights."""
-        edges = np.linspace(0.0, self.extent, resolution + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        width = edges[1] - edges[0]
-        grids = np.meshgrid(*([mids] * self.k), indexing="ij")
-        ys = np.column_stack([g.ravel() for g in grids])
-        jac = self.jacobian(ys)  # (n, l, k)
-        gram = np.eye(self.k)[None] + np.einsum("nli,nlj->nij", jac, jac)
-        area = np.sqrt(np.linalg.det(gram))
-        nodes = self.embed(ys)
-        weights = (width**self.k) * area
-        return QuadMeasure(
-            self.curve.dim, nodes, weights, alpha=float(self.k),
-            provenance="submanifold", max_spacing=width,
-        )
-
 
 def submanifold_builder(d: int, k: int, curve: Curve,
                         extent: float = 1.0) -> SubmanifoldPatch:
@@ -646,10 +531,9 @@ def submanifold_builder(d: int, k: int, curve: Curve,
     leading l x l derivative block (l = d - k, derivative orders 1..l) is
     invertible on all of [0, extent]: its determinant is an exact
     polynomial, nonzero with no zero there by a Sturm count.  The
-    returned patch bundles the graph maps, the ambient surface measure
-    (via ``surface_measure``), and the chart data of its phase: the
-    diagonal line ``stationary`` and the curvature block.  Its phase
-    takes ``patch.curve``, the permuted curve.
+    returned patch bundles the graph maps and the chart data of its
+    phase: the diagonal line ``stationary`` and the curvature block.
+    Its phase takes ``patch.curve``, the permuted curve.
     """
     if d != curve.dim:
         raise ValueError("d must equal curve.dim")
@@ -663,7 +547,7 @@ def submanifold_builder(d: int, k: int, curve: Curve,
             cand = Curve(rows, domain=curve.domain,
                          max_derivative_order=curve.max_derivative_order,
                          name=f"{curve.name}@perm{perm}")
-            return SubmanifoldPatch(curve=cand, k=k, extent=extent, perm=perm)
+            return SubmanifoldPatch(curve=cand, k=k, perm=perm)
     raise SingularMatrixError(
         "no coordinate permutation makes the leading block invertible"
     )

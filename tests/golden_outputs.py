@@ -1,10 +1,12 @@
-"""Print the sha256 prefix of each golden CLI command's stdout.
+"""Check the sha256 prefix of each golden CLI command's stdout.
 
 Run from anywhere as ``python tests/golden_outputs.py``.  Each command
 runs as ``python -m rlab`` on this checkout's ``src`` with BLAS at one
-thread; a line reads ``<sha256[:12]> <exit code> <command>``.  Two
-checkouts print the same lines exactly when every golden output is
-byte-identical, so a refactor states byte-identity by comparing them.
+thread and prints a line ``<sha256[:12]> <exit code> <command>``
+(``CFG`` stands for a temporary config directory).  ``EXPECTED`` holds
+the lines of the golden outputs; the script exits 1 and lists the lines
+that differ when any hash or exit code moves, and 0 otherwise.  A change
+that moves an output edits its line here and explains the move.
 pytest does not collect this file.
 """
 
@@ -48,40 +50,46 @@ qs = 7, inf
 """,
 }
 
-COMMANDS = (
-    "sweep --config {cfg}/bump-d2.ini",
-    "sweep --config {cfg}/random-d2.ini",
-    "sweep --config {cfg}/bump-d3.ini",
-    "sweep --config perfbench/bump-d2.ini",
-    "knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6",
-    "knapp --d 3 --lams 16,32,64 --qs 7",
-    "random-lower --lams 256,1024 --n-samples 32 --qs 3,4",
-    "random-lower",
-    "phase-diagram --grid-n 6",
-    "phase-diagram --grid-n 4 --family random",
-    "phase-diagram",
-    "kdim",
-    "hyperplane --d 4 --normal 1,2,3,4",
-    "audit-measure --d 3 --resolution 64 --seed 1",
-    "audit-measure --kind singular --d 2",
-)
+EXPECTED = """\
+13cd7864180c 0 sweep --config CFG/bump-d2.ini
+bdc201ac9e4e 0 sweep --config CFG/random-d2.ini
+138037963c34 0 sweep --config CFG/bump-d3.ini
+13cd7864180c 0 sweep --config perfbench/bump-d2.ini
+0a13f639cfb3 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
+46de1f335ea7 0 knapp --d 3 --lams 16,32,64 --qs 7
+3a19c00b3bf7 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
+858b32249051 0 random-lower
+5d5771ba9b5e 0 phase-diagram --grid-n 6
+53b4574de8a8 0 phase-diagram --grid-n 4 --family random
+6dcd55bd7dfc 0 phase-diagram
+1ddfb52918db 0 kdim
+2913315a818e 0 hyperplane --d 4 --normal 1,2,3,4
+7ad001a4ced0 0 audit-measure --d 3 --resolution 64 --seed 1
+ef74786dc79b 0 audit-measure --kind singular --d 2
+""".splitlines()
 
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    moved = []
     with tempfile.TemporaryDirectory() as cfg:
         for name, text in CONFIGS.items():
             Path(cfg, name).write_text(text)
-        for cmd in COMMANDS:
-            args = cmd.format(cfg=cfg).split()
-            run = subprocess.run([sys.executable, "-m", "rlab", *args],
-                                 cwd=ROOT, env=env, capture_output=True)
+        for want in EXPECTED:
+            cmd = want.split(" ", 2)[2]
+            run = subprocess.run(
+                [sys.executable, "-m", "rlab", *cmd.replace("CFG", cfg).split()],
+                cwd=ROOT, env=env, capture_output=True)
             digest = hashlib.sha256(run.stdout).hexdigest()[:12]
-            print(f"{digest} {run.returncode} {cmd.format(cfg='CFG')}",
-                  flush=True)
-    return 0
+            got = f"{digest} {run.returncode} {cmd}"
+            print(got, flush=True)
+            if got != want:
+                moved.append((want, got))
+    for want, got in moved:
+        print(f"differs: expected {want}\n         got      {got}")
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

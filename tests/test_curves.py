@@ -10,24 +10,21 @@ import sympy
 from rlab.curves import (
     Curve,
     TypeTuple,
-    class_membership,
     det_poly,
     detect_type,
     dyadic_rescale,
     eval_derivative,
     monomial_curve,
     moment_curve,
-    nondegenerate_tuple,
     poly_curve,
     poly_divmod,
     poly_gcd,
     poly_root_count,
-    rescale_curve,
     torsion_det,
     torsion_poly,
     type_candidates,
 )
-from rlab.errors import CapabilityError, MonomialFormError, NotFiniteTypeError
+from rlab.errors import CapabilityError, NotFiniteTypeError
 
 
 def test_moment_torsion_is_one_exactly():
@@ -195,15 +192,12 @@ def test_detect_type_degenerate_point():
 def test_detect_type_column_zero_up_to_round_off():
     # gamma'' = (0, 2 + 6t - 10t^3) vanishes at a root next to this float
     # t, where it evaluates to (0, 1.8e-15): a zero column, not a
-    # full-size direction, so the type is (1, 3), and so is the frame
-    # rescale_curve builds
+    # full-size direction, so the type is (1, 3)
     curve = poly_curve([[Fraction(-4, 3), Fraction(-1, 2)],
                         [2, Fraction(-5, 3), 1, 1, 0, Fraction(-1, 2)]])
     t0 = 0.9059584320194316
     assert 0 < abs(eval_derivative(curve, t0, 2)[1]) < 1e-14
     assert tuple(detect_type(curve, t0)) == (1, 3)
-    out = rescale_curve(curve, t0, 1)
-    assert out.eval_exact(0, 1) == (1, 0) and out.eval_exact(0, 3) == (0, 1)
 
 
 def test_detect_type_flat_curve_raises():
@@ -226,23 +220,6 @@ def test_monomial_components():
     )
 
 
-def test_rescale_moment_curve_is_fixed_point():
-    """The Taylor-frame zoom maps the moment curve to itself exactly."""
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 4):
-        mc = moment_curve(d)
-        for _ in range(4):
-            t0 = Fraction(int(rng.integers(-8, 9)), 16)
-            u = Fraction(int(rng.integers(1, 9)), 8)
-            out = rescale_curve(mc, t0, u)
-            assert out.coeffs == mc.coeffs, (d, t0, u)
-
-
-def test_rescale_rejects_zero_scale():
-    with pytest.raises(ValueError):
-        rescale_curve(moment_curve(2), 0.0, 0)
-
-
 def test_dyadic_rescale_monomials_invariant():
     a = TypeTuple((1, 2, 4))
     curve = monomial_curve([1, 2, 4])
@@ -262,17 +239,6 @@ def test_dyadic_rescale_general_coefficients():
     assert out.coeffs[1] == (Fraction(0), Fraction(0), Fraction(1))
 
 
-def test_class_membership():
-    ok, dev = class_membership(moment_curve(3), nondegenerate_tuple(3), 1e-12)
-    assert ok and dev == 0.0
-    # t^2/2 * (1 + t/2) drifts away from the pure monomial by ~|t|/4 in phi'
-    bent = poly_curve([[0, 1], [0, 0, Fraction(1, 2), Fraction(1, 4)]])
-    ok, dev = class_membership(bent, TypeTuple((1, 2)), 1e-3)
-    assert not ok and dev > 0.2
-    with pytest.raises(MonomialFormError):
-        class_membership(poly_curve([[0, 1], [0, 1, 1]]), TypeTuple((1, 2)), 1.0)
-
-
 def test_type_tuple_validation():
     with pytest.raises(ValueError):
         TypeTuple((2, 1))
@@ -282,7 +248,6 @@ def test_type_tuple_validation():
         TypeTuple(())
     a = TypeTuple((1, 2, 4))
     assert a.norm1 == 7 and len(a) == 3 and a[-1] == 4
-    assert tuple(nondegenerate_tuple(4)) == (1, 2, 3, 4)
 
 
 def test_curve_validation():

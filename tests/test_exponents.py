@@ -10,7 +10,6 @@ from rlab.curves import monomial_curve, moment_curve, poly_curve
 from rlab.errors import NotFiniteTypeError
 from rlab.exponents import (
     ExponentPoint,
-    alpha_general_region,
     beta,
     domain_types,
     exponent_table,
@@ -20,7 +19,6 @@ from rlab.exponents import (
     hyperplane_region,
     kappa,
     kappa_max_scan,
-    kdim_region,
     kdim_threshold,
     predicted_excess,
     sphere_region,
@@ -147,17 +145,6 @@ def test_hyperplane_region_sharp():
 def test_kdim_threshold_and_region():
     assert kdim_threshold(4, 2) == 8
     assert kdim_threshold(3, 2) == 6
-    reg = kdim_region(4, 2)
-    assert reg.q_threshold == 8 and reg.line_coeff == 7
-    assert reg.holds(ExponentPoint(0, Fraction(1, 9))) is True
-    assert reg.holds(ExponentPoint(0, Fraction(1, 8))) is None
-
-
-def test_alpha_general_region():
-    a, alpha = (1, 2, 4), Fraction(3, 2)
-    reg = alpha_general_region(a, alpha, 3)
-    assert reg.line_coeff == kappa(a, alpha)
-    assert reg.q_threshold == beta(alpha, 3) + 1
 
 
 def test_exponent_table():

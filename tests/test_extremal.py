@@ -21,7 +21,6 @@ from rlab.extremal import (
     grad_y,
     knapp_box,
     knapp_input,
-    mixed_determinant,
     necessity_rect_sphere,
     partition_family,
     random_sign_input,
@@ -67,35 +66,6 @@ def test_curvature_determinant_identity():
             assert abs(got - want) < 1e-8 * abs(want)
 
 
-def test_mixed_determinant_closed_form():
-    # gamma_1'^{d-1} times the chart Hessian determinant (1+v^2)^{3/2} in d=2
-    for t in (0.1, 0.3, 0.8):
-        v = -t
-        want = (1.0 + v * v) ** 1.5
-        assert abs(mixed_determinant(PH2, t) - want) < 1e-12
-
-
-def test_mixed_determinant_on_integral_graphs():
-    """The mixed Hessian of an integral graph against central differences
-    in y of d_t grad_y Psi at (g(t), t); it vanishes when k < d - 1."""
-    t, h = 0.4, 1e-6
-    for d, k in ((3, 2), (4, 3), (4, 2)):
-        patch = submanifold_builder(d, k, moment_curve(d), extent=0.75)
-        phase = graph_phase(patch.curve, patch)
-        dgam = patch.curve.eval_many([t], 1)[0]
-
-        def dt_grad(y):
-            jac = patch.jacobian(y[None, :])[0]
-            return jac.T @ dgam[:patch.l] + dgam[patch.l:]
-
-        g = solve_stationary(phase, t)
-        fd = np.column_stack([(dt_grad(g + h * e) - dt_grad(g - h * e)) / (2 * h)
-                              for e in np.eye(k)])
-        assert np.max(np.abs(patch.mixed_hessian(patch.curve, t) - fd)) < 1e-6
-        assert abs(mixed_determinant(phase, t) - np.linalg.det(fd)) < 1e-6
-        assert (abs(mixed_determinant(phase, t)) > 0.03) == (k == d - 1)
-
-
 def test_extension_phases_have_no_chart_data():
     ext = PhaseSpec(MC2)
     with pytest.raises(StationaryError):
@@ -104,8 +74,6 @@ def test_extension_phases_have_no_chart_data():
         knapp_box(ext, 0.3, 64.0, 1.0)
     with pytest.raises(DegeneracyError):
         curvature_matrix(ext, 0.3)
-    with pytest.raises(DegeneracyError):
-        mixed_determinant(ext, 0.3)
     assert np.array_equal(grad_y(ext, np.array([0.1, 0.2]), 0.3),
                           MC2.eval_many([0.3], 0)[0])
 

@@ -480,6 +480,7 @@ def test_cli_error_codes():
     ["knapp", "--rho", "inf"],
     ["knapp", "--rho", "nan"],
     ["sweep", "--config", "random-delta-1e400.ini"],
+    ["sweep", "--config", "bump-eps0-0.ini"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -489,13 +490,17 @@ def test_cli_error_codes():
         "kdim-extent-inf", "kdim-extent-zero", "random-delta-inf",
         "random-delta-nan", "random-delta-zero", "random-delta-negative",
         "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
-        "knapp-rho-nan", "sweep-random-delta-overflow"])
+        "knapp-rho-nan", "sweep-random-delta-overflow",
+        "sweep-bump-eps0-zero"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
     (tmp_path / "random-delta-1e400.ini").write_text(
         "[curve]\nkind = moment(2)\n\n[family]\nkind = random\n"
         "delta = 1e400\n\n[sweep]\nlams = 256\nqs = 3\n")
+    (tmp_path / "bump-eps0-0.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n"
+        "eps0 = 0\n\n[sweep]\nlams = 256\nqs = 3\n")
     _forbid_fields(monkeypatch)
     code, _, err = _capture(argv)
     assert code == 2

@@ -27,9 +27,6 @@ from rlab.measures import (
     box_mass,
     cap_box_sigma_mass,
     dimension_audit,
-    hyperplane_measure,
-    patch_measure,
-    pushforward_measure,
     scaled_measure,
     singular_alpha_measure,
     sphere_cap_graph,
@@ -123,14 +120,6 @@ def test_cap_box_mass_closed_form():
     assert abs(got - want) < 1e-9
 
 
-def test_hyperplane_measure():
-    mu = hyperplane_measure((1, 1, 0), 3, extent=1.0, resolution=16)
-    assert abs(mu.total_mass - 4.0 * math.sqrt(2.0)) < 1e-12
-    assert np.max(np.abs(mu.nodes @ np.array([1.0, 1.0, 0.0]))) < 1e-12
-    with pytest.raises(ValueError):
-        hyperplane_measure((0, 0, 0), 3)
-
-
 def test_singular_measure_total_mass_oracle():
     mu = singular_alpha_measure(2, 1.5, resolution=64)
     want, _ = scipy.integrate.quad(
@@ -164,21 +153,6 @@ def test_scaled_measure_exact_factors():
         hw = np.array([0.25, 0.25])
         hws = hw * np.array([2.0**-ell, 2.0 ** (-2 * ell)])
         assert abs(box_mass(sc, hws) - box_mass(mu, hw) * 2.0 ** (-ell * float(kap))) < 1e-12
-
-
-def test_pushforward_measure():
-    mu = sphere_measure(2, 64)
-    amat = np.array([[2.0, 1.0], [0.0, 1.0]])
-    push = pushforward_measure(mu, amat, mass_scale=0.5)
-    f = lambda x: x[:, 0] ** 2 + 0.3 * x[:, 1]  # noqa: E731
-    direct = 0.5 * mu.integrate(lambda x: f(x @ amat))
-    assert abs(push.integrate(f) - direct) < 1e-12
-
-
-def test_patch_measure():
-    mu = patch_measure((0.5, -1.0), (0.25, 0.5), spacing=0.05)
-    assert abs(mu.total_mass - 0.5 * 1.0) < 1e-12
-    assert np.all(np.abs(mu.nodes - np.array([0.5, -1.0])) <= np.array([0.25, 0.5]))
 
 
 def test_submanifold_closed_forms():
@@ -227,16 +201,6 @@ def test_submanifold_mixed_grad_and_blocks():
     # Schur identity: det [[A1,A2],[B1,B2]] = det A1 * det(B2 - B1 A1^-1 A2)
     schur = np.linalg.det(a1) * np.linalg.det(patch.curvature_block(ts))
     assert np.max(np.abs(dets - schur) / np.abs(dets)) < 1e-9
-
-
-def test_submanifold_surface_measure():
-    patch = submanifold_builder(4, 2, moment_curve(4), extent=0.5)
-    mu = patch.surface_measure(12)
-    assert mu.dim == 4 and np.all(mu.weights > 0)
-    # every node lies on the graph: leading block reproduced by value()
-    base = mu.nodes[:, patch.l:]
-    lifted = patch.value(base)
-    assert np.max(np.abs(mu.nodes[:, : patch.l] - lifted)) < 1e-10
 
 
 def _rotated_lattice(k, n_per_axis):
