@@ -193,6 +193,9 @@ def _run(args) -> int:
         return 0
 
     if args.command == "phase-diagram":
+        if args.family == "knapp" and args.seed is not None:
+            raise ConfigError("--seed needs --family random: knapp inputs "
+                              "draw nothing at random")
         family = (KnappFamily() if args.family == "knapp"
                   else RandomFamily())
         lam_pair = (None if args.lam_pair is None

@@ -217,7 +217,9 @@ class _Sample:
     inputs: list
     fields: list
     panels: int                  # sum over input segments of the panel
-                                 # count eval_field used on its widest chunk
+                                 # rule's count on eval_field's widest
+                                 # chunk, also where degree-2 nodes take
+                                 # the closed form and use no panels
 
 
 def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:

@@ -3,10 +3,32 @@
 Every phase is a curve phase x . curve(t): on the frequency side x is an
 ambient point, on the chart side x is the embedding of a chart point
 (graph embeddings of the sphere or of integral submanifolds).  The one
-evaluation core handles both.  Panels are sized from an exact upper bound
-on the t-derivative of the total phase, which is a polynomial in t: its
-largest Bernstein coefficient over the segment.  Each panel then carries
-at most PANEL_CAP = 4 pi radians, well inside the range where a 16-point
+evaluation core, eval_field, handles both, with two kernels: a closed form
+for phases of degree 2 in t and a panel rule for every other node.  Which
+one a node takes depends on the curve's degree and the node's phase, never
+on the kind of phase.
+
+Closed form.  When the curve has degree 2, a segment [a, b] carries
+P(t) = A t^2 + B t + C at each node.  With r = sqrt|A|, omega =
+exp(-i pi/4 sign A), t* = -B / 2A and z(t) = omega r (t - t*),
+
+    int_a^b exp(i P) dt = sqrt(pi) / (2 r omega)
+                          * [exp(i P(a)) w~(a) - exp(i P(b)) w~(b)] + S,
+
+where w~(t) is w(i z) when i z lies in the upper half-plane and -w(-i z)
+otherwise, w the Faddeeva function, and the saddle term S =
+sqrt(pi) / (r omega) exp(i P(t*)) is added when t* lies in (a, b].  This
+is erf(z(b)) - erf(z(a)) written so that no exp(-z^2) of size
+exp(|z|^2) and no C - B^2 / 4A of a distant saddle is ever formed.  w
+comes from Weideman's rational series (SIAM J. Numer. Anal. 31, 1994) on
+the rays arg = pi/4 and 3 pi/4 only.  A node with |A| (b - a)^2 <
+_QUADRATIC_MIN = 1, where 1/r outgrows the segment and the bracket
+cancels, takes the panel rule; so does every node at lambda = 0.
+
+Panel rule.  Panels are sized from an exact upper bound on the
+t-derivative of the total phase, which is a polynomial in t: its largest
+Bernstein coefficient over the segment.  Each panel then carries at most
+PANEL_CAP = 4 pi radians, well inside the range where a 16-point
 Gauss-Legendre rule is accurate to round-off (Trefethen, SIAM Review 50,
 2008).
 
@@ -46,6 +68,9 @@ _ANCHOR = 32                # panels between re-anchors at phase degree <= 2
 _CIS_N = 1024               # table entries per turn in _cis
 _CIS_HEAD = 15              # bits per head part of _cis's split of 2 pi / N
 _CIS_RANGE = 1e9            # |theta| below which every k * head is exact
+_QUADRATIC_MIN = 1.0        # |A| (b - a)^2 from which a degree-2 phase takes
+                            # the closed form
+_RATE_BLOCK = 1 << 16       # points per block of _phase_rate_bound's scratch
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +297,84 @@ def _cis(theta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# quadratic phases in closed form
+# ----------------------------------------------------------------------
+
+def _faddeeva_constants(n: int):
+    """Weideman's L and coefficients a_1 .. a_n (SIAM J. Numer. Anal. 31,
+    1994).
+
+    With M = 2n, theta_k = pi k / M and t_k = L tan(theta_k / 2), the a_j
+    are the cosine coefficients of f = exp(-t^2) (L^2 + t^2) over the 2M
+    angles: a_j = (f_0 + 2 sum_{0<k<M} f_k cos(j theta_k)) / 2M, summed
+    directly where Weideman takes an FFT.  The sums run in Python floats
+    (math.fsum), so importing the module wakes no numpy ufunc.
+    """
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    theta = [math.pi * k / m for k in range(1, m)]
+    t = [scale * math.tan(0.5 * th) for th in theta]
+    f = [math.exp(-tk * tk) * (scale * scale + tk * tk) for tk in t]
+    return scale, np.array([
+        (scale * scale + 2.0 * math.fsum(fk * math.cos(j * th)
+                                         for fk, th in zip(f, theta)))
+        / (2 * m) for j in range(1, n + 1)])
+
+
+_W_L, _W_COEF = _faddeeva_constants(40)
+# exp(3 pi i / 4) and exp(pi i / 4): the rays i z lies on for a quadratic
+# coefficient A < 0 and A > 0
+_RAYS = np.array([complex(-math.sqrt(0.5), math.sqrt(0.5)),
+                  complex(math.sqrt(0.5), math.sqrt(0.5))])
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """w(z) = exp(-z^2) erfc(-i z) for Im z >= 0 by Weideman's rational
+    series, w = (2 p(Z) / (L - i z) + 1 / sqrt(pi)) / (L - i z) with
+    Z = (L + i z) / (L - i z) and p(Z) = sum_j a_j Z^(j-1).  With 40 terms
+    it is within 2e-15 relative of w on the rays arg z = pi/4 and 3 pi/4
+    for |z| from 1e-3 to 1e7.
+    """
+    den = _W_L - 1j * z
+    zz = (_W_L + 1j * z) / den
+    p = np.full(z.shape, _W_COEF[-1], dtype=complex)
+    for a in _W_COEF[-2::-1]:
+        p *= zz
+        p += a
+    p *= 2.0
+    p /= den
+    p += 1.0 / math.sqrt(math.pi)
+    p /= den
+    return p
+
+
+def _quadratic_sums(coef: np.ndarray, start: float, end: float) -> np.ndarray:
+    """int_start^end exp(i P(t)) dt per row (C, B, A) of coef, where
+    P(t) = A t^2 + B t + C and A != 0, by the closed form of the module
+    docstring."""
+    c0, c1, c2 = coef.T
+    m = coef.shape[0]
+    r = np.sqrt(np.abs(c2))
+    ends = np.array([[start], [end]])
+    # u = r (t - t*) = P'(t) / (2 r sign A), no t* formed
+    u = (2.0 * c2 * ends + c1) / (2.0 * np.copysign(r, c2))
+    ray = _RAYS[(c2 > 0).astype(np.intp)]
+    upper = u >= 0.0                        # i z in the upper half-plane
+    wt = _faddeeva(ray * np.abs(u))
+    np.negative(wt, out=wt, where=~upper)
+    saddle = ~upper[0] & upper[1]           # start < t* <= end
+    theta = np.concatenate([(c0 + ends * (c1 + ends * c2)).ravel(),
+                            (c0 - 0.25 * c1 * c1 / c2)[saddle]])
+    e = _cis(theta, np.empty(theta.size, dtype=complex),
+             np.empty(5 * theta.size))
+    total = e[:m] * wt[0]
+    total -= e[m:2 * m] * wt[1]
+    total[saddle] += 2.0 * e[2 * m:]
+    # sqrt(pi) / (2 r omega), with 1 / omega = i conj(ray)
+    return total * (0.5 * math.sqrt(math.pi) / r) * (1j * ray.conj())
+
+
+# ----------------------------------------------------------------------
 # evaluation core
 # ----------------------------------------------------------------------
 
@@ -341,11 +444,13 @@ def _phase_rate_bound(phase: PhaseSpec, lam: float, seg: Segment,
     # batched with it: the bound over all nodes is the widest chunk's.
     # np.max keeps a nan bound (from a nan point) that max() would drop
     sups = []
-    for col, off in zip(bern.T, shift):
-        vals = np.full(basis.shape[0], -off)
-        for b, c in zip(basis.T, lam * col):
-            vals += c * b
-        sups.append(np.max(np.abs(vals, out=vals), initial=0.0))
+    for lo in range(0, basis.shape[0], _RATE_BLOCK):
+        block = basis[lo:lo + _RATE_BLOCK]
+        vals = np.empty((block.shape[0], bern.shape[1]))
+        vals[:] = -shift
+        for b, c in zip(block.T, lam * bern):
+            vals += c * b[:, None]
+        sups.append(np.max(np.abs(vals, out=vals)))
     return float(np.max(sups, initial=0.0))
 
 
@@ -392,53 +497,89 @@ def _anchor_spacing(deg: int) -> int:
 
 
 def _difference_maps(start: float, h: float, n_panels: int,
-                     width: int) -> list:
+                     width: int) -> np.ndarray:
     """Per anchor panel k0 (every _anchor_spacing-th), the matrix taking the
     t-coefficients c of a polynomial of degree D = width - 1 to its forward
     differences D^l, l < D, with step h at the Gauss nodes tau of panel k0.
 
     With Phi(tau + u h) = sum_i a_i u^i, a_i = h^i sum_k C(k, i) tau^(k-i)
-    c_k, and D^l Phi(tau) = sum_i l! S(i, l) a_i.  Each matrix has shape
-    (D * PANEL_ORDER, width), rows ordered by l, then tau.
+    c_k, and D^l Phi(tau) = sum_i l! S(i, l) a_i.  The result has shape
+    (anchors, D * PANEL_ORDER, width), rows ordered by l, then tau.
     """
     deg = width - 1
     stir = _scaled_stirling(width)[:, :deg]
     taus = start + 0.5 * h * (1.0 + gauss_legendre(PANEL_ORDER)[0])
-    maps = []
-    for k0 in range(0, n_panels, _anchor_spacing(deg)):
-        powers = (taus + k0 * h)[:, None] ** np.arange(width)
-        out = np.zeros((deg, PANEL_ORDER, width))
-        for k in range(width):
-            for i in range(k + 1):
-                scale = math.comb(k, i) * h ** i
-                out[:, :, k] += np.outer(scale * stir[i], powers[:, k - i])
-        maps.append(out.reshape(deg * PANEL_ORDER, width))
-    return maps
+    k0s = np.arange(0, n_panels, _anchor_spacing(deg))
+    powers = (taus + (k0s * h)[:, None])[..., None] ** np.arange(width)
+    out = np.zeros((k0s.size, deg, PANEL_ORDER, width))
+    for k in range(width):
+        for i in range(k + 1):
+            scale = math.comb(k, i) * h ** i
+            out[..., k] += ((scale * stir[i])[:, None]
+                            * powers[:, None, :, k - i])
+    return out.reshape(k0s.size, deg * PANEL_ORDER, width)
+
+
+def _panel_sums(phase: PhaseSpec, lam: float, seg: Segment,
+                ypts: np.ndarray, coef: np.ndarray, maps: dict,
+                anchors: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The segment's integral at each point of ypts by the panel rule.
+
+    coef holds the t-coefficients of each point's total phase.  The points
+    share one panel layout, sized from their phase-derivative bound, and
+    exp(i Phi) follows the forward-difference recurrence of the module
+    docstring, re-anchored every _anchor_spacing(D) panels.  maps caches
+    the difference maps per layout; anchors and work are scratch for at
+    least PANEL_ORDER * len(ypts) values per difference.
+    """
+    m, width = coef.shape
+    deg = width - 1
+    spacing = _anchor_spacing(deg)
+    n_panels = _segment_panel_count(phase, lam, seg, ypts)
+    h = seg.length / n_panels
+    cols = PANEL_ORDER * m
+    # E_0 .. E_(D-1) of one anchor; E_D is one libm exp per point
+    point_anchors = anchors[:deg * cols].reshape(deg, cols)
+    top = np.exp(1j * (math.factorial(deg) * h ** deg) * coef[:, deg])
+    key = (seg.start, h, n_panels)
+    if key not in maps:
+        maps[key] = _difference_maps(seg.start, h, n_panels, width)
+    total = np.zeros((PANEL_ORDER, m), dtype=complex)
+    for k0, dmap in zip(range(0, n_panels, spacing), maps[key]):
+        diffs = (dmap @ coef.T).reshape(deg, cols)
+        for theta, e_l in zip(diffs, point_anchors):
+            _cis(theta, e_l, work)
+        terms = [*point_anchors.reshape(deg, PANEL_ORDER, m), top]
+        for step in range(min(spacing, n_panels - k0)):
+            if step:
+                for l in range(deg):
+                    terms[l] *= terms[l + 1]
+            total += terms[0]
+    return (0.5 * h * gauss_legendre(PANEL_ORDER)[1]) @ total
 
 
 def eval_field(curve_or_phase, lam: float, f: TestFunction,
                ypts: np.ndarray) -> np.ndarray:
     """Evaluate the operator at chart points, shape (n,) complex.
 
-    Work is chunked over points; each chunk shares one panel layout per
-    segment, sized from the chunk-wide phase-derivative bound.  Along the
-    panels exp(i Phi) follows the forward-difference recurrence of the
-    module docstring, re-anchored every _anchor_spacing(D) panels.
+    Work is chunked over points.  For a curve of degree 2, a point whose
+    quadratic coefficient A has |A| (b - a)^2 >= 1 on a segment [a, b]
+    takes the closed form of the module docstring; every other point
+    takes the panel rule, whose layout the chunk's panel-rule points
+    share per segment.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
     phase = _as_phase(curve_or_phase)
     ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
+    if not np.isfinite(ypts).all():
+        raise ValueError("a point is not finite: points must be finite")
     n = ypts.shape[0]
     out = np.zeros(n, dtype=complex)
-    gw = gauss_legendre(PANEL_ORDER)[1]
     rows = phase.curve._float_rows(0)
-    width = rows.shape[1]
-    deg = width - 1
-    spacing = _anchor_spacing(deg)
+    deg = rows.shape[1] - 1
     maps = {}       # difference maps per segment layout, shared by chunks
-    # E_0 .. E_(D-1) of one anchor, and _cis's float scratch for one E_l
-    # at a time: sized for the widest chunk, sliced for a narrower last one
+    # _panel_sums's scratch, sized for the widest chunk
     size = PANEL_ORDER * min(n, _Y_CHUNK)
     anchors = np.empty(deg * size, dtype=complex)
     work = np.empty(5 * size)
@@ -447,32 +588,24 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
         chunk = ypts[lo:hi]
         scaled = lam * phase.embed(chunk)
         acc = np.zeros(hi - lo, dtype=complex)
-        cols = PANEL_ORDER * (hi - lo)
-        chunk_anchors = anchors[:deg * cols].reshape(deg, cols)
         for seg in f.segments:
             if seg.length == 0.0:
                 continue
-            n_panels = _segment_panel_count(phase, lam, seg, chunk)
-            h = seg.length / n_panels
             mod = _modulation_point(phase, seg)
             x = scaled if mod is None else scaled - mod[1] * mod[0]
             coef = x @ rows                      # (m, D + 1) in t
-            top = np.exp(1j * (math.factorial(deg) * h ** deg) * coef[:, deg])
-            key = (seg.start, h, n_panels)
-            if key not in maps:
-                maps[key] = _difference_maps(seg.start, h, n_panels, width)
-            total = np.zeros((PANEL_ORDER, hi - lo), dtype=complex)
-            for k0, dmap in zip(range(0, n_panels, spacing), maps[key]):
-                diffs = (dmap @ coef.T).reshape(deg, cols)
-                for theta, e_l in zip(diffs, chunk_anchors):
-                    _cis(theta, e_l, work)
-                terms = [*chunk_anchors.reshape(deg, PANEL_ORDER, hi - lo), top]
-                for step in range(min(spacing, n_panels - k0)):
-                    if step:
-                        for l in range(deg):
-                            terms[l] *= terms[l + 1]
-                    total += terms[0]
-            acc += seg.coefficient * ((0.5 * h * gw) @ total)
+            if deg != 2:
+                acc += seg.coefficient * _panel_sums(
+                    phase, lam, seg, chunk, coef, maps, anchors, work)
+                continue
+            closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
+            acc[closed] += seg.coefficient * _quadratic_sums(
+                coef[closed], seg.start, seg.end)
+            rest = ~closed
+            if rest.any():
+                acc[rest] += seg.coefficient * _panel_sums(
+                    phase, lam, seg, chunk[rest], coef[rest], maps, anchors,
+                    work)
         out[lo:hi] = acc
     return out
 

@@ -48,6 +48,14 @@ kind = bump
 lams = 16, 32
 qs = 7, inf
 """,
+    "bump-d2-large.ini": """[curve]
+kind = moment(2)
+[family]
+kind = bump
+[sweep]
+lams = 2048, 4096, 8192
+qs = 3, 4, 6
+""",
 }
 
 EXPECTED = """\
@@ -66,6 +74,7 @@ bdc201ac9e4e 0 sweep --config CFG/random-d2.ini
 2913315a818e 0 hyperplane --d 4 --normal 1,2,3,4
 7ad001a4ced0 0 audit-measure --d 3 --resolution 64 --seed 1
 ef74786dc79b 0 audit-measure --kind singular --d 2
+a08fbcc6da5b 0 sweep --config CFG/bump-d2-large.ini
 """.splitlines()
 
 

@@ -481,6 +481,7 @@ def test_cli_error_codes():
     ["knapp", "--rho", "nan"],
     ["sweep", "--config", "random-delta-1e400.ini"],
     ["sweep", "--config", "bump-eps0-0.ini"],
+    ["phase-diagram", "--family", "knapp", "--seed", "3"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -491,7 +492,7 @@ def test_cli_error_codes():
         "random-delta-nan", "random-delta-zero", "random-delta-negative",
         "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
         "knapp-rho-nan", "sweep-random-delta-overflow",
-        "sweep-bump-eps0-zero"])
+        "sweep-bump-eps0-zero", "phase-diagram-knapp-seed"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ import os
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 
 import rlab.oscillatory as osc
 from rlab.curves import (
@@ -35,6 +36,8 @@ from rlab.oscillatory import (
     PhaseSpec,
     Segment,
     TestFunction as StepFn,
+    _bernstein_matrix,
+    _difference_maps,
     _panel_nodes,
     _phase_rate_bound,
     eval_field,
@@ -303,6 +306,39 @@ def test_phase_rate_bound_dominates_dense_sample(phase, ypts, x0):
     assert _phase_rate_bound(phase, lam, seg, ypts) == np.max(bound)
 
 
+def _column_loop_rate_bound(phase, lam, seg, ypts):
+    """_phase_rate_bound as one loop per Bernstein column."""
+    rows = phase.curve._float_rows(1)
+    basis = phase.embed(ypts)
+    bern = rows @ _bernstein_matrix(seg.start, seg.end, rows.shape[1])
+    shift = np.zeros(bern.shape[1])
+    if seg.modulation is not None:
+        x0, lam_mod = seg.modulation
+        shift = lam_mod * (np.asarray(x0) @ bern)
+    sups = []
+    for col, off in zip(bern.T, shift):
+        vals = np.full(basis.shape[0], -off)
+        for b, c in zip(basis.T, lam * col):
+            vals += c * b
+        sups.append(np.max(np.abs(vals), initial=0.0))
+    return float(np.max(sups, initial=0.0))
+
+
+@pytest.mark.parametrize("block", [osc._RATE_BLOCK, 7])
+def test_phase_rate_bound_equals_the_column_loop(block, monkeypatch):
+    monkeypatch.setattr(osc, "_RATE_BLOCK", block)
+    lam, lam_mod = 37.0, 53.0
+    for phase, ypts in [*_CURVE_PHASES,
+                        (extension_phase(MC2), _RNG.normal(size=(40, 2))),
+                        (_POLY, _vandermonde(_RNG.uniform(-1.5, 1.5,
+                                                          size=(40, 1)), 3))]:
+        x0 = _RNG.normal(size=phase.curve.dim)
+        for mod in (None, (x0, lam_mod)):
+            seg = Segment(0.15, 0.85, modulation=mod)
+            assert (_phase_rate_bound(phase, lam, seg, ypts)
+                    == _column_loop_rate_bound(phase, lam, seg, ypts))
+
+
 @pytest.mark.parametrize("start", [0.0, 0.3])
 def test_one_panel_at_the_cap_is_exact(start):
     seg = Segment(start, start + 1.0)
@@ -331,6 +367,7 @@ def _sphere_case(d, family, lam, stride):
 def test_wide_panels_match_the_old_layout(case, monkeypatch):
     """4 pi radians per panel against the old pi/4 per panel."""
     curve, lam, f, nodes = case()
+    monkeypatch.setattr(osc, "_QUADRATIC_MIN", math.inf)   # panels only
     wide = eval_field(curve, lam, f, nodes)
     monkeypatch.setattr(osc, "PANEL_CAP", 0.25 * np.pi)
     narrow = eval_field(curve, lam, f, nodes)
@@ -359,8 +396,15 @@ def _direct_field(phase, lam, f, ypts):
     return out
 
 
+def _panel_rule(phase, lam, f, ypts):
+    """eval_field with every node on the panel rule, degree 2 included."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(osc, "_QUADRATIC_MIN", math.inf)
+        return eval_field(phase, lam, f, ypts)
+
+
 def _assert_matches_direct(phase, lam, f, ypts):
-    got = eval_field(phase, lam, f, ypts)
+    got = _panel_rule(phase, lam, f, ypts)
     want = _direct_field(phase, lam, f, ypts)
     scale = np.max(np.abs(want))
     # where |F| is far below its L^1 bound the sum is cancellation-bound,
@@ -424,6 +468,34 @@ def test_recurrence_at_the_panel_floor():
     f = indicator(0.0, 1.0)
     assert _panels(extension_phase(MC2), 2.0, f.segments[0], ypts) == osc.MIN_PANELS
     _assert_matches_direct(extension_phase(MC2), 2.0, f, ypts)
+
+
+def _anchor_loop_maps(start, h, n_panels, width):
+    """_difference_maps as one np.outer loop per anchor."""
+    deg = width - 1
+    stir = osc._scaled_stirling(width)[:, :deg]
+    taus = start + 0.5 * h * (1.0 + osc.gauss_legendre(osc.PANEL_ORDER)[0])
+    maps = []
+    for k0 in range(0, n_panels, osc._anchor_spacing(deg)):
+        powers = (taus + k0 * h)[:, None] ** np.arange(width)
+        out = np.zeros((deg, osc.PANEL_ORDER, width))
+        for k in range(width):
+            for i in range(k + 1):
+                scale = math.comb(k, i) * h ** i
+                out[:, :, k] += np.outer(scale * stir[i], powers[:, k - i])
+        maps.append(out.reshape(deg * osc.PANEL_ORDER, width))
+    return maps
+
+
+@pytest.mark.parametrize("width", [2, 3, 4, 5, 7])
+def test_difference_maps_equal_the_anchor_loop(width):
+    for start, length, n_panels in [(0.0, 1.0, 4), (0.15, 0.7, 97),
+                                    (-0.3, 2.5, 1000)]:
+        h = length / n_panels
+        got = _difference_maps(start, h, n_panels, width)
+        want = _anchor_loop_maps(start, h, n_panels, width)
+        assert got.shape == (len(want), *want[0].shape)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ----------------------------------------------------------------------
@@ -524,11 +596,128 @@ def test_cis_non_finite_and_out_of_range():
     assert _cis(np.empty(0)).shape == (0,)
 
 
-def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
-    """The benchmark's bump-d2 sweep: libm sees one top value per point."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = sweep_config_from_file(os.path.join(root, "perfbench", "bump-d2.ini"))
-    counts = {"libm": 0, "table": 0, "phase": 0}
+# ----------------------------------------------------------------------
+# degree-2 phases in closed form
+# ----------------------------------------------------------------------
+
+def _mp_faddeeva(z):
+    with mpmath.workdps(40):
+        z = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-z * z) * mpmath.erfc(-1j * z))
+
+
+@pytest.mark.parametrize("ray", [1, 3], ids=["pi/4", "3pi/4"])
+def test_faddeeva_on_both_rays(ray):
+    z = np.logspace(-3, 7, 2001) * np.exp(0.25j * np.pi * ray)
+    want = scipy.special.wofz(z)
+    assert np.max(np.abs(osc._faddeeva(z) - want) / np.abs(want)) <= 5e-14
+    # wofz is itself off by up to 5e-15 here: mpmath at |z| = 1e-3, 1,
+    # 1e2, 1e4 and 1e7
+    few = z[[0, 600, 1000, 1400, 2000]]
+    for got, at in zip(osc._faddeeva(few), few):
+        want = _mp_faddeeva(at)
+        assert abs(got - want) <= 5e-15 * abs(want)
+
+
+def _mp_field(lam, f, y):
+    """The extension field of moment_curve(2) at the point y, to 40
+    digits from the exact float inputs: per segment
+    int_a^b exp(i (A t^2 + B t)) dt by erf, with its square root k of -i A."""
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for seg in f.segments:
+            v = [lam * mpmath.mpf(float(c)) for c in y]
+            if seg.modulation is not None:
+                x0, lam_mod = seg.modulation
+                v = [vi - mpmath.mpf(lam_mod) * mpmath.mpf(xi)
+                     for vi, xi in zip(v, x0)]
+            a, b = mpmath.mpf(seg.start), mpmath.mpf(seg.end)
+            big_a, big_b = v[1] / 2, v[0]
+            if big_a == 0:
+                part = ((mpmath.expj(big_b * b) - mpmath.expj(big_b * a))
+                        / (1j * big_b) if big_b else b - a)
+            else:
+                k = mpmath.sqrt(-1j * big_a)
+                t_star = -big_b / (2 * big_a)
+                part = (mpmath.expj(-big_b ** 2 / (4 * big_a))
+                        * mpmath.sqrt(mpmath.pi) / (2 * k)
+                        * (mpmath.erf(k * (b - t_star))
+                           - mpmath.erf(k * (a - t_star))))
+            total += complex(seg.coefficient) * part
+        return complex(total)
+
+
+def test_nodes_on_both_sides_of_the_closed_form_threshold(monkeypatch):
+    seg = Segment(0.2, 0.9)
+    f = StepFn((seg,))
+    lam = 64.0
+    # A = lam x2 / 2 on moment(2): |A| (b - a)^2 = 1 at x2 = edge
+    edge = 2.0 / (lam * seg.length ** 2)
+    x2 = edge * np.array([0.5, 0.99, 1.0, 1.01, 2.0, 40.0])
+    x2 = np.concatenate([x2, -x2])
+    # B = lam x1 puts t* = -x1 / x2 inside, at either end, or outside
+    ypts = np.array([(x1, b) for b in x2
+                     for x1 in (-0.5 * b, -0.2 * b, -0.9 * b, 0.37)])
+    sizes = []          # rows per call of the closed form
+    inner = osc._quadratic_sums
+
+    def counting(coef, start, end):
+        sizes.append(coef.shape[0])
+        return inner(coef, start, end)
+
+    monkeypatch.setattr(osc, "_quadratic_sums", counting)
+    got = eval_field(MC2, lam, f, ypts)
+    closed = np.abs(lam * ypts[:, 1] / 2) * seg.length ** 2 >= 1.0
+    assert sum(sizes) == np.count_nonzero(closed) == 32
+    want = np.array([_mp_field(lam, f, y) for y in ypts])
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.max(np.abs(got - _panel_rule(MC2, lam, f, ypts))) <= 1e-14
+    # lambda = 0: every A is 0, so every node takes the panel rule
+    sizes.clear()
+    dc = eval_field(MC2, 0.0, f, ypts)
+    assert np.max(np.abs(dc - seg.length)) <= 1e-15 and sum(sizes) == 0
+
+
+def _peak_sample(values, size):
+    """About size evenly spaced indices plus the 64 around max |values|."""
+    n = values.size
+    peak = int(np.argmax(np.abs(values)))
+    return np.union1d(np.arange(0, n, max(1, n // size)),
+                      np.arange(max(0, peak - 32), min(n, peak + 32)))
+
+
+@pytest.mark.parametrize("family, top", [
+    (BumpFamily(), 13), (KnappFamily(), 13), (RandomFamily(delta=1.0), 11),
+], ids=["bump", "knapp", "random"])
+def test_closed_form_matches_the_panel_rule(family, top):
+    for k in range(6, top + 1):
+        curve, lam, f, nodes = _sphere_case(2, family, 2.0 ** k, 1)
+        closed = eval_field(curve, lam, f, nodes)
+        # the panel rule on every node of a grid below 8,192 nodes, else
+        # on an even sample of about 4,096 that keeps the peak of |F|
+        idx = _peak_sample(closed, 4096)
+        panel = _panel_rule(curve, lam, f, nodes[idx])
+        assert (np.max(np.abs(closed[idx] - panel))
+                <= 1e-13 * np.max(np.abs(closed))), k
+
+
+@pytest.mark.parametrize("lam", [4096.0, 8192.0])
+def test_closed_form_at_large_lambda_against_a_referee(lam):
+    """Random inputs: at the sampled nodes where the kernels disagree
+    most, the closed form meets mpmath."""
+    curve, lam, f, nodes = _sphere_case(2, RandomFamily(delta=1.0), lam,
+                                        int(lam) // 512)
+    closed = eval_field(curve, lam, f, nodes)
+    worst = np.argsort(np.abs(closed - _panel_rule(curve, lam, f, nodes)))[-2:]
+    norm1 = sum(abs(s.coefficient) * s.length for s in f.segments)
+    for i in worst:
+        assert abs(closed[i] - _mp_field(lam, f, nodes[i])) <= 1e-13 * norm1
+
+
+def _count_kernel_work(monkeypatch, run):
+    """Work eval_field does inside run(): libm and table exponentials,
+    phase points and rows of the panel rule, and Faddeeva values."""
+    counts = dict.fromkeys(("libm", "table", "phase", "panel_rows", "w"), 0)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -545,15 +734,43 @@ def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
     def counting_panels(phase, lam, seg, ypts):
         n_panels = panels(phase, lam, seg, ypts)
         counts["phase"] += len(ypts) * n_panels * osc.PANEL_ORDER
+        counts["panel_rows"] += len(ypts)
         return n_panels
 
-    cis, panels = osc._cis, osc._segment_panel_count
+    def counting_faddeeva(z):
+        counts["w"] += z.size
+        return faddeeva(z)
+
+    cis, panels, faddeeva = osc._cis, osc._segment_panel_count, osc._faddeeva
     monkeypatch.setattr(osc, "np", CountingNumpy())
     monkeypatch.setattr(osc, "_cis", counting_cis)
     monkeypatch.setattr(osc, "_segment_panel_count", counting_panels)
-    decay_sweep(cfg)
-    # 640 + 1280 + 2560 + 5120 nodes, one segment each
-    assert counts == {"libm": 9_600, "table": 585_728, "phase": 6_340_608}
+    monkeypatch.setattr(osc, "_faddeeva", counting_faddeeva)
+    run()
+    return counts
+
+
+def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
+    """The benchmark's bump-d2 sweep takes the closed form: two Faddeeva
+    values per node, and libm sees one top value per panel-rule node."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = sweep_config_from_file(os.path.join(root, "perfbench", "bump-d2.ini"))
+    counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
+    # 640 + 1280 + 2560 + 5120 nodes, one segment each; 58 of them have
+    # |A| < 1 and take the panel rule
+    assert counts == {"libm": 58, "table": 24_076, "phase": 18_240,
+                      "panel_rows": 58, "w": 2 * (9_600 - 58)}
+
+
+def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
+    """At degree 3 every node takes the panel recurrence."""
+    cfg = SweepConfig(curve=MC3, family=BumpFamily(), lams=(16.0,),
+                      qs=(7.0,))
+    counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
+    # 324,818 nodes on MIN_PANELS = 4 panels, so one anchor per node with
+    # 3 * 16 table values, and one libm top value
+    assert counts == {"libm": 324_818, "table": 15_591_264,
+                      "phase": 20_788_352, "panel_rows": 324_818, "w": 0}
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
@@ -562,6 +779,17 @@ def test_eval_field_refuses_a_lambda_that_is_not_finite(lam):
     # refused up front: a nan lambda used to size MIN_PANELS and return nan
     with pytest.raises(ValueError, match="finite and nonnegative"):
         eval_field(MC2, lam, f, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf])
+@pytest.mark.parametrize("curve", [MC2, MC3], ids=["d2", "d3"])
+def test_an_infinite_point_is_refused(curve, bad):
+    f = indicator(0.0, 1.0, modulation=(np.zeros(curve.dim), 50.0))
+    for col in range(curve.dim):
+        ypts = np.full((3, curve.dim), 0.2)
+        ypts[1, col] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            eval_field(curve, 50.0, f, ypts)
 
 
 def test_a_nan_point_is_refused_not_evaluated():
