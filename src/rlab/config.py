@@ -81,8 +81,9 @@ def parse_family(section) -> object:
         return KnappFamily(t0=section.getfloat("t0", 0.2),
                            rho=None if rho is None else float(rho))
     if kind == "random":
-        return RandomFamily(delta=section.getfloat("delta", 0.25),
-                            n_samples=section.getint("n_samples", 64))
+        if "n_samples" in section:
+            raise ConfigError("[family] n_samples is not read by sweep")
+        return RandomFamily(delta=section.getfloat("delta", 0.25))
     raise ConfigError(f"unknown family kind {kind!r}")
 
 

@@ -36,7 +36,7 @@ from .measures import (
 from .oscillatory import (
     PhaseSpec,
     TestFunction,
-    _segment_panel_count,
+    _segment_panel_count,  # uncalled; perfbench/tracing.py wraps this name
     eval_field,
     field,
     graph_phase,
@@ -64,6 +64,9 @@ class BumpFamily:
     def __post_init__(self):
         if not 0 < self.eps0 < math.inf:
             raise ConfigError(f"eps0 {self.eps0} must be finite and positive")
+        # off the sphere |F| no longer peaks on it; 1e-6 admits six decimals
+        if self.x0 is not None and not abs(math.hypot(*self.x0) - 1) <= 1e-6:
+            raise ConfigError(f"x0 {self.x0} must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -216,22 +219,19 @@ class _Sample:
     mu: QuadMeasure
     inputs: list
     fields: list
-    panels: int                  # sum over input segments of the panel
-                                 # rule's count on eval_field's widest
-                                 # chunk, also where degree-2 nodes take
-                                 # the closed form and use no panels
+    panels: int                  # panels the panel rule used, as field()
+                                 # reports them, summed over the inputs
 
 
 def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
     """Build the sphere measure at lambda and one field per input."""
     d = curve.dim
     mu = sphere_measure(d, sphere_resolution_for(d, lam))
-    fields = [field(curve, lam, f, mu) for f in inputs]
-    ext = PhaseSpec(curve)
-    panels = sum(_segment_panel_count(ext, lam, seg, mu.nodes)
-                 for f in inputs for seg in f.segments if seg.length > 0)
+    stats = [{} for _ in inputs]
+    fields = [field(curve, lam, f, mu, stats=s)
+              for f, s in zip(inputs, stats)]
     return _Sample(lam=lam, mu=mu, inputs=inputs, fields=fields,
-                   panels=panels)
+                   panels=sum(s["panels"] for s in stats))
 
 
 def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
@@ -630,17 +630,17 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
 
         f1 = TestFunction((part.segment(0),))
         ylat = boxes[0].lattice(9)
-        vals = eval_field(phase, lam, f1, ylat)
+        stats = {}
+        vals = eval_field(phase, lam, f1, ylat, stats=stats)
         ival = part.intervals[0][1] - part.intervals[0][0]
         min_ratio = float(np.min(np.abs(vals))) / ival
-        panels = _segment_panel_count(phase, lam, f1.segments[0], ylat)
 
         for q in qs:
             records.append(KdimRecord(
                 lam=lam, q=float(q), ell=part.ell, box_volume=vol,
                 sum_volumes=total, closed_form_slope=slopes[float(q)],
                 min_field_ratio=min_ratio, field_ok=int(min_ratio >= 0.4),
-                resolution=ylat.shape[0], panels=panels))
+                resolution=ylat.shape[0], panels=stats["panels"]))
 
     header = [
         f"kdim_experiment d={d} k={k} extent={_fmt(extent)} c={_fmt(c)}",

@@ -70,7 +70,6 @@ _CIS_HEAD = 15              # bits per head part of _cis's split of 2 pi / N
 _CIS_RANGE = 1e9            # |theta| below which every k * head is exact
 _QUADRATIC_MIN = 1.0        # |A| (b - a)^2 from which a degree-2 phase takes
                             # the closed form
-_RATE_BLOCK = 1 << 16       # points per block of _phase_rate_bound's scratch
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +103,8 @@ class Segment:
         if self.modulation is not None:
             x0, lam = self.modulation
             x0 = tuple(float(v) for v in np.atleast_1d(x0))
+            if not all(map(math.isfinite, (*x0, float(lam)))):
+                raise ValueError("modulation point and lambda must be finite")
             object.__setattr__(self, "modulation", (x0, float(lam)))
 
     @property
@@ -440,18 +441,12 @@ def _phase_rate_bound(phase: PhaseSpec, lam: float, seg: Segment,
     if mod is not None:
         x0, lam_mod = mod
         shift = lam_mod * (x0 @ bern)
-    # elementwise, so a point's bound does not depend on the points
-    # batched with it: the bound over all nodes is the widest chunk's.
+    vals = np.empty((basis.shape[0], bern.shape[1]))
+    vals[:] = -shift
+    for b, c in zip(basis.T, lam * bern):
+        vals += c * b[:, None]
     # np.max keeps a nan bound (from a nan point) that max() would drop
-    sups = []
-    for lo in range(0, basis.shape[0], _RATE_BLOCK):
-        block = basis[lo:lo + _RATE_BLOCK]
-        vals = np.empty((block.shape[0], bern.shape[1]))
-        vals[:] = -shift
-        for b, c in zip(block.T, lam * bern):
-            vals += c * b[:, None]
-        sups.append(np.max(np.abs(vals, out=vals)))
-    return float(np.max(sups, initial=0.0))
+    return float(np.max(np.abs(vals, out=vals), initial=0.0))
 
 
 def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
@@ -520,22 +515,20 @@ def _difference_maps(start: float, h: float, n_panels: int,
     return out.reshape(k0s.size, deg * PANEL_ORDER, width)
 
 
-def _panel_sums(phase: PhaseSpec, lam: float, seg: Segment,
-                ypts: np.ndarray, coef: np.ndarray, maps: dict,
+def _panel_sums(seg: Segment, coef: np.ndarray, n_panels: int, maps: dict,
                 anchors: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """The segment's integral at each point of ypts by the panel rule.
+    """The segment's integral on n_panels panels, per row of coef.
 
     coef holds the t-coefficients of each point's total phase.  The points
-    share one panel layout, sized from their phase-derivative bound, and
-    exp(i Phi) follows the forward-difference recurrence of the module
-    docstring, re-anchored every _anchor_spacing(D) panels.  maps caches
-    the difference maps per layout; anchors and work are scratch for at
-    least PANEL_ORDER * len(ypts) values per difference.
+    share the one layout, and exp(i Phi) follows the forward-difference
+    recurrence of the module docstring, re-anchored every
+    _anchor_spacing(D) panels.  maps caches the difference maps per
+    layout; anchors and work are scratch for at least PANEL_ORDER *
+    len(coef) values per difference.
     """
     m, width = coef.shape
     deg = width - 1
     spacing = _anchor_spacing(deg)
-    n_panels = _segment_panel_count(phase, lam, seg, ypts)
     h = seg.length / n_panels
     cols = PANEL_ORDER * m
     # E_0 .. E_(D-1) of one anchor; E_D is one libm exp per point
@@ -559,14 +552,16 @@ def _panel_sums(phase: PhaseSpec, lam: float, seg: Segment,
 
 
 def eval_field(curve_or_phase, lam: float, f: TestFunction,
-               ypts: np.ndarray) -> np.ndarray:
+               ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
     """Evaluate the operator at chart points, shape (n,) complex.
 
     Work is chunked over points.  For a curve of degree 2, a point whose
     quadratic coefficient A has |A| (b - a)^2 >= 1 on a segment [a, b]
     takes the closed form of the module docstring; every other point
     takes the panel rule, whose layout the chunk's panel-rule points
-    share per segment.
+    share per segment.  If stats is a dict, stats["panels"] is set to the
+    panels the panel rule used: per segment the widest chunk's layout
+    (0 where every point took the closed form), summed over segments.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
@@ -579,6 +574,7 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
     rows = phase.curve._float_rows(0)
     deg = rows.shape[1] - 1
     maps = {}       # difference maps per segment layout, shared by chunks
+    panels = [0] * len(f.segments)      # widest layout per segment
     # _panel_sums's scratch, sized for the widest chunk
     size = PANEL_ORDER * min(n, _Y_CHUNK)
     anchors = np.empty(deg * size, dtype=complex)
@@ -588,35 +584,38 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
         chunk = ypts[lo:hi]
         scaled = lam * phase.embed(chunk)
         acc = np.zeros(hi - lo, dtype=complex)
-        for seg in f.segments:
+        for i, seg in enumerate(f.segments):
             if seg.length == 0.0:
                 continue
             mod = _modulation_point(phase, seg)
             x = scaled if mod is None else scaled - mod[1] * mod[0]
             coef = x @ rows                      # (m, D + 1) in t
-            if deg != 2:
-                acc += seg.coefficient * _panel_sums(
-                    phase, lam, seg, chunk, coef, maps, anchors, work)
-                continue
-            closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
-            acc[closed] += seg.coefficient * _quadratic_sums(
-                coef[closed], seg.start, seg.end)
-            rest = ~closed
-            if rest.any():
-                acc[rest] += seg.coefficient * _panel_sums(
-                    phase, lam, seg, chunk[rest], coef[rest], maps, anchors,
-                    work)
+            rest = slice(None)                  # the points on the panel rule
+            if deg == 2:
+                closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
+                acc[closed] += seg.coefficient * _quadratic_sums(
+                    coef[closed], seg.start, seg.end)
+                rest = ~closed
+                if not rest.any():
+                    continue
+            n_panels = _segment_panel_count(phase, lam, seg, chunk[rest])
+            panels[i] = max(panels[i], n_panels)
+            acc[rest] += seg.coefficient * _panel_sums(
+                seg, coef[rest], n_panels, maps, anchors, work)
         out[lo:hi] = acc
+    if stats is not None:
+        stats["panels"] = sum(panels)
     return out
 
 
 def field(curve_or_phase, lam: float, f: TestFunction,
-          mu: QuadMeasure) -> np.ndarray:
+          mu: QuadMeasure, *, stats: dict | None = None) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
     Sphere measures are held to the frequency spacing rule (see
     sphere_spacing_rule); a violation warns.  Other measures are not
-    checked.
+    checked.  stats is eval_field's: stats["panels"] is set to the panels
+    the panel rule used.
     """
     from .measures import sphere_spacing_rule
 
@@ -627,7 +626,7 @@ def field(curve_or_phase, lam: float, f: TestFunction,
             warnings.warn(f"measure spacing {mu.max_spacing:.3e} exceeds the "
                           f"lambda rule {rule:.3e} at lambda={lam:g}",
                           stacklevel=2)
-    return eval_field(phase, lam, f, mu.nodes)
+    return eval_field(phase, lam, f, mu.nodes, stats=stats)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,15 @@ thread and prints a line ``<sha256[:12]> <exit code> <command>``
 the lines of the golden outputs; the script exits 1 and lists the lines
 that differ when any hash or exit code moves, and 0 otherwise.  A change
 that moves an output edits its line here and explains the move.
+``--save DIR`` also writes each command's stdout to ``DIR/NN.out``
+(``NN`` its line number here), so a moved output can be ``diff``ed
+against the same files written from another checkout.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -59,14 +63,14 @@ qs = 3, 4, 6
 }
 
 EXPECTED = """\
-13cd7864180c 0 sweep --config CFG/bump-d2.ini
-bdc201ac9e4e 0 sweep --config CFG/random-d2.ini
+98c97f122545 0 sweep --config CFG/bump-d2.ini
+fdcb76c5b12c 0 sweep --config CFG/random-d2.ini
 138037963c34 0 sweep --config CFG/bump-d3.ini
-13cd7864180c 0 sweep --config perfbench/bump-d2.ini
-0a13f639cfb3 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
+98c97f122545 0 sweep --config perfbench/bump-d2.ini
+9bbec8ec86ba 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
 46de1f335ea7 0 knapp --d 3 --lams 16,32,64 --qs 7
-3a19c00b3bf7 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
-858b32249051 0 random-lower
+63dcec493975 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
+31efebfdcd13 0 random-lower
 5d5771ba9b5e 0 phase-diagram --grid-n 6
 53b4574de8a8 0 phase-diagram --grid-n 4 --family random
 6dcd55bd7dfc 0 phase-diagram
@@ -74,11 +78,17 @@ bdc201ac9e4e 0 sweep --config CFG/random-d2.ini
 2913315a818e 0 hyperplane --d 4 --normal 1,2,3,4
 7ad001a4ced0 0 audit-measure --d 3 --resolution 64 --seed 1
 ef74786dc79b 0 audit-measure --kind singular --d 2
-a08fbcc6da5b 0 sweep --config CFG/bump-d2-large.ini
+4440c0ac98fc 0 sweep --config CFG/bump-d2-large.ini
 """.splitlines()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--save", metavar="DIR",
+                        help="write each command's stdout to DIR/NN.out")
+    save = parser.parse_args(argv).save
+    if save:
+        os.makedirs(save, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
@@ -86,11 +96,13 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as cfg:
         for name, text in CONFIGS.items():
             Path(cfg, name).write_text(text)
-        for want in EXPECTED:
+        for i, want in enumerate(EXPECTED, 1):
             cmd = want.split(" ", 2)[2]
             run = subprocess.run(
                 [sys.executable, "-m", "rlab", *cmd.replace("CFG", cfg).split()],
                 cwd=ROOT, env=env, capture_output=True)
+            if save:
+                Path(save, f"{i:02d}.out").write_bytes(run.stdout)
             digest = hashlib.sha256(run.stdout).hexdigest()[:12]
             got = f"{digest} {run.returncode} {cmd}"
             print(got, flush=True)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rlab.measures
+import rlab.oscillatory as osc
 from brute_force import audit_reference
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
@@ -47,7 +48,6 @@ from rlab.measures import (
     submanifold_builder,
 )
 from rlab.oscillatory import (
-    _Y_CHUNK,
     _segment_panel_count,
     extension_phase,
     graph_phase,
@@ -112,6 +112,13 @@ def test_default_bump_point():
         x0 = default_bump_point(d)
         assert x0.shape == (d,)
         assert abs(np.linalg.norm(x0) - 1.0) < 1e-12
+
+
+def test_bump_point_must_be_a_unit_vector():
+    BumpFamily(x0=(0.877583, -0.479426))     # default_bump_point(2), 6 places
+    for x0 in ((3.0, 0.0), (math.inf, 0.0), (1.0, 0.01), ()):
+        with pytest.raises(ConfigError, match="must be a unit vector"):
+            BumpFamily(x0=x0)
 
 
 def test_decay_sweep_records_and_determinism():
@@ -243,22 +250,57 @@ def test_sweep_fits_refuse_unloggable_values(family, column, bad):
         _sweep_fits(config, records)
 
 
+def _sample(d, family, lam):
+    curve = moment_curve(d)
+    config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
+    f = _build_input(config, lam, graph_phase(curve, sphere_cap_graph(d)))
+    return f, _evaluate(curve, lam, [f])
+
+
 @pytest.mark.parametrize("family", [BumpFamily(), RandomFamily(delta=1.0)],
                          ids=["bump", "random"])
-def test_panels_column_is_the_widest_chunk_layout(family):
-    """At lambda = 256 the bump's widest chunk is not its first one."""
-    curve = moment_curve(2)
-    lam = 256.0
-    config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
-    f = _build_input(config, lam, graph_phase(curve, sphere_cap_graph(2)))
-    sample = _evaluate(curve, lam, [f])
-    nodes = sample.mu.nodes
-    assert nodes.shape[0] > 2 * _Y_CHUNK
-    ext = extension_phase(curve)
-    per_chunk = [max(_segment_panel_count(ext, lam, seg, nodes[lo:lo + _Y_CHUNK])
-                     for lo in range(0, nodes.shape[0], _Y_CHUNK))
-                 for seg in f.segments]
-    assert sample.panels == sum(per_chunk)
+def test_panels_column_is_the_kernels_widest_layout(family, monkeypatch):
+    """Per segment, the widest layout eval_field's panel rule used."""
+    used = {}
+    count = osc._segment_panel_count
+
+    def spy(phase, lam, seg, ypts):
+        n = count(phase, lam, seg, ypts)
+        used[seg] = max(used.get(seg, 0), n)
+        return n
+
+    monkeypatch.setattr(osc, "_segment_panel_count", spy)
+    f, sample = _sample(2, family, 256.0)
+    assert sample.mu.size > 2 * osc._Y_CHUNK
+    assert used and set(used) <= set(f.segments)
+    assert sample.panels == sum(used.values())
+
+
+def _all_node_count(sample):
+    """The panel count the harness once took over every sphere node."""
+    ext = extension_phase(moment_curve(sample.mu.dim))
+    return sum(_segment_panel_count(ext, sample.lam, seg, sample.mu.nodes)
+               for f in sample.inputs for seg in f.segments if seg.length > 0)
+
+
+@pytest.mark.parametrize("d, family, lam", [
+    (3, BumpFamily(), 16.0),
+    (2, BumpFamily(), 256.0),
+    (2, RandomFamily(delta=1.0), 256.0),
+], ids=["d3-bump", "d2-bump", "d2-random"])
+def test_panels_column_equals_the_all_node_count(d, family, lam, monkeypatch):
+    """With every node on the panel rule the column is the layout sized
+    for all nodes at once, since the bound is elementwise."""
+    monkeypatch.setattr(osc, "_QUADRATIC_MIN", math.inf)
+    _, sample = _sample(d, family, lam)
+    assert sample.panels == _all_node_count(sample) > 0
+
+
+def test_panels_column_is_zero_when_every_node_takes_the_closed_form(
+        monkeypatch):
+    monkeypatch.setattr(osc, "_QUADRATIC_MIN", 1e-300)
+    _, sample = _sample(2, BumpFamily(), 256.0)
+    assert sample.panels == 0 < _all_node_count(sample)
 
 
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):
@@ -481,6 +523,9 @@ def test_cli_error_codes():
     ["knapp", "--rho", "nan"],
     ["sweep", "--config", "random-delta-1e400.ini"],
     ["sweep", "--config", "bump-eps0-0.ini"],
+    ["sweep", "--config", "bump-x0-inf.ini"],
+    ["sweep", "--config", "bump-x0-off-sphere.ini"],
+    ["sweep", "--config", "random-n-samples.ini"],
     ["phase-diagram", "--family", "knapp", "--seed", "3"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
@@ -492,16 +537,20 @@ def test_cli_error_codes():
         "random-delta-nan", "random-delta-zero", "random-delta-negative",
         "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
         "knapp-rho-nan", "sweep-random-delta-overflow",
-        "sweep-bump-eps0-zero", "phase-diagram-knapp-seed"])
+        "sweep-bump-eps0-zero", "sweep-bump-x0-inf",
+        "sweep-bump-x0-off-sphere", "sweep-random-n-samples",
+        "phase-diagram-knapp-seed"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "random-delta-1e400.ini").write_text(
-        "[curve]\nkind = moment(2)\n\n[family]\nkind = random\n"
-        "delta = 1e400\n\n[sweep]\nlams = 256\nqs = 3\n")
-    (tmp_path / "bump-eps0-0.ini").write_text(
-        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n"
-        "eps0 = 0\n\n[sweep]\nlams = 256\nqs = 3\n")
+    for name, family in (("random-delta-1e400", "random\ndelta = 1e400"),
+                         ("bump-eps0-0", "bump\neps0 = 0"),
+                         ("bump-x0-inf", "bump\nx0 = inf, 0"),
+                         ("bump-x0-off-sphere", "bump\nx0 = 3, 0"),
+                         ("random-n-samples", "random\nn_samples = 5")):
+        (tmp_path / f"{name}.ini").write_text(
+            f"[curve]\nkind = moment(2)\n\n[family]\nkind = {family}\n\n"
+            "[sweep]\nlams = 256\nqs = 3\n")
     _forbid_fields(monkeypatch)
     code, _, err = _capture(argv)
     assert code == 2

@@ -324,9 +324,7 @@ def _column_loop_rate_bound(phase, lam, seg, ypts):
     return float(np.max(sups, initial=0.0))
 
 
-@pytest.mark.parametrize("block", [osc._RATE_BLOCK, 7])
-def test_phase_rate_bound_equals_the_column_loop(block, monkeypatch):
-    monkeypatch.setattr(osc, "_RATE_BLOCK", block)
+def test_phase_rate_bound_equals_the_column_loop():
     lam, lam_mod = 37.0, 53.0
     for phase, ypts in [*_CURVE_PHASES,
                         (extension_phase(MC2), _RNG.normal(size=(40, 2))),
@@ -790,6 +788,14 @@ def test_an_infinite_point_is_refused(curve, bad):
         ypts[1, col] = bad
         with pytest.raises(ValueError, match="not finite"):
             eval_field(curve, 50.0, f, ypts)
+
+
+@pytest.mark.parametrize("x0, lam", [
+    ((math.inf, 0.0), 50.0), ((0.0, math.nan), 50.0), ((1.0, 0.0), math.inf)],
+    ids=["x0-inf", "x0-nan", "lam-inf"])
+def test_a_modulation_that_is_not_finite_is_refused(x0, lam):
+    with pytest.raises(ValueError, match="modulation point and lambda"):
+        Segment(0.0, 1.0, modulation=(x0, lam))
 
 
 def test_a_nan_point_is_refused_not_evaluated():
