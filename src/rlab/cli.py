@@ -133,6 +133,18 @@ def _emit(res, out) -> None:
         sys.stdout.write(res.csv_text)
 
 
+def _print_sweep(res) -> None:
+    """The sweep's CSV, then one '# fit' line per (p, q)."""
+    _emit(res, res.config.out)
+    for (p, q), fit in sorted(res.fits.items()):
+        line = (f"# fit p={p} q={q}: norm_slope={fit['norm_slope']:+.5f} "
+                f"ratio_slope={fit['ratio_slope']:+.5f} "
+                f"resid_rms={fit['resid_rms']:.5f}")
+        if "witness_slope" in fit:
+            line += f" witness_slope={fit['witness_slope']:+.5f}"
+        print(line)
+
+
 def _run(args) -> int:
     if args.command == "exponents":
         tab = exponent_table(args.d)
@@ -156,12 +168,7 @@ def _run(args) -> int:
     if args.command == "sweep":
         config = sweep_config_from_file(
             args.config, {"seed": args.seed, "out": args.out})
-        res = decay_sweep(config)
-        _emit(res, config.out)
-        for (p, q), fit in sorted(res.fits.items()):
-            print(f"# fit p={p} q={q}: norm_slope={fit['norm_slope']:+.5f} "
-                  f"ratio_slope={fit['ratio_slope']:+.5f} "
-                  f"resid_rms={fit['resid_rms']:.5f}")
+        _print_sweep(decay_sweep(config))
         return 0
 
     if args.command == "knapp":
@@ -170,14 +177,7 @@ def _run(args) -> int:
                              lams=parse_floats(args.lams),
                              qs=parse_floats(args.qs),
                              ps=parse_floats(args.ps), out=args.out)
-        res = decay_sweep(config)
-        _emit(res, config.out)
-        for (p, q), fit in sorted(res.fits.items()):
-            line = (f"# fit p={p} q={q}: "
-                    f"ratio_slope={fit['ratio_slope']:+.5f}")
-            if "witness_slope" in fit:
-                line += f" witness_slope={fit['witness_slope']:+.5f}"
-            print(line)
+        _print_sweep(decay_sweep(config))
         return 0
 
     if args.command == "random-lower":

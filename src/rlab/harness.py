@@ -136,6 +136,8 @@ class SweepConfig:
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "ps", ps)
+        # an unallocatable sphere grid is refused before any field
+        sphere_resolution_for(self.curve.dim, max(lams))
 
 
 def _csv_record(cls):
@@ -235,44 +237,60 @@ def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
 
 
 def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
-    """Least-squares slope and residual RMS of a log-log cloud."""
+    """Least-squares slope and residual RMS of a log-log cloud.
+
+    logy may stack one cloud per column, shape (n, m); slope and RMS are
+    then length-m arrays.  A 1-D logy gives two floats.
+    """
     if logx.size < 2:
         raise ComputationError("slope fit needs at least two lambda values")
-    a = np.vstack([logx, np.ones_like(logx)]).T
-    coef, *_ = np.linalg.lstsq(a, logy, rcond=None)
-    resid = logy - a @ coef
-    return float(coef[0]), float(np.sqrt(np.mean(resid ** 2)))
+    y = logy.reshape(logx.size, -1)
+    dx = (logx - logx.mean())[:, None]
+    dy = y - y.mean(axis=0)
+    # elementwise sums, not a BLAS product, so no thread count moves a bit
+    slope = np.sum(dx * dy, axis=0) / np.sum(dx * dx)
+    rms = np.sqrt(np.mean((dy - dx * slope) ** 2, axis=0))
+    if logy.ndim == 1:
+        return float(slope[0]), float(rms[0])
+    return slope, rms
 
 
-def _log_column(records: list, name: str) -> np.ndarray:
-    """log of one record column across lambda; a zero, negative or
-    non-finite value has no log and fails naming its lambda."""
-    for r in records:
-        v = getattr(r, name)
-        if not (0.0 < v < math.inf):
-            raise ComputationError(
-                f"{name} = {v!r} at lambda={_fmt(r.lam)} (p={_fmt(r.p)}, "
-                f"q={_fmt(r.q)}) has no log; no slope can be fitted")
-    return np.log(np.array([getattr(r, name) for r in records]))
+def _log_column(cells: list, name: str) -> np.ndarray:
+    """log of one record column as an (n_lambda, cells) array, from each
+    cell's records in lambda order; a zero, negative or non-finite value
+    has no log and fails naming its lambda."""
+    vals = np.array([[getattr(r, name) for r in cell] for cell in cells])
+    bad = np.argwhere(~((vals > 0.0) & (vals < math.inf)))
+    if bad.size:
+        r = cells[bad[0, 0]][bad[0, 1]]
+        raise ComputationError(
+            f"{name} = {getattr(r, name)!r} at lambda={_fmt(r.lam)} "
+            f"(p={_fmt(r.p)}, q={_fmt(r.q)}) has no log; no slope can be "
+            "fitted")
+    return np.log(vals).T
 
 
 def _sweep_fits(config: SweepConfig, records: list) -> dict:
-    """Per-(p, q) log-log slopes of the sweep records across lambda."""
-    fits = {}
+    """Per-(p, q) log-log slopes of the sweep records across lambda; each
+    column is fitted for every (p, q) cell in one ols_fit call."""
+    cells = {}
+    for r in records:
+        cells.setdefault((r.p, r.q), []).append(r)
     logl = np.log(np.array(sorted(config.lams)))
-    for q in config.qs:
-        for p in config.ps:
-            sel = [r for r in records if r.q == q and r.p == p]
-            slope_n, rms = ols_fit(logl, _log_column(sel, "field_norm"))
-            slope_r, _ = ols_fit(logl, _log_column(sel, "ratio"))
-            fits[(p, q)] = {"norm_slope": slope_n, "ratio_slope": slope_r,
-                            "resid_rms": rms}
-            if (isinstance(config.family, KnappFamily)
-                    and all(r.witness_norm > 0 for r in sel)):
-                slope_w, rms_w = ols_fit(logl,
-                                         _log_column(sel, "witness_ratio"))
-                fits[(p, q)]["witness_slope"] = slope_w
-                fits[(p, q)]["witness_rms"] = rms_w
+    rows = list(cells.values())
+    slope_n, rms = ols_fit(logl, _log_column(rows, "field_norm"))
+    slope_r, _ = ols_fit(logl, _log_column(rows, "ratio"))
+    fits = {key: {"norm_slope": n, "ratio_slope": r, "resid_rms": e}
+            for key, n, r, e in zip(cells, slope_n.tolist(),
+                                    slope_r.tolist(), rms.tolist())}
+    # only Knapp records carry a witness norm, and only at finite q
+    wit = [key for key, cell in cells.items()
+           if all(r.witness_norm > 0 for r in cell)]
+    if wit:
+        slope_w, rms_w = ols_fit(logl, _log_column([cells[k] for k in wit],
+                                                   "witness_ratio"))
+        for key, s, e in zip(wit, slope_w.tolist(), rms_w.tolist()):
+            fits[key].update(witness_slope=s, witness_rms=e)
     return fits
 
 
@@ -476,13 +494,13 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
                   out=None, seed: int = 0) -> PhaseDiagramResult:
     """Measured two-lambda excess slopes over the (1/p, 1/q) square.
 
-    One field per lambda serves the whole grid: only the normalization
-    lambda^{-(d-1)/q} ||f||_p changes from cell to cell.  Sign agreement
-    is scored against the region classification outside the band
-    |predicted excess| <= PHASE_BAND around its zero set.  lam_pair
-    defaults to (64, 1024) for the Knapp family and (256, 1024) for the
-    random one, whose default delta = 1/4 needs lambda >= delta^(-2d)
-    (256 at d = 2).
+    One decay sweep over the grid's exponents (infinity at 1/p = 0 and
+    1/q = 0) gives every cell: its measured excess is the sweep's
+    ratio_slope at that (p, q).  Sign agreement is scored against the
+    region classification outside the band |predicted excess| <=
+    PHASE_BAND around its zero set.  lam_pair defaults to (64, 1024) for
+    the Knapp family and (256, 1024) for the random one, whose default
+    delta = 1/4 needs lambda >= delta^(-2d) (256 at d = 2).
     """
     if family is None:
         family = KnappFamily()
@@ -496,35 +514,22 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     if grid_n < 2:
         raise ConfigError("grid_n >= 2 required")
 
-    curve = moment_curve(d)
-    region = sphere_region(d)
-    config = SweepConfig(curve=curve, family=family,
-                         lams=tuple(sorted(lam_pair)), qs=(2.0,),
-                         ps=(2.0,), seed=seed)
-    phase = graph_phase(curve, sphere_cap_graph(d))
-
-    samples = [_evaluate(curve, lam, [_build_input(config, lam, phase)])
-               for lam in config.lams]
+    fractions = [Fraction(j, grid_n - 1) for j in range(grid_n)]
+    exps = [math.inf if v == 0 else float(1 / v) for v in fractions]
+    config = SweepConfig(curve=moment_curve(d), family=family,
+                         lams=tuple(sorted(lam_pair)), qs=exps, ps=exps,
+                         seed=seed)
+    fits = decay_sweep(config).fits
     lam0, lam1 = config.lams
-    dlog = math.log(lam1) - math.log(lam0)
+    region = sphere_region(d)
 
     cells = []
     n_match = 0
     n_off = 0
-    fractions = [Fraction(j, grid_n - 1) for j in range(grid_n)]
-    for inv_p in fractions:
-        for inv_q in fractions:
+    for inv_p, p in zip(fractions, exps):
+        for inv_q, q in zip(fractions, exps):
             pt = ExponentPoint(inv_p, inv_q)
-            q = float("inf") if inv_q == 0 else float(1 / inv_q)
-            p = float("inf") if inv_p == 0 else float(1 / inv_p)
-            s = (d - 1) * float(inv_q)
-            ratios = [lq_norm(sm.fields[0], sm.mu, q)
-                      / (sm.lam ** -s * lp_norm(sm.inputs[0], p))
-                      for sm in samples]
-            if not all(0 < r < math.inf for r in ratios):
-                raise ComputationError(
-                    f"ratio {ratios} at 1/p={inv_p}, 1/q={inv_q} has no log")
-            measured = (math.log(ratios[1]) - math.log(ratios[0])) / dlog
+            measured = fits[(p, q)]["ratio_slope"]
             predicted = float(predicted_excess(pt, family.name, d))
             cls = region.classify(pt)
             off_band = abs(predicted) > PHASE_BAND

@@ -33,6 +33,7 @@ from .errors import (
 from .exponents import _frac
 
 _GL_CACHE: dict = {}
+SPHERE_NODE_BUDGET = 2 ** 25    # largest sphere grid sphere_resolution_for gives
 
 
 def gauss_legendre(n: int):
@@ -108,7 +109,7 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         weights = np.full(n, 2.0 * np.pi / n)
         return QuadMeasure(
             2, nodes, weights, alpha=1.0, provenance="sphere",
-            max_spacing=2.0 * np.pi / n,
+            max_spacing=_sphere_spacing(2, n),
         )
     if d == 3:
         n_u = resolution or 64
@@ -125,9 +126,16 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         weights = np.repeat(wu, n_az) * (2.0 * np.pi / n_az)
         return QuadMeasure(
             3, nodes, weights, alpha=2.0, provenance="sphere",
-            max_spacing=max(np.pi / n_u, 2.0 * np.pi / n_az),
+            max_spacing=_sphere_spacing(3, n_u),
         )
     raise ValueError("sphere_measure supports d in {2, 3}")
+
+
+def _sphere_spacing(d: int, resolution: int) -> float:
+    """Largest node spacing of sphere_measure(d, resolution): the arc
+    2 pi/n at d=2, the polar step pi/n_u (equal to the azimuthal one) at
+    d=3."""
+    return (2.0 if d == 2 else 1.0) * np.pi / resolution
 
 
 def sphere_resolution_for(d: int, lam: float) -> int:
@@ -135,22 +143,19 @@ def sphere_resolution_for(d: int, lam: float) -> int:
 
     The field T_lambda f varies on x-scale 1/lambda, so the sphere grid
     must satisfy arc spacing <= 2 pi/(10 lambda) for d=2 and angular
-    spacing <= 1/(8 lambda) for d=3.
+    spacing <= 1/(8 lambda) for d=3.  A grid of more than
+    SPHERE_NODE_BUDGET nodes is refused with ValueError: d=3 admits every
+    lambda <= 128, d=2 every lambda <= 2^21.
     """
-    if d == 2:
-        return max(8, int(math.ceil(10.0 * lam)))
-    if d == 3:
-        return max(8, int(math.ceil(8.0 * np.pi * lam)))
-    raise ValueError("d in {2, 3}")
-
-
-def sphere_spacing_rule(d: int, lam: float) -> float:
-    """Largest admissible node spacing on S^{d-1} at frequency lambda."""
-    if d == 2:
-        return 2.0 * np.pi / (10.0 * lam)
-    if d == 3:
-        return 1.0 / (8.0 * lam)
-    raise ValueError("d in {2, 3}")
+    if d not in (2, 3):
+        raise ValueError("d in {2, 3}")
+    n = max(8, int(math.ceil((10.0 if d == 2 else 8.0 * np.pi) * lam)))
+    nodes = n if d == 2 else 2 * n * n
+    if nodes > SPHERE_NODE_BUDGET:
+        raise ValueError(
+            f"the d={d} sphere grid at lambda={lam:g} needs {nodes:,} nodes, "
+            f"more than the budget of {SPHERE_NODE_BUDGET:,}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,12 @@ import numpy as np
 
 from .curves import Curve
 from .errors import DataError
-from .measures import QuadMeasure, gauss_legendre
+from .measures import (
+    QuadMeasure,
+    _sphere_spacing,
+    gauss_legendre,
+    sphere_resolution_for,
+)
 
 PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
@@ -612,16 +617,14 @@ def field(curve_or_phase, lam: float, f: TestFunction,
           mu: QuadMeasure, *, stats: dict | None = None) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
-    Sphere measures are held to the frequency spacing rule (see
-    sphere_spacing_rule); a violation warns.  Other measures are not
-    checked.  stats is eval_field's: stats["panels"] is set to the panels
-    the panel rule used.
+    A sphere measure coarser than the grid sphere_resolution_for(d, lam)
+    gives warns.  Other measures are not checked.  stats is eval_field's:
+    stats["panels"] is set to the panels the panel rule used.
     """
-    from .measures import sphere_spacing_rule
-
     phase = _as_phase(curve_or_phase)
     if mu.provenance == "sphere":
-        rule = sphere_spacing_rule(mu.dim, max(lam, 1.0))
+        rule = _sphere_spacing(mu.dim,
+                               sphere_resolution_for(mu.dim, max(lam, 1.0)))
         if mu.max_spacing > rule * (1 + 1e-9):
             warnings.warn(f"measure spacing {mu.max_spacing:.3e} exceeds the "
                           f"lambda rule {rule:.3e} at lambda={lam:g}",

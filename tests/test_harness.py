@@ -84,6 +84,10 @@ def test_sweep_config_validation():
                            "qs": (3.0,), **bad})
     cfg = SweepConfig(curve=mc, family=fam, lams=(64.0, 16.0), qs=(3.0,))
     assert cfg.ps == (math.inf,)
+    # the d=3 grid at lambda=1024 has 1.3e9 nodes: refused before any field
+    with pytest.raises(ValueError, match="budget"):
+        SweepConfig(curve=moment_curve(3), family=KnappFamily(),
+                    lams=(64.0, 1024.0), qs=(3.0,))
 
 
 def test_ols_fit():
@@ -92,6 +96,24 @@ def test_ols_fit():
     assert abs(slope + 0.5) < 1e-14 and rms < 1e-14
     with pytest.raises(ComputationError):
         ols_fit(x[:1], x[:1])
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_ols_fit_on_stacked_columns_matches_lstsq(n):
+    rng = np.random.default_rng(n)
+    x = np.log(16.0 * 2.0 ** np.arange(n))
+    y = rng.normal(size=(n, 5)) + np.outer(x, rng.normal(size=5))
+    slope, rms = ols_fit(x, y)
+    a = np.vstack([x, np.ones_like(x)]).T
+    for j in range(y.shape[1]):
+        coef, *_ = np.linalg.lstsq(a, y[:, j], rcond=None)
+        want = np.sqrt(np.mean((y[:, j] - a @ coef) ** 2))
+        assert abs(slope[j] - coef[0]) <= 1e-13
+        assert abs(rms[j] - want) <= 1e-13
+        one = ols_fit(x, y[:, j])
+        assert type(one[0]) is float and type(one[1]) is float
+        assert abs(one[0] - coef[0]) <= 1e-13
+        assert abs(one[1] - want) <= 1e-13
 
 
 def test_write_csv(tmp_path):
@@ -226,6 +248,23 @@ def test_phase_diagram_random_family():
     assert any(v != round(v, 10) for v in slopes)
     with pytest.raises(ValueError):     # lambda^(-1/4) > delta at 64
         phase_diagram(2, 3, family=RandomFamily(), lam_pair=(64.0, 1024.0))
+
+
+@pytest.mark.parametrize("family, grid_n, lam_pair", [
+    (KnappFamily(), 5, (16.0, 64.0)),
+    (RandomFamily(), 3, (256.0, 1024.0)),
+], ids=["knapp", "random"])
+def test_phase_diagram_cells_are_the_sweeps_ratio_slopes(family, grid_n,
+                                                          lam_pair):
+    res = phase_diagram(2, grid_n, family=family, lam_pair=lam_pair)
+    exps = [math.inf if j == 0 else (grid_n - 1) / j for j in range(grid_n)]
+    fits = decay_sweep(SweepConfig(
+        curve=moment_curve(2), family=family, lams=lam_pair, qs=exps,
+        ps=exps)).fits
+    for cell in res.cells:
+        p, q = (math.inf if v == 0 else 1 / v
+                for v in (cell["inv_p"], cell["inv_q"]))
+        assert cell["measured_excess"] == fits[(p, q)]["ratio_slope"]
 
 
 def test_phase_diagram_unloggable_ratio(monkeypatch):
@@ -450,7 +489,8 @@ def test_public_api_lists_every_imported_name():
 
 
 def _forbid_fields(monkeypatch):
-    """Make every field evaluation and calibration fail the test."""
+    """Make every sphere grid, field evaluation and calibration fail the
+    test."""
     def no_field(*args, **kwargs):
         raise AssertionError("field computed")
 
@@ -459,6 +499,7 @@ def _forbid_fields(monkeypatch):
 
     monkeypatch.setattr("rlab.harness.field", no_field)
     monkeypatch.setattr("rlab.harness.eval_field", no_field)
+    monkeypatch.setattr("rlab.harness.sphere_measure", no_field)
     monkeypatch.setattr("rlab.harness.calibrate_c", no_calibration)
 
 
@@ -526,7 +567,13 @@ def test_cli_error_codes():
     ["sweep", "--config", "bump-x0-inf.ini"],
     ["sweep", "--config", "bump-x0-off-sphere.ini"],
     ["sweep", "--config", "random-n-samples.ini"],
+    ["sweep", "--config", "family-typo.ini"],
+    ["sweep", "--config", "foreign-family-key.ini"],
+    ["sweep", "--config", "sweep-typo.ini"],
+    ["sweep", "--config", "unknown-section.ini"],
     ["phase-diagram", "--family", "knapp", "--seed", "3"],
+    ["phase-diagram", "--d", "3"],
+    ["knapp", "--d", "3"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -539,18 +586,25 @@ def test_cli_error_codes():
         "knapp-rho-nan", "sweep-random-delta-overflow",
         "sweep-bump-eps0-zero", "sweep-bump-x0-inf",
         "sweep-bump-x0-off-sphere", "sweep-random-n-samples",
-        "phase-diagram-knapp-seed"])
+        "sweep-family-typo", "sweep-foreign-family-key", "sweep-sweep-typo",
+        "sweep-unknown-section", "phase-diagram-knapp-seed",
+        "phase-diagram-d3-grid-over-budget", "knapp-d3-grid-over-budget"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
-    for name, family in (("random-delta-1e400", "random\ndelta = 1e400"),
-                         ("bump-eps0-0", "bump\neps0 = 0"),
-                         ("bump-x0-inf", "bump\nx0 = inf, 0"),
-                         ("bump-x0-off-sphere", "bump\nx0 = 3, 0"),
-                         ("random-n-samples", "random\nn_samples = 5")):
+    for name, family, extra in (
+            ("random-delta-1e400", "random\ndelta = 1e400", ""),
+            ("bump-eps0-0", "bump\neps0 = 0", ""),
+            ("bump-x0-inf", "bump\nx0 = inf, 0", ""),
+            ("bump-x0-off-sphere", "bump\nx0 = 3, 0", ""),
+            ("random-n-samples", "random\nn_samples = 5", ""),
+            ("family-typo", "knapp\nrh0 = 0.1", ""),
+            ("foreign-family-key", "knapp\nx0 = 1, 0", ""),
+            ("sweep-typo", "knapp", "seeds = 7\n"),
+            ("unknown-section", "knapp", "\n[sweeep]\nseed = 7\n")):
         (tmp_path / f"{name}.ini").write_text(
             f"[curve]\nkind = moment(2)\n\n[family]\nkind = {family}\n\n"
-            "[sweep]\nlams = 256\nqs = 3\n")
+            f"[sweep]\nlams = 256\nqs = 3\n{extra}")
     _forbid_fields(monkeypatch)
     code, _, err = _capture(argv)
     assert code == 2

@@ -32,7 +32,6 @@ from rlab.measures import (
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
-    sphere_spacing_rule,
     submanifold_builder,
 )
 from rlab.oscillatory import graph_phase
@@ -69,9 +68,17 @@ def test_sphere_resolution_rule():
         for lam in lams:
             res = sphere_resolution_for(d, lam)
             mu = sphere_measure(d, res)
-            assert mu.max_spacing <= sphere_spacing_rule(d, lam) * (1 + 1e-9)
+            rule = 2 * math.pi / (10 * lam) if d == 2 else 1 / (8 * lam)
+            assert mu.max_spacing <= rule * (1 + 1e-9)
     with pytest.raises(ValueError):
         sphere_resolution_for(5, 16.0)
+    # the node budget: 2 n_u^2 = 20,698,178 nodes at d=3, lambda=128 and
+    # 82,792,712 at 256; n = 10 lambda nodes at d=2
+    assert sphere_resolution_for(3, 128.0) == 3217
+    assert sphere_resolution_for(2, 2.0 ** 21) == 10 * 2 ** 21
+    for d, lam in ((3, 256.0), (3, 1024.0), (2, 2.0 ** 22)):
+        with pytest.raises(ValueError, match="budget"):
+            sphere_resolution_for(d, lam)
     # a negative resolution is refused, not read as "use the default"
     for d in (2, 3):
         with pytest.raises(ValueError):
