@@ -68,20 +68,9 @@ class Parallelepiped:
         return float(np.prod(2.0 * self.half_widths)
                      / abs(np.linalg.det(self.transform)))
 
-    def contains(self, y: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        x = (y - self.center) @ self.transform
-        return np.all(np.abs(x) <= self.half_widths * (1.0 + 1e-12), axis=1)
-
     def _from_axis(self, x: np.ndarray) -> np.ndarray:
         """Map axis-box coordinates back to ambient points (rows)."""
         return self.center + np.linalg.solve(self.transform.T, x.T).T
-
-    def corners(self) -> np.ndarray:
-        m = self.dim
-        signs = np.array(np.meshgrid(*([[-1.0, 1.0]] * m),
-                                     indexing="ij")).reshape(m, -1).T
-        return self._from_axis(signs * self.half_widths)
 
     def _axis_lattice(self, n_per_axis: int = LATTICE_DEFAULT) -> np.ndarray:
         """Tensor lattice of the axis box, all corners included (rows)."""
@@ -258,14 +247,8 @@ def _largest_dyadic_c(admissible: Callable[[float], bool],
     raise CalibrationError(f"no admissible c above {C_FLOOR} {where}")
 
 
-def _default_interval(phase: PhaseSpec, t_k: float, lam: float) -> tuple:
-    """The interval of length lambda^{-1/(2d)} ending at the anchor."""
-    d = phase.curve.dim
-    return (max(t_k - lam ** (-1.0 / (2 * d)), 0.0), t_k)
-
-
 def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
-                interval: tuple | None = None) -> float:
+                interval: tuple) -> float:
     """Largest dyadic c with sampled sup |reduced phase| <= 1/lambda.
 
     Scans c = 8, 4, 2, 1, 1/2, ... and returns the first admissible
@@ -276,8 +259,6 @@ def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
     the full lattice.  The coarse points are full-lattice points, so the
     result is the one the full check alone gives.
     """
-    if interval is None:
-        interval = _default_interval(phase, t_k, lam)
     bound = 1.0 / lam
 
     def admissible(c: float) -> bool:
@@ -289,10 +270,8 @@ def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
 
 
 def box_phase_check(phase: PhaseSpec, t_k: float, lam: float, c: float,
-                    interval: tuple | None = None) -> float:
+                    interval: tuple) -> float:
     """Sampled sup of |reduced phase| on the box-interval product."""
-    if interval is None:
-        interval = _default_interval(phase, t_k, lam)
     return _box_phase_sup(*_box_samples(phase, t_k, lam, c, interval))
 
 

@@ -46,6 +46,8 @@ from .oscillatory import (
 
 DEFAULT_SIGN_SAMPLES = 64
 PHASE_BAND = 0.02           # phase_diagram scores |predicted| > this only
+_BOX_LATTICE = 9            # points per axis of the dual-box lattice; odd,
+                            # so the witness can take Simpson's rule on it
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +238,28 @@ def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
                    panels=sum(s["panels"] for s in stats))
 
 
+def _box_field(phase: PhaseSpec, lam: float, f: TestFunction, box) -> tuple:
+    """F on box.lattice(_BOX_LATTICE) and the panels the panel rule used;
+    perfbench's kdim capture reads eval_field's four positional args."""
+    stats = {}
+    vals = eval_field(phase, lam, f, box.lattice(_BOX_LATTICE), stats=stats)
+    return vals, stats["panels"]
+
+
+def _box_weights(phase: PhaseSpec, box) -> np.ndarray:
+    """Surface-measure weights of box.lattice(_BOX_LATTICE) on a graph
+    chart: the tensor composite-Simpson weight of each axis-box point over
+    |det M|, times the chart area element sqrt(1 + |grad phi|^2)."""
+    n = _BOX_LATTICE
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] / (3 * (n - 1))
+    w = np.ones(1)
+    for h in box.half_widths:        # axis step 2h/(n - 1)
+        w = np.multiply.outer(w, 2.0 * h * simpson).ravel()
+    jac = phase.patch.jacobian(box.lattice(n))[:, 0, :]
+    return (w * np.sqrt(1.0 + np.sum(jac * jac, axis=1))
+            / abs(np.linalg.det(box.transform)))
+
+
 def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
     """Least-squares slope and residual RMS of a log-log cloud.
 
@@ -299,7 +323,20 @@ class SweepResult:
     config: SweepConfig
     records: list
     fits: dict                   # (p, q) -> slopes; empty for one lambda
-    csv_text: str
+
+    def _write(self, out) -> str:
+        c = self.config
+        header = [f"decay_sweep d={c.curve.dim} family={c.family.name}",
+                  f"curve={c.curve.name}", f"family_params={c.family}",
+                  f"lams={list(map(_fmt, sorted(c.lams)))} seed={c.seed}",
+                  "ratio = field_norm / (lambda^-decay_exponent * input_norm)"]
+        return write_csv(out, header, SweepRecord.HEADER,
+                         [r.row() for r in self.records])
+
+    @property
+    def csv_text(self) -> str:
+        """The CSV, formatted when read (phase_diagram never reads it)."""
+        return self._write(None)
 
 
 def decay_sweep(config: SweepConfig) -> SweepResult:
@@ -310,13 +347,13 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     Slopes are fitted only when there are at least two lambda values;
     a single lambda yields its records and empty ``fits``.
 
-    Knapp inputs additionally report the witness norm: the L^q mass of
-    the field over the dual box alone.  That is the quantity the box
-    construction bounds from below, and it follows the predicted power
-    law cleanly at moderate lambda, whereas the full-sphere norm picks
-    up an extra contribution from the arc traced by the interval itself
-    (|field| stays near |I| on the whole image arc until the coherence
-    scale lambda |I|^2 |w| passes pi, far beyond practical lambda).
+    Knapp inputs also report the witness norm at finite q: the L^q norm
+    of the field over the dual box (c = 1) alone, by Simpson's rule on
+    kdim's box lattice (``_box_weights``).  The box construction bounds
+    it from below, and it follows the predicted power law at moderate
+    lambda, whereas the full-sphere norm also picks up the arc traced by
+    the interval (|field| stays near |I| on it until lambda |I|^2 |w|
+    passes pi, far beyond practical lambda).
     """
     curve = config.curve
     d = curve.dim
@@ -326,21 +363,17 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     def run_one(lam: float):
         sample = _evaluate(curve, lam, [_build_input(config, lam, phase)])
         mu, f, vals = sample.mu, sample.inputs[0], sample.fields[0]
-        inside = None
         if is_knapp:
             fam = config.family
             rho = fam.rho if fam.rho is not None else 1.0 / (2 * d)
             box = knapp_box(phase, fam.t0 + lam ** -rho, lam, 1.0, rho=rho)
-            cap = mu.nodes[:, 0] < 0
-            inside = np.zeros(mu.size, dtype=bool)
-            inside[cap] = box.contains(mu.nodes[cap, 1:])
+            box_abs = np.abs(_box_field(phase, lam, f, box)[0])
+            box_w = _box_weights(phase, box)
         recs = []
         for q in config.qs:
             nrm = lq_norm(vals, mu, q)
-            wit = 0.0
-            if inside is not None and not math.isinf(q):
-                wit = float(np.sum(mu.weights[inside]
-                                   * np.abs(vals[inside]) ** q) ** (1 / q))
+            wit = (float(np.sum(box_w * box_abs ** q) ** (1 / q))
+                   if is_knapp and not math.isinf(q) else 0.0)
             s = (d - 1) / q if not math.isinf(q) else 0.0
             for p in config.ps:
                 fn = lp_norm(f, p)
@@ -355,18 +388,10 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
 
     records = [r for lam in sorted(config.lams) for r in run_one(lam)]
     fits = _sweep_fits(config, records) if len(config.lams) >= 2 else {}
-
-    header = [
-        f"decay_sweep d={d} family={config.family.name}",
-        f"curve={curve.name}",
-        f"family_params={config.family}",
-        f"lams={list(map(_fmt, sorted(config.lams)))} seed={config.seed}",
-        "ratio = field_norm / (lambda^-decay_exponent * input_norm)",
-    ]
-    csv_text = write_csv(config.out, header, SweepRecord.HEADER,
-                         [r.row() for r in records])
-    return SweepResult(config=config, records=records, fits=fits,
-                       csv_text=csv_text)
+    res = SweepResult(config=config, records=records, fits=fits)
+    if config.out is not None:
+        res._write(config.out)
+    return res
 
 
 # ----------------------------------------------------------------------
@@ -440,12 +465,12 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
         signs = sign_table[:, : part.ell]
         boxes = part.boxes(c)
         vol = sum(b.volume for b in boxes)
+        # each draw's combination is formed once, and every q reads it
+        mods = (np.abs(s.astype(complex) @ fields) for s in signs)
+        powers_q = np.array([[float(np.sum(mu.weights * m ** q))
+                              for q in config.qs] for m in mods]).T
         recs = []
-        for q in config.qs:
-            powers = np.empty(fam.n_samples)
-            for i in range(fam.n_samples):
-                combo = signs[i].astype(complex) @ fields
-                powers[i] = float(np.sum(mu.weights * np.abs(combo) ** q))
+        for q, powers in zip(config.qs, powers_q):
             lb = lam ** (-q / (2 * d)) * vol
             mean = float(np.mean(powers))
             # spread about the first draw, so equal powers (every draw of
@@ -603,7 +628,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     indicator, recentered at its anchor, keeps |T chi| >= 0.4 |I| across
     the whole dual box.
     """
-    lams = tuple(float(v) for v in lams)
+    lams = sorted(float(v) for v in lams)
     if len(lams) == 0 or len(qs) == 0:
         raise ConfigError("lambda and q lists must be non-empty")
     if len(set(lams)) != len(lams):
@@ -619,7 +644,6 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     patch = submanifold_builder(d, k, curve, extent=extent)
     phase = graph_phase(patch.curve, patch)
     qc = float(kdim_threshold(d, k))
-    lams = sorted(float(v) for v in lams)
 
     part0 = partition_family(phase, extent, lams[0])
     c = calibrate_c(phase, float(part0.anchors[-1]), lams[0],
@@ -634,9 +658,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
         total = sum(b.volume for b in boxes)
 
         f1 = TestFunction((part.segment(0),))
-        ylat = boxes[0].lattice(9)
-        stats = {}
-        vals = eval_field(phase, lam, f1, ylat, stats=stats)
+        vals, panels = _box_field(phase, lam, f1, boxes[0])
         ival = part.intervals[0][1] - part.intervals[0][0]
         min_ratio = float(np.min(np.abs(vals))) / ival
 
@@ -645,7 +667,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
                 lam=lam, q=float(q), ell=part.ell, box_volume=vol,
                 sum_volumes=total, closed_form_slope=slopes[float(q)],
                 min_field_ratio=min_ratio, field_ok=int(min_ratio >= 0.4),
-                resolution=ylat.shape[0], panels=stats["panels"]))
+                resolution=vals.size, panels=panels))
 
     header = [
         f"kdim_experiment d={d} k={k} extent={_fmt(extent)} c={_fmt(c)}",

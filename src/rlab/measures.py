@@ -138,6 +138,11 @@ def _sphere_spacing(d: int, resolution: int) -> float:
     return (2.0 if d == 2 else 1.0) * np.pi / resolution
 
 
+def _sphere_rule(d: int, lam: float) -> int:
+    """The resolution of sphere_resolution_for(d, lam), with no budget."""
+    return max(8, int(math.ceil((10.0 if d == 2 else 8.0 * np.pi) * lam)))
+
+
 def sphere_resolution_for(d: int, lam: float) -> int:
     """Smallest builder resolution meeting the frequency spacing rule.
 
@@ -149,7 +154,7 @@ def sphere_resolution_for(d: int, lam: float) -> int:
     """
     if d not in (2, 3):
         raise ValueError("d in {2, 3}")
-    n = max(8, int(math.ceil((10.0 if d == 2 else 8.0 * np.pi) * lam)))
+    n = _sphere_rule(d, lam)
     nodes = n if d == 2 else 2 * n * n
     if nodes > SPHERE_NODE_BUDGET:
         raise ValueError(

@@ -60,9 +60,9 @@ from .curves import Curve
 from .errors import DataError
 from .measures import (
     QuadMeasure,
+    _sphere_rule,
     _sphere_spacing,
     gauss_legendre,
-    sphere_resolution_for,
 )
 
 PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
@@ -134,12 +134,6 @@ class TestFunction:
             if a1 < b0 - 1e-14:
                 raise ValueError("segments must be pairwise disjoint")
         object.__setattr__(self, "segments", segs)
-
-    def scaled(self, factor: complex) -> "TestFunction":
-        return TestFunction(tuple(
-            Segment(s.start, s.end, factor * s.amplitude, s.modulation, s.sign)
-            for s in self.segments
-        ))
 
 
 def indicator(start: float, end: float, amplitude: complex = 1.0,
@@ -618,13 +612,13 @@ def field(curve_or_phase, lam: float, f: TestFunction,
     """Operator values on all measure nodes, in node order.
 
     A sphere measure coarser than the grid sphere_resolution_for(d, lam)
-    gives warns.  Other measures are not checked.  stats is eval_field's:
-    stats["panels"] is set to the panels the panel rule used.
+    gives warns, at any lambda (the node budget limits only the grids
+    rlab allocates).  Other measures are not checked.  stats is
+    eval_field's: stats["panels"] is set to the panels the panel rule used.
     """
     phase = _as_phase(curve_or_phase)
     if mu.provenance == "sphere":
-        rule = _sphere_spacing(mu.dim,
-                               sphere_resolution_for(mu.dim, max(lam, 1.0)))
+        rule = _sphere_spacing(mu.dim, _sphere_rule(mu.dim, max(lam, 1.0)))
         if mu.max_spacing > rule * (1 + 1e-9):
             warnings.warn(f"measure spacing {mu.max_spacing:.3e} exceeds the "
                           f"lambda rule {rule:.3e} at lambda={lam:g}",

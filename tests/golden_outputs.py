@@ -77,8 +77,8 @@ EXPECTED = """\
 fdcb76c5b12c 0 sweep --config CFG/random-d2.ini
 138037963c34 0 sweep --config CFG/bump-d3.ini
 98c97f122545 0 sweep --config perfbench/bump-d2.ini
-0fefe90bc683 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
-d4c7e8b36106 0 knapp --d 3 --lams 16,32,64 --qs 7
+c59b4a1c441c 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
+cb759e92d51b 0 knapp --d 3 --lams 16,32,64 --qs 7
 63dcec493975 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
 31efebfdcd13 0 random-lower
 5d5771ba9b5e 0 phase-diagram --grid-n 6
@@ -90,7 +90,8 @@ d4c7e8b36106 0 knapp --d 3 --lams 16,32,64 --qs 7
 ef74786dc79b 0 audit-measure --kind singular --d 2
 4440c0ac98fc 0 sweep --config CFG/bump-d2-large.ini
 5e0ee1514a80 0 phase-diagram --family random
-48b8e826ecbd 0 sweep --config CFG/knapp-d2.ini
+75ddbe25179c 0 sweep --config CFG/knapp-d2.ini
+2d3f3c9a5441 0 kdim --lams 16,32,64
 """.splitlines()
 
 

@@ -88,17 +88,24 @@ def test_grad_y_matches_finite_difference():
     assert abs(got[0] - (fp - fm) / (2 * h)) < 1e-8
 
 
+def _inside(box, y):
+    """Which rows of y have axis coordinates M^T (y - center) in the box."""
+    x = (np.atleast_2d(y) - box.center) @ box.transform
+    return np.all(np.abs(x) <= box.half_widths * (1.0 + 1e-12), axis=1)
+
+
 def test_parallelepiped_geometry():
     box = Parallelepiped(center=(0.0, 0.0),
                          transform=np.array([[1.0, 0.5], [0.0, 1.0]]),
                          half_widths=(0.5, 0.25))
-    assert box.contains(box.center)[0]
-    corners = box.corners()
+    assert _inside(box, box.center)[0]
+    corners = box.lattice(2)
     assert corners.shape == (4, 2)
-    assert np.all(box.contains(corners))
+    assert np.all(_inside(box, corners))
+    assert not np.any(_inside(box, box.center + 1.02 * (corners - box.center)))
     assert abs(box.volume - (1.0 * 0.5) / 1.0) < 1e-14
     lat = box.lattice(3)
-    assert lat.shape == (9, 2) and np.all(box.contains(lat))
+    assert lat.shape == (9, 2) and np.all(_inside(box, lat))
     with pytest.raises(ValueError):
         Parallelepiped((0.0,), np.array([[1.0]]), (-1.0,))
     with pytest.raises(DegeneracyError):
@@ -122,26 +129,32 @@ def test_knapp_box_volume_power_law():
     assert abs(slope3 + 7.0 / 6.0) < 1e-12
 
 
+def _interval(t, lam, d=2):
+    """The interval of length lambda^(-1/(2d)) ending at t, cut at 0."""
+    return (max(t - lam ** (-1.0 / (2 * d)), 0.0), t)
+
+
 def test_calibration_is_tight(monkeypatch):
     lam = 256.0
-    c = calibrate_c(PH2, 0.45, lam)
+    ival = _interval(0.45, lam)
+    c = calibrate_c(PH2, 0.45, lam, ival)
     assert math.log2(c) == round(math.log2(c))  # dyadic
-    assert box_phase_check(PH2, 0.45, lam, c) <= 1.0 / lam
+    assert box_phase_check(PH2, 0.45, lam, c, ival) <= 1.0 / lam
     # doubling must violate the bound (or leave the chart)
     try:
-        sup2 = box_phase_check(PH2, 0.45, lam, 2.0 * c)
+        sup2 = box_phase_check(PH2, 0.45, lam, 2.0 * c, ival)
     except DomainError:
         pass
     else:
         assert sup2 > 1.0 / lam
-    # box_phase_check defaults to calibrate_c's interval
-    assert (box_phase_check(PH2, 0.45, lam, c)
-            == box_phase_check(PH2, 0.45, lam, c,
-                               interval=(0.45 - lam ** -0.25, 0.45)))
+    # the interval is required: no default stands in for it
+    for fn, args in ((calibrate_c, ()), (box_phase_check, (c,))):
+        with pytest.raises(TypeError):
+            fn(PH2, 0.45, lam, *args)
     monkeypatch.setattr("rlab.extremal._box_phase_sup",
                         lambda *args: math.inf)
     with pytest.raises(CalibrationError) as err:
-        calibrate_c(PH2, 0.45, lam)
+        calibrate_c(PH2, 0.45, lam, ival)
     assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
                               f"at t_k=0.45, lambda={lam}")
 
@@ -167,7 +180,7 @@ def test_partition_family_structure():
     boxes = part.boxes(1.0)
     assert len(boxes) == 2
     for tk, box in zip(part.anchors, boxes):
-        assert box.contains(solve_stationary(PH2, float(tk)))[0]
+        assert _inside(box, solve_stationary(PH2, float(tk)))[0]
     signs = part.random_signs(5)
     assert np.array_equal(signs, part.random_signs(5))
     assert set(np.unique(signs)).issubset({-1, 1})
@@ -195,7 +208,7 @@ def test_inputs():
 def test_knapp_field_large_on_dual_box():
     """The box output stays close to the input mass: coherence holds."""
     lam, t0, rho = 256.0, 0.45, 0.25
-    c = calibrate_c(PH2, t0, lam)
+    c = calibrate_c(PH2, t0, lam, _interval(t0, lam))
     box = knapp_box(PH2, t0, lam, c)
     anchor_x = PH2.embed(solve_stationary(PH2, t0)[None, :])[0]
     f = knapp_input(t0 - lam**-rho, lam, rho, modulation=anchor_x)
@@ -250,7 +263,7 @@ def test_kdim_boxes_and_fields():
     boxes = part.boxes(c)
     assert len(boxes) == part.ell
     for tm, box in zip(part.anchors, boxes):
-        assert box.contains(solve_stationary(phase, float(tm)))[0]
+        assert _inside(box, solve_stationary(phase, float(tm)))[0]
     # volume follows the d=4, k=2 exponent exactly at fixed anchor
     v1 = knapp_box(phase, 0.75, 16.0, c).volume
     v2 = knapp_box(phase, 0.75, 32.0, c).volume

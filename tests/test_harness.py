@@ -19,7 +19,12 @@ from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
 from rlab.curves import moment_curve, poly_curve
 from rlab.errors import ComputationError, ConfigError, DataError
-from rlab.extremal import calibrate_c, partition_family, stationary_residual
+from rlab.extremal import (
+    calibrate_c,
+    knapp_box,
+    partition_family,
+    stationary_residual,
+)
 from rlab.harness import (
     BumpFamily,
     KdimRecord,
@@ -42,6 +47,7 @@ from rlab.harness import (
 from rlab.measures import (
     QuadMeasure,
     dimension_audit,
+    gauss_legendre,
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
@@ -49,6 +55,7 @@ from rlab.measures import (
 )
 from rlab.oscillatory import (
     _segment_panel_count,
+    eval_field,
     extension_phase,
     graph_phase,
 )
@@ -178,6 +185,33 @@ def test_knapp_sweep_witness_columns():
     assert "witness_slope" in fit and "witness_rms" in fit
 
 
+@pytest.mark.parametrize("d, lam, q", [(2, 64.0, 3.0), (2, 4096.0, 4.0),
+                                       (3, 16.0, 7.0)])
+def test_knapp_witness_is_the_box_integral(d, lam, q):
+    """The witness norm is (integral over the dual box of |F|^q dsigma)^(1/q):
+    a 24-point tensor Gauss rule in the box's axis coordinates, over
+    |det M|, times the cap's area element sqrt(1 + |grad phi|^2)."""
+    curve = moment_curve(d)
+    config = SweepConfig(curve=curve, family=KnappFamily(), lams=(lam,),
+                         qs=(q,))
+    rec = decay_sweep(config).records[0]
+    phase = graph_phase(curve, sphere_cap_graph(d))
+    rho = 1.0 / (2 * d)
+    box = knapp_box(phase, 0.2 + lam ** -rho, lam, 1.0, rho=rho)
+    x, w = gauss_legendre(24)
+    axes = np.meshgrid(*[h * x for h in box.half_widths], indexing="ij")
+    wts = np.meshgrid(*[h * w for h in box.half_widths], indexing="ij")
+    ax = np.column_stack([a.ravel() for a in axes])
+    y = box.center + np.linalg.solve(box.transform.T, ax.T).T
+    grad = phase.patch.jacobian(y)[:, 0, :]
+    dsigma = (np.prod([g.ravel() for g in wts], axis=0)
+              * np.sqrt(1.0 + np.sum(grad * grad, axis=1))
+              / abs(np.linalg.det(box.transform)))
+    vals = eval_field(phase, lam, _build_input(config, lam, phase), y)
+    want = float(np.sum(dsigma * np.abs(vals) ** q) ** (1.0 / q))
+    assert abs(rec.witness_norm - want) <= 1e-4 * want
+
+
 def test_khintchine_single_interval_has_zero_variance():
     cfg = SweepConfig(curve=moment_curve(2),
                       family=RandomFamily(delta=0.25, n_samples=32),
@@ -265,6 +299,21 @@ def test_phase_diagram_cells_are_the_sweeps_ratio_slopes(family, grid_n,
         p, q = (math.inf if v == 0 else 1 / v
                 for v in (cell["inv_p"], cell["inv_q"]))
         assert cell["measured_excess"] == fits[(p, q)]["ratio_slope"]
+
+
+def test_phase_diagram_formats_only_its_own_csv(monkeypatch):
+    """The sweep behind a phase diagram formats no CSV: phase_diagram
+    reads only its fits, and its own table is the one write_csv call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return write_csv(*args)
+
+    monkeypatch.setattr("rlab.harness.write_csv", counting)
+    res = phase_diagram(2, 3, lam_pair=(16.0, 32.0))
+    assert len(calls) == 1
+    assert res.csv_text.startswith("# phase_diagram d=2 grid_n=3")
 
 
 def test_phase_diagram_unloggable_ratio(monkeypatch):

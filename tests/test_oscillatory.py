@@ -92,7 +92,8 @@ def test_linearity():
     va = eval_field(MC2, lam, fa, x)[0]
     vb = eval_field(MC2, lam, fb, x)[0]
     assert abs(eval_field(MC2, lam, both, x)[0] - (va + vb)) < 1e-12
-    assert abs(eval_field(MC2, lam, fa.scaled(3.0j), x)[0] - 3.0j * va) < 1e-12
+    assert abs(eval_field(MC2, lam, indicator(0.0, 0.4, amplitude=3.0j), x)[0]
+               - 3.0j * va) < 1e-12
 
 
 def test_modulation_translates_field():
@@ -236,6 +237,12 @@ def test_field_resolution_guard():
     fine = sphere_measure(2, 2048)
     vals = field(MC2, 200.0, f, fine)
     assert vals.shape == (fine.size,)
+    # a caller-built d=3 grid is compared with the rule, not the node
+    # budget: lambda = 256 would need 82,792,712 nodes, yet this warns
+    coarse3 = sphere_measure(3, 16)
+    with pytest.warns(UserWarning, match="exceeds the lambda rule"):
+        vals = field(moment_curve(3), 256.0, indicator(0.0, 0.05), coarse3)
+    assert vals.shape == (coarse3.size,)
 
 
 def test_segment_validation():
