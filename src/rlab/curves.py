@@ -161,6 +161,20 @@ class TypeTuple:
         return self.orders[i]
 
 
+def _horner(tab: np.ndarray, x) -> np.ndarray:
+    """sum_k tab[:, k] x^k for each row of tab, shape (rows,) + shape of x.
+
+    Horner's rule in the steps (and so with the rounding) of numpy's
+    polyval, which starts from the top coefficient plus x * 0.
+    """
+    x = np.asarray(x)
+    tab = tab.reshape(tab.shape + (1,) * x.ndim)
+    acc = tab[:, -1] + x * 0
+    for k in range(tab.shape[1] - 2, -1, -1):
+        acc = tab[:, k] + acc * x
+    return acc
+
+
 # ----------------------------------------------------------------------
 # curves
 # ----------------------------------------------------------------------
@@ -227,9 +241,7 @@ class Curve:
         """Vectorized derivative values, shape (len(ts), dim)."""
         self._check_order(order)
         tab = self._float_rows(order)
-        ts = np.asarray(ts, dtype=float)
-        # polyval over the trailing coefficient axis: result (dim, n) -> (n, dim)
-        return np.polynomial.polynomial.polyval(ts, tab.T).T
+        return _horner(tab, np.asarray(ts, dtype=float)).T
 
 
 def moment_curve(d: int, domain=(0.0, 1.0)) -> Curve:
@@ -294,11 +306,6 @@ def det_poly(curve: Curve, orders: Iterable[int]) -> Poly:
     return total
 
 
-def torsion_poly(curve: Curve) -> Poly:
-    """Exact coefficient row of t -> det(gamma', ..., gamma^{(d)})."""
-    return det_poly(curve, range(1, curve.dim + 1))
-
-
 def type_candidates(curve: Curve, a_max: int | None = None) -> list:
     """Derivative tuples in increasing (sum, lexicographic) order, with
     orders up to min(a_max, max_derivative_order); a_max defaults to 2d."""
@@ -320,7 +327,7 @@ def _singular_frame(curve: Curve, t, orders, m: np.ndarray) -> bool:
     norms = np.linalg.norm(m, axis=0)
     for a, norm in zip(orders, norms):
         tab = np.abs(curve._float_rows(a))
-        scale = np.polynomial.polynomial.polyval(abs(float(t)), tab.T)
+        scale = _horner(tab, abs(float(t)))
         if norm <= DET_TOL * np.linalg.norm(scale):
             return True
     return abs(float(np.linalg.det(m))) <= DET_TOL * float(np.prod(norms))

@@ -284,17 +284,16 @@ class PartitionFamily:
     """Uniform intervals of [0, delta] with per-anchor box data.
 
     Interval I_k = [t_{k-1}, t_k] has its anchor at the right endpoint;
-    y_k = g(t_k) and M(t_k) are precomputed, along with the ambient
-    modulation points x_k used by the sign inputs.
+    y_k = g(t_k) is precomputed, along with the ambient modulation points
+    x_k used by the sign inputs.  M(t_k), and with it the refusal of a
+    degenerate anchor, comes with the anchor's box (``boxes``).
     """
 
     phase: PhaseSpec
-    delta: float
     lam: float
     edges: np.ndarray
     anchors: np.ndarray
     ys: np.ndarray
-    mats: np.ndarray
     mod_points: np.ndarray
 
     @property
@@ -332,11 +331,8 @@ def partition_family(phase: PhaseSpec, delta: float,
     edges = np.linspace(0.0, delta, ell + 1)
     anchors = edges[1:]
     ys = np.vstack([solve_stationary(phase, float(t)) for t in anchors])
-    mats = np.stack([curvature_matrix(phase, float(t)) for t in anchors])
-    mods = phase.embed(ys)
-    return PartitionFamily(phase=phase, delta=float(delta), lam=float(lam),
-                           edges=edges, anchors=anchors, ys=ys, mats=mats,
-                           mod_points=mods)
+    return PartitionFamily(phase=phase, lam=float(lam), edges=edges,
+                           anchors=anchors, ys=ys, mod_points=phase.embed(ys))
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,8 @@ from .measures import (
 PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
 MIN_PANELS = 4
-_Y_CHUNK = 512
+_Y_CHUNK = 512              # points per panel-rule chunk
+_CLOSED_BATCH = 2048        # points per closed-form batch
 _ANCHOR = 32                # panels between re-anchors at phase degree <= 2
 _CIS_N = 1024               # table entries per turn in _cis
 _CIS_HEAD = 15              # bits per head part of _cis's split of 2 pi / N
@@ -550,17 +551,31 @@ def _panel_sums(seg: Segment, coef: np.ndarray, n_panels: int, maps: dict,
     return (0.5 * h * gauss_legendre(PANEL_ORDER)[1]) @ total
 
 
+def _coefficients(phase: PhaseSpec, lam: float, seg: Segment, rows: np.ndarray,
+                  ypts: np.ndarray) -> np.ndarray:
+    """t-coefficients of the total phase at each point, shape (n, D + 1)."""
+    x = lam * phase.embed(ypts)
+    mod = _modulation_point(phase, seg)
+    if mod is not None:
+        x = x - mod[1] * mod[0]
+    return x @ rows
+
+
 def eval_field(curve_or_phase, lam: float, f: TestFunction,
                ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
     """Evaluate the operator at chart points, shape (n,) complex.
 
-    Work is chunked over points.  For a curve of degree 2, a point whose
-    quadratic coefficient A has |A| (b - a)^2 >= 1 on a segment [a, b]
-    takes the closed form of the module docstring; every other point
-    takes the panel rule, whose layout the chunk's panel-rule points
-    share per segment.  If stats is a dict, stats["panels"] is set to the
-    panels the panel rule used: per segment the widest chunk's layout
-    (0 where every point took the closed form), summed over segments.
+    The segments are taken one at a time, and each point's value sums
+    their integrals in segment order.  For a curve of degree 2, a point
+    whose quadratic coefficient A has |A| (b - a)^2 >= 1 on a segment
+    [a, b] takes the closed form of the module docstring, in batches of
+    _CLOSED_BATCH points; each value depends on its own point alone, so
+    the batch width moves no bit.  Every other point takes the panel
+    rule in chunks of _Y_CHUNK points, whose panel-rule points share one
+    layout per segment.  If stats is a dict, stats["panels"] is set to
+    the panels the panel rule used: per segment the widest chunk's
+    layout (0 where every point took the closed form), summed over
+    segments.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
@@ -573,37 +588,39 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
     rows = phase.curve._float_rows(0)
     deg = rows.shape[1] - 1
     maps = {}       # difference maps per segment layout, shared by chunks
-    panels = [0] * len(f.segments)      # widest layout per segment
+    panels = 0
     # _panel_sums's scratch, sized for the widest chunk
     size = PANEL_ORDER * min(n, _Y_CHUNK)
     anchors = np.empty(deg * size, dtype=complex)
     work = np.empty(5 * size)
-    for lo in range(0, n, _Y_CHUNK):
-        hi = min(n, lo + _Y_CHUNK)
-        chunk = ypts[lo:hi]
-        scaled = lam * phase.embed(chunk)
-        acc = np.zeros(hi - lo, dtype=complex)
-        for i, seg in enumerate(f.segments):
-            if seg.length == 0.0:
-                continue
-            mod = _modulation_point(phase, seg)
-            x = scaled if mod is None else scaled - mod[1] * mod[0]
-            coef = x @ rows                      # (m, D + 1) in t
-            rest = slice(None)                  # the points on the panel rule
-            if deg == 2:
+    for seg in f.segments:
+        if seg.length == 0.0:
+            continue
+        rest = np.ones(n, dtype=bool)       # the points on the panel rule
+        if deg == 2:
+            for lo in range(0, n, _CLOSED_BATCH):
+                hi = min(n, lo + _CLOSED_BATCH)
+                coef = _coefficients(phase, lam, seg, rows, ypts[lo:hi])
                 closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
-                acc[closed] += seg.coefficient * _quadratic_sums(
-                    coef[closed], seg.start, seg.end)
-                rest = ~closed
-                if not rest.any():
-                    continue
-            n_panels = _segment_panel_count(phase, lam, seg, chunk[rest])
-            panels[i] = max(panels[i], n_panels)
-            acc[rest] += seg.coefficient * _panel_sums(
-                seg, coef[rest], n_panels, maps, anchors, work)
-        out[lo:hi] = acc
+                rest[lo:hi] = ~closed
+                if closed.any():
+                    out[lo:hi][closed] += seg.coefficient * _quadratic_sums(
+                        coef[closed], seg.start, seg.end)
+        widest = 0
+        for lo in range(0, n, _Y_CHUNK):
+            hi = min(n, lo + _Y_CHUNK)
+            mask = rest[lo:hi]
+            if not mask.any():
+                continue
+            chunk = ypts[lo:hi]
+            coef = _coefficients(phase, lam, seg, rows, chunk)[mask]
+            n_panels = _segment_panel_count(phase, lam, seg, chunk[mask])
+            widest = max(widest, n_panels)
+            out[lo:hi][mask] += seg.coefficient * _panel_sums(
+                seg, coef, n_panels, maps, anchors, work)
+        panels += widest
     if stats is not None:
-        stats["panels"] = sum(panels)
+        stats["panels"] = panels
     return out
 
 
@@ -611,10 +628,11 @@ def field(curve_or_phase, lam: float, f: TestFunction,
           mu: QuadMeasure, *, stats: dict | None = None) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
-    A sphere measure coarser than the grid sphere_resolution_for(d, lam)
-    gives warns, at any lambda (the node budget limits only the grids
-    rlab allocates).  Other measures are not checked.  stats is
-    eval_field's: stats["panels"] is set to the panels the panel rule used.
+    Warns when a sphere measure is coarser than the grid that
+    sphere_resolution_for(d, lam) gives, at any lambda (the node budget
+    limits only the grids rlab allocates).  Other measures are not
+    checked.  stats is eval_field's: stats["panels"] is set to the panels
+    the panel rule used.
     """
     phase = _as_phase(curve_or_phase)
     if mu.provenance == "sphere":

@@ -21,7 +21,6 @@ from rlab.curves import (
     poly_gcd,
     poly_root_count,
     torsion_det,
-    torsion_poly,
     type_candidates,
 )
 from rlab.errors import CapabilityError, NotFiniteTypeError
@@ -30,7 +29,7 @@ from rlab.errors import CapabilityError, NotFiniteTypeError
 def test_moment_torsion_is_one_exactly():
     # the Wronskian of (t, t^2/2!, ..., t^d/d!) collapses to the constant 1
     for d in range(2, 6):
-        poly = torsion_poly(moment_curve(d))
+        poly = det_poly(moment_curve(d), range(1, d + 1))
         assert poly == (Fraction(1),), f"d={d}: {poly}"
 
 
@@ -53,7 +52,7 @@ def test_torsion_poly_matches_sympy():
             if all(c == 0 for c in row):
                 row[1] = 1
         curve = poly_curve(table)
-        ours = torsion_poly(curve)
+        ours = det_poly(curve, range(1, 4))
         exprs = [sum(c * t**j for j, c in enumerate(row)) for row in table]
         mat = sympy.Matrix(
             [[sympy.diff(e, t, k) for e in exprs] for k in range(1, 4)]
@@ -66,13 +65,12 @@ def test_torsion_poly_matches_sympy():
         assert ours == theirs
 
 
-def test_det_poly_matches_torsion_poly_and_sympy():
+def test_det_poly_matches_sympy():
     rng = np.random.default_rng(8)
     t = sympy.Symbol("t")
     for _ in range(5):
         table = [[int(c) for c in rng.integers(-3, 4, size=6)] for _ in range(3)]
         curve = poly_curve(table)
-        assert det_poly(curve, range(1, 4)) == torsion_poly(curve)
         exprs = [sum(c * t**j for j, c in enumerate(row)) for row in table]
         mat = sympy.Matrix(
             [[sympy.diff(e, t, k) for e in exprs] for k in (1, 3, 4)]
@@ -82,9 +80,6 @@ def test_det_poly_matches_torsion_poly_and_sympy():
         while len(theirs) > 1 and theirs[-1] == 0:
             theirs = theirs[:-1]
         assert det_poly(curve, (1, 3, 4)) == theirs
-    for d in range(2, 6):
-        mc = moment_curve(d)
-        assert det_poly(mc, range(1, d + 1)) == torsion_poly(mc)
 
 
 def _prod(*factors):
@@ -165,6 +160,16 @@ def test_eval_many_matches_exact():
             [[float(v) for v in curve.eval_exact(t, order)] for t in ts]
         )
         assert np.max(np.abs(approx - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_eval_many_is_polyval_bit_for_bit(order):
+    ts = np.concatenate([np.linspace(-2.0, 2.0, 401), [0.0, -0.0, 1e-300]])
+    for curve in (moment_curve(2), monomial_curve([1, 3, 4]),
+                  poly_curve([[1, -2, 0, 3], [0, 1, 5], [Fraction(1, 3)]])):
+        tab = curve._float_rows(order)
+        want = np.polynomial.polynomial.polyval(ts, tab.T).T
+        assert curve.eval_many(ts, order).tobytes() == want.tobytes()
 
 
 def test_derivative_order_cap():

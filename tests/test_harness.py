@@ -758,6 +758,24 @@ _CHEAP_RUNS = {
 }
 
 
+def _imported_by_cli(tmp_path, runs: dict, module: str) -> bytes:
+    """Run cli_main once per {subcommand: argv} of runs in a fresh
+    interpreter in tmp_path; its stdout says whether module was imported."""
+    code = ("import io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "from rlab.cli import cli_main\n"
+            f"for name, argv in {runs!r}.items():\n"
+            "    with redirect_stdout(io.StringIO()):\n"
+            "        assert cli_main([name] + argv) == 0, name\n"
+            f"print({module!r} in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 def test_cli_never_imports_scipy(tmp_path):
     # numpy is the only runtime dependency: every subcommand runs once in
     # a fresh interpreter, which must not have imported scipy
@@ -766,19 +784,19 @@ def test_cli_never_imports_scipy(tmp_path):
     assert set(_CHEAP_RUNS) == set(sub.choices)
     (tmp_path / "cfg.ini").write_text(
         "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 16\nqs = 3\n")
-    code = ("import io, sys\n"
-            "from contextlib import redirect_stdout\n"
-            "from rlab.cli import cli_main\n"
-            f"for name, argv in {_CHEAP_RUNS!r}.items():\n"
-            "    with redirect_stdout(io.StringIO()):\n"
-            "        assert cli_main([name] + argv) == 0, name\n"
-            "print('scipy' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == b"False\n"
+    assert _imported_by_cli(tmp_path, _CHEAP_RUNS, "scipy") == b"False\n"
+
+
+def test_cli_never_imports_numpy_polynomial(tmp_path):
+    # Gauss-Legendre rules and curve values take numpy.polynomial's steps
+    # without paying for its import: the sweep's panel rule and the d=3
+    # sphere grid both build a Gauss-Legendre rule
+    (tmp_path / "cfg.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
+        "[sweep]\nlams = 64, 128\nqs = 3\n")
+    runs = {"sweep": ["--config", "cfg.ini"],
+            "audit-measure": ["--d", "3", "--resolution", "16"]}
+    assert _imported_by_cli(tmp_path, runs, "numpy.polynomial") == b"False\n"
 
 
 def _help_schemas():

@@ -27,6 +27,7 @@ from rlab.measures import (
     box_mass,
     cap_box_sigma_mass,
     dimension_audit,
+    gauss_legendre,
     scaled_measure,
     singular_alpha_measure,
     sphere_cap_graph,
@@ -60,6 +61,13 @@ def test_sphere_bessel_oracle():
     got = mu3.integrate(lambda x: np.exp(1j * xi * x[:, 2]))
     want = 4 * math.pi * math.sin(xi) / xi
     assert abs(got - want) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 24, 32, 64, 128, 805])
+def test_gauss_legendre_is_leggauss_bit_for_bit(n):
+    x, w = gauss_legendre(n)
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
 
 
 def test_sphere_resolution_rule():

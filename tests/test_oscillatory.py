@@ -719,10 +719,33 @@ def test_closed_form_at_large_lambda_against_a_referee(lam):
         assert abs(closed[i] - _mp_field(lam, f, nodes[i])) <= 1e-13 * norm1
 
 
+@pytest.mark.parametrize("family", [
+    BumpFamily(), KnappFamily(), RandomFamily(delta=1.0),
+], ids=["bump", "knapp", "random"])
+def test_closed_form_batch_width_moves_no_bit(family, monkeypatch):
+    """Each closed-form node is computed on its own, so any batch width
+    gives the bits and the panels of one batch holding every node."""
+    curve, lam, f, nodes = _sphere_case(2, family, 512.0, 1)
+    assert nodes.shape[0] > 2 * osc._CLOSED_BATCH
+    # width 1 makes one closed-form call per node and segment: a tenth
+    # of the nodes keeps it cheap
+    for width, pts in ((osc._CLOSED_BATCH, nodes), (7, nodes),
+                       (1, nodes[::10])):
+        runs = []
+        for w in (width, pts.shape[0] + 1):
+            monkeypatch.setattr(osc, "_CLOSED_BATCH", w)
+            stats = {}
+            values = eval_field(curve, lam, f, pts, stats=stats)
+            runs.append((values.tobytes(), stats["panels"]))
+        assert runs[0] == runs[1], width
+
+
 def _count_kernel_work(monkeypatch, run):
     """Work eval_field does inside run(): libm and table exponentials,
-    phase points and rows of the panel rule, and Faddeeva values."""
-    counts = dict.fromkeys(("libm", "table", "phase", "panel_rows", "w"), 0)
+    phase points and rows of the panel rule, Faddeeva values, and calls
+    of the closed form (one _faddeeva call each)."""
+    counts = dict.fromkeys(
+        ("libm", "table", "phase", "panel_rows", "w", "closed_calls"), 0)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -744,6 +767,7 @@ def _count_kernel_work(monkeypatch, run):
 
     def counting_faddeeva(z):
         counts["w"] += z.size
+        counts["closed_calls"] += 1
         return faddeeva(z)
 
     cis, panels, faddeeva = osc._cis, osc._segment_panel_count, osc._faddeeva
@@ -762,9 +786,11 @@ def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
     cfg = sweep_config_from_file(os.path.join(root, "perfbench", "bump-d2.ini"))
     counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
     # 640 + 1280 + 2560 + 5120 nodes, one segment each; 58 of them have
-    # |A| < 1 and take the panel rule
+    # |A| < 1 and take the panel rule.  The closed form takes the rest in
+    # 1 + 1 + 2 + 3 batches of up to 2,048 nodes
     assert counts == {"libm": 58, "table": 24_076, "phase": 18_240,
-                      "panel_rows": 58, "w": 2 * (9_600 - 58)}
+                      "panel_rows": 58, "w": 2 * (9_600 - 58),
+                      "closed_calls": 7}
 
 
 def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
@@ -775,7 +801,8 @@ def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
     # 324,818 nodes on MIN_PANELS = 4 panels, so one anchor per node with
     # 3 * 16 table values, and one libm top value
     assert counts == {"libm": 324_818, "table": 15_591_264,
-                      "phase": 20_788_352, "panel_rows": 324_818, "w": 0}
+                      "phase": 20_788_352, "panel_rows": 324_818, "w": 0,
+                      "closed_calls": 0}
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
