@@ -62,6 +62,7 @@ class BumpFamily:
     eps0: float = 1.0
 
     name = "bump"
+    support_keys = "eps0"
 
     def __post_init__(self):
         if not 0 < self.eps0 < math.inf:
@@ -69,6 +70,10 @@ class BumpFamily:
         # off the sphere |F| no longer peaks on it; 1e-6 admits six decimals
         if self.x0 is not None and not abs(math.hypot(*self.x0) - 1) <= 1e-6:
             raise ConfigError(f"x0 {self.x0} must be a unit vector")
+
+    def support(self, d: int, lam: float) -> tuple:
+        """The parameter interval the input lives on."""
+        return 0.0, self.eps0
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,19 @@ class KnappFamily:
     rho: float | None = None     # defaults to 1/(2d)
 
     name = "knapp"
+    support_keys = "t0, rho"
 
     def __post_init__(self):
         if self.rho is not None and not 0 < self.rho < math.inf:
             raise ConfigError(f"rho {self.rho} must be finite and positive")
+
+    def rho_for(self, d: int) -> float:
+        return self.rho if self.rho is not None else 1.0 / (2 * d)
+
+    def support(self, d: int, lam: float) -> tuple:
+        """The parameter interval the input lives on; its end is the
+        anchor."""
+        return self.t0, self.t0 + lam ** -self.rho_for(d)
 
 
 @dataclass(frozen=True)
@@ -93,11 +107,16 @@ class RandomFamily:
     n_samples: int = DEFAULT_SIGN_SAMPLES
 
     name = "random"
+    support_keys = "delta"
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
             raise ConfigError(
                 f"delta {self.delta} must be finite and positive")
+
+    def support(self, d: int, lam: float) -> tuple:
+        """The parameter interval the input lives on."""
+        return 0.0, self.delta
 
 
 def default_bump_point(d: int) -> np.ndarray:
@@ -138,6 +157,16 @@ class SweepConfig:
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "ps", ps)
+        # the operator is defined for inputs on the curve's domain only
+        lo, hi = self.curve.domain
+        fam = self.family
+        for lam in lams:
+            a, b = fam.support(self.curve.dim, lam)
+            if not lo <= a <= b <= hi:
+                raise ConfigError(
+                    f"the {fam.name} input lies on [{a:.6g}, {b:.6g}] at "
+                    f"lambda={lam:g}, outside the curve's domain "
+                    f"[{lo:g}, {hi:g}]: check {fam.support_keys} ({fam})")
         # an unallocatable sphere grid is refused before any field
         sphere_resolution_for(self.curve.dim, max(lams))
 
@@ -204,10 +233,9 @@ def _build_input(config: SweepConfig, lam: float,
         x0 = fam.x0 if fam.x0 is not None else default_bump_point(d)
         return bump_input(config.curve, lam, x0, fam.eps0)
     if isinstance(fam, KnappFamily):
-        rho = fam.rho if fam.rho is not None else 1.0 / (2 * d)
-        anchor = fam.t0 + lam ** -rho
+        anchor = fam.support(d, lam)[1]
         x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
-        return knapp_input(fam.t0, lam, rho, modulation=x_anchor)
+        return knapp_input(fam.t0, lam, fam.rho_for(d), modulation=x_anchor)
     if isinstance(fam, RandomFamily):
         part = partition_family(phase, fam.delta, lam)
         return random_sign_input(part, config.seed)
@@ -365,8 +393,8 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
         mu, f, vals = sample.mu, sample.inputs[0], sample.fields[0]
         if is_knapp:
             fam = config.family
-            rho = fam.rho if fam.rho is not None else 1.0 / (2 * d)
-            box = knapp_box(phase, fam.t0 + lam ** -rho, lam, 1.0, rho=rho)
+            box = knapp_box(phase, fam.support(d, lam)[1], lam, 1.0,
+                            rho=fam.rho_for(d))
             box_abs = np.abs(_box_field(phase, lam, f, box)[0])
             box_w = _box_weights(phase, box)
         recs = []

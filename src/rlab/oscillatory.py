@@ -3,10 +3,10 @@
 Every phase is a curve phase x . curve(t): on the frequency side x is an
 ambient point, on the chart side x is the embedding of a chart point
 (graph embeddings of the sphere or of integral submanifolds).  The one
-evaluation core, eval_field, handles both, with two kernels: a closed form
-for phases of degree 2 in t and a panel rule for every other node.  Which
-one a node takes depends on the curve's degree and the node's phase, never
-on the kind of phase.
+evaluation core, eval_field, routes by the curve's degree alone: at
+degree 2 each node takes one of two O(1) forms, the closed form or the
+Taylor form, and every other degree takes the panel rule.  The kind of
+phase never enters.
 
 Closed form.  When the curve has degree 2, a segment [a, b] carries
 P(t) = A t^2 + B t + C at each node.  With r = sqrt|A|, omega =
@@ -21,9 +21,31 @@ sqrt(pi) / (r omega) exp(i P(t*)) is added when t* lies in (a, b].  This
 is erf(z(b)) - erf(z(a)) written so that no exp(-z^2) of size
 exp(|z|^2) and no C - B^2 / 4A of a distant saddle is ever formed.  w
 comes from Weideman's rational series (SIAM J. Numer. Anal. 31, 1994) on
-the rays arg = pi/4 and 3 pi/4 only.  A node with |A| (b - a)^2 <
-_QUADRATIC_MIN = 1, where 1/r outgrows the segment and the bracket
-cancels, takes the panel rule; so does every node at lambda = 0.
+the rays arg = pi/4 and 3 pi/4 only.  It serves the nodes with
+|A| (b - a)^2 >= _QUADRATIC_MIN = 1; below, 1/r outgrows the segment and
+the bracket cancels.
+
+Taylor form.  The other degree-2 nodes, A = 0 and lambda = 0 included,
+expand exp(i A s^2) about the linear phase at the midpoint m = (a + b) / 2.
+With h = (b - a) / 2, x = (B + 2 A m) h and alpha = A h^2, so that
+|alpha| < 1/4,
+
+    int_a^b exp(i P) dt = 2 h exp(i P(m)) sum_k (i alpha)^k / k! c_k(x),
+    c_k(x) = int_0^1 u^(2k) cos(x u) du,
+
+a Filon-type moment method (Iserles & Norsett, Proc. R. Soc. A 461,
+2005).  The sum keeps _TAYLOR_TERMS = 12 terms: the first one left out is
+below 4^-12 / (12! 25) < 5e-18 of 2 h.  For |x| < _SERIES_MAX = 2, c_k is its
+power series sum_j (-x^2)^j / ((2j)! (2k + 2j + 1)) to as many terms, the
+first one left out below 4^12 / 24! < 3e-17.  From 2 up it comes from
+the upward recurrence c_0 = sin x / x and
+
+    c_k = sin x / x + 2k cos x / x^2 - 2k (2k - 1) / x^2 c_(k-1),
+
+unrolled into polynomials in 1 / x^2 (_taylor_constants).  The recurrence
+multiplies an error of c_0 by at most (2k)! / x^(2k) by step k, and the
+unrolled sum has terms of that size; the term's weight 4^-k / k! brings
+that to (2k - 1)!! / 8^k, at most 1.6.
 
 Panel rule.  Panels are sized from an exact upper bound on the
 t-derivative of the total phase, which is a polynomial in t: its largest
@@ -69,13 +91,15 @@ PANEL_CAP = 4.0 * np.pi     # max phase increment per panel
 PANEL_ORDER = 16            # Gauss-Legendre points per panel
 MIN_PANELS = 4
 _Y_CHUNK = 512              # points per panel-rule chunk
-_CLOSED_BATCH = 2048        # points per closed-form batch
+_CLOSED_BATCH = 2048        # points per degree-2 batch
 _ANCHOR = 32                # panels between re-anchors at phase degree <= 2
 _CIS_N = 1024               # table entries per turn in _cis
 _CIS_HEAD = 15              # bits per head part of _cis's split of 2 pi / N
 _CIS_RANGE = 1e9            # |theta| below which every k * head is exact
-_QUADRATIC_MIN = 1.0        # |A| (b - a)^2 from which a degree-2 phase takes
-                            # the closed form
+_QUADRATIC_MIN = 1.0        # |A| (b - a)^2 from which a degree-2 node takes
+                            # the closed form; below it, the Taylor form
+_TAYLOR_TERMS = 12          # terms of the Taylor form, and of its c_k series
+_SERIES_MAX = 2.0           # |x| below which c_k(x) is its power series
 
 
 # ----------------------------------------------------------------------
@@ -375,6 +399,76 @@ def _quadratic_sums(coef: np.ndarray, start: float, end: float) -> np.ndarray:
     return total * (0.5 * math.sqrt(math.pi) / r) * (1j * ray.conj())
 
 
+def _taylor_constants(n: int):
+    """The Taylor form's constants for k, l < n, in Python floats, so
+    importing the module wakes no numpy ufunc: the exponents l, the
+    weights i^k / k!, and at [k, l] the coefficients of c_k(x) in powers
+    y^l.  For |x| < _SERIES_MAX, y = x^2 and the series coefficient is
+    (-1)^l / ((2l)! (2k + 2l + 1)).  From there up, y = 1 / x^2 and the
+    recurrence of the module docstring unrolls to
+    c_k = sin x / x U_k(y) + cos x V_k(y), where U_k has
+    (-1)^l (2k)! / (2k - 2l)! and V_k has (-1)^(l-1) (2k)! / (2k - 2l + 1)!
+    (0 < l), both for l <= k."""
+    fact = math.factorial
+
+    def series(k, l):
+        return (-1) ** l / (fact(2 * l) * (2 * k + 2 * l + 1))
+
+    def sin_part(k, l):
+        if l > k:
+            return 0.0
+        return float((-1) ** l * (fact(2 * k) // fact(2 * k - 2 * l)))
+
+    def cos_part(k, l):
+        if not 0 < l <= k:
+            return 0.0
+        return float((-1) ** (l - 1)
+                     * (fact(2 * k) // fact(2 * k - 2 * l + 1)))
+
+    def table(entry):
+        return np.array([[entry(k, l) for l in range(n)] for k in range(n)])
+
+    units = (1.0, 1j, -1.0, -1j)
+    return (np.array([float(l) for l in range(n)]),
+            np.array([units[k % 4] / fact(k) for k in range(n)]),
+            table(series), table(sin_part), table(cos_part))
+
+
+_T_POWERS, _T_WEIGHTS, _T_SERIES, _T_SIN, _T_COS = _taylor_constants(
+    _TAYLOR_TERMS)
+
+
+def _taylor_sums(coef: np.ndarray, start: float, end: float) -> np.ndarray:
+    """int_start^end exp(i P(t)) dt per row (C, B, A) of coef, where
+    P(t) = A t^2 + B t + C and |A| (end - start)^2 < 1, by the Taylor form
+    of the module docstring, with c_k as in _taylor_constants.  Sums are
+    elementwise, never a BLAS product."""
+    c0, c1, c2 = coef.T
+    m = coef.shape[0]
+    h = 0.5 * (end - start)
+    mid = 0.5 * (start + end)
+    x = (c1 + 2.0 * mid * c2) * h
+    far = np.abs(x) >= _SERIES_MAX
+    xf = x[far]
+    # exp(i P(m)) per row, then exp(i x) per row whose c_k need sin and cos
+    theta = np.concatenate([c0 + mid * (c1 + mid * c2), xf])
+    e = _cis(theta, np.empty(theta.size, dtype=complex),
+             np.empty(5 * theta.size))
+    moments = np.empty((m, _TAYLOR_TERMS))        # c_k(x) at [row, k]
+    if xf.size < m:
+        y = x[~far] ** 2
+        moments[~far] = np.sum(y[:, None, None] ** _T_POWERS * _T_SERIES,
+                               axis=2)
+    if xf.size:
+        y = (1.0 / (xf * xf))[:, None, None] ** _T_POWERS
+        sin_x, cos_x = e[m:].imag, e[m:].real
+        moments[far] = ((sin_x / xf)[:, None] * np.sum(y * _T_SIN, axis=2)
+                        + cos_x[:, None] * np.sum(y * _T_COS, axis=2))
+    alpha = c2 * (h * h)
+    total = np.sum(alpha[:, None] ** _T_POWERS * _T_WEIGHTS * moments, axis=1)
+    return (2.0 * h) * e[:m] * total
+
+
 # ----------------------------------------------------------------------
 # evaluation core
 # ----------------------------------------------------------------------
@@ -561,28 +655,37 @@ def _coefficients(phase: PhaseSpec, lam: float, seg: Segment, rows: np.ndarray,
     return x @ rows
 
 
-def eval_field(curve_or_phase, lam: float, f: TestFunction,
-               ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
-    """Evaluate the operator at chart points, shape (n,) complex.
+def _quadratic_field(phase: PhaseSpec, lam: float, f: TestFunction,
+                     ypts: np.ndarray) -> np.ndarray:
+    """The field of a degree-2 curve, in batches of _CLOSED_BATCH points
+    per segment: the closed form where |A| (b - a)^2 >= _QUADRATIC_MIN on
+    the segment [a, b], the Taylor form elsewhere.  Each value depends on
+    its own point alone, so the batch width moves no bit."""
+    n = ypts.shape[0]
+    out = np.zeros(n, dtype=complex)
+    rows = phase.curve._float_rows(0)
+    for seg in f.segments:
+        if seg.length == 0.0:
+            continue
+        for lo in range(0, n, _CLOSED_BATCH):
+            hi = min(n, lo + _CLOSED_BATCH)
+            coef = _coefficients(phase, lam, seg, rows, ypts[lo:hi])
+            closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
+            vals = np.empty(hi - lo, dtype=complex)
+            if closed.any():
+                vals[closed] = _quadratic_sums(coef[closed], seg.start,
+                                               seg.end)
+            if not closed.all():
+                vals[~closed] = _taylor_sums(coef[~closed], seg.start, seg.end)
+            out[lo:hi] += seg.coefficient * vals
+    return out
 
-    The segments are taken one at a time, and each point's value sums
-    their integrals in segment order.  For a curve of degree 2, a point
-    whose quadratic coefficient A has |A| (b - a)^2 >= 1 on a segment
-    [a, b] takes the closed form of the module docstring, in batches of
-    _CLOSED_BATCH points; each value depends on its own point alone, so
-    the batch width moves no bit.  Every other point takes the panel
-    rule in chunks of _Y_CHUNK points, whose panel-rule points share one
-    layout per segment.  If stats is a dict, stats["panels"] is set to
-    the panels the panel rule used: per segment the widest chunk's
-    layout (0 where every point took the closed form), summed over
-    segments.
-    """
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lambda must be finite and nonnegative")
-    phase = _as_phase(curve_or_phase)
-    ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
-    if not np.isfinite(ypts).all():
-        raise ValueError("a point is not finite: points must be finite")
+
+def _panel_field(phase: PhaseSpec, lam: float, f: TestFunction,
+                 ypts: np.ndarray) -> tuple:
+    """The field by the panel rule, in chunks of _Y_CHUNK points that
+    share one layout per segment, and the panels it used: per segment the
+    widest chunk's layout, summed over segments."""
     n = ypts.shape[0]
     out = np.zeros(n, dtype=complex)
     rows = phase.curve._float_rows(0)
@@ -596,29 +699,42 @@ def eval_field(curve_or_phase, lam: float, f: TestFunction,
     for seg in f.segments:
         if seg.length == 0.0:
             continue
-        rest = np.ones(n, dtype=bool)       # the points on the panel rule
-        if deg == 2:
-            for lo in range(0, n, _CLOSED_BATCH):
-                hi = min(n, lo + _CLOSED_BATCH)
-                coef = _coefficients(phase, lam, seg, rows, ypts[lo:hi])
-                closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
-                rest[lo:hi] = ~closed
-                if closed.any():
-                    out[lo:hi][closed] += seg.coefficient * _quadratic_sums(
-                        coef[closed], seg.start, seg.end)
         widest = 0
         for lo in range(0, n, _Y_CHUNK):
             hi = min(n, lo + _Y_CHUNK)
-            mask = rest[lo:hi]
-            if not mask.any():
-                continue
             chunk = ypts[lo:hi]
-            coef = _coefficients(phase, lam, seg, rows, chunk)[mask]
-            n_panels = _segment_panel_count(phase, lam, seg, chunk[mask])
+            coef = _coefficients(phase, lam, seg, rows, chunk)
+            n_panels = _segment_panel_count(phase, lam, seg, chunk)
             widest = max(widest, n_panels)
-            out[lo:hi][mask] += seg.coefficient * _panel_sums(
+            out[lo:hi] += seg.coefficient * _panel_sums(
                 seg, coef, n_panels, maps, anchors, work)
         panels += widest
+    return out, panels
+
+
+def eval_field(curve_or_phase, lam: float, f: TestFunction,
+               ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
+    """Evaluate the operator at chart points, shape (n,) complex.
+
+    The route depends on the curve's degree alone.  At degree 2 every
+    point takes an O(1) form of the module docstring per segment: the
+    closed form where |A| (b - a)^2 >= _QUADRATIC_MIN on the segment
+    [a, b], the Taylor form elsewhere.  Every other degree takes the
+    panel rule.  Each point's value sums its segment integrals in segment
+    order.  If stats is a dict, stats["panels"] is set to the panels the
+    panel rule used: per segment the widest chunk's layout, summed over
+    segments, so 0 at degree 2.
+    """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lambda must be finite and nonnegative")
+    phase = _as_phase(curve_or_phase)
+    ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
+    if not np.isfinite(ypts).all():
+        raise ValueError("a point is not finite: points must be finite")
+    if phase.curve.degree == 2:
+        out, panels = _quadratic_field(phase, lam, f, ypts), 0
+    else:
+        out, panels = _panel_field(phase, lam, f, ypts)
     if stats is not None:
         stats["panels"] = panels
     return out

@@ -73,14 +73,14 @@ ps = inf, 2
 }
 
 EXPECTED = """\
-98c97f122545 0 sweep --config CFG/bump-d2.ini
-fdcb76c5b12c 0 sweep --config CFG/random-d2.ini
+2b55f6397e32 0 sweep --config CFG/bump-d2.ini
+5677e963cbc1 0 sweep --config CFG/random-d2.ini
 138037963c34 0 sweep --config CFG/bump-d3.ini
-98c97f122545 0 sweep --config perfbench/bump-d2.ini
-c59b4a1c441c 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
+2b55f6397e32 0 sweep --config perfbench/bump-d2.ini
+7bb63da7d81b 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
 cb759e92d51b 0 knapp --d 3 --lams 16,32,64 --qs 7
-63dcec493975 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
-31efebfdcd13 0 random-lower
+6bff286f89a7 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
+e001f36078f9 0 random-lower
 5d5771ba9b5e 0 phase-diagram --grid-n 6
 53b4574de8a8 0 phase-diagram --grid-n 4 --family random
 6dcd55bd7dfc 0 phase-diagram
@@ -88,9 +88,9 @@ cb759e92d51b 0 knapp --d 3 --lams 16,32,64 --qs 7
 2913315a818e 0 hyperplane --d 4 --normal 1,2,3,4
 7ad001a4ced0 0 audit-measure --d 3 --resolution 64 --seed 1
 ef74786dc79b 0 audit-measure --kind singular --d 2
-4440c0ac98fc 0 sweep --config CFG/bump-d2-large.ini
+0a3d3073b7f1 0 sweep --config CFG/bump-d2-large.ini
 5e0ee1514a80 0 phase-diagram --family random
-75ddbe25179c 0 sweep --config CFG/knapp-d2.ini
+9319d73d670b 0 sweep --config CFG/knapp-d2.ini
 2d3f3c9a5441 0 kdim --lams 16,32,64
 """.splitlines()
 

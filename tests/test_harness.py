@@ -97,6 +97,24 @@ def test_sweep_config_validation():
                     lams=(64.0, 1024.0), qs=(3.0,))
 
 
+@pytest.mark.parametrize("family, lams, keys", [
+    (BumpFamily(eps0=1.5), (64.0,), "eps0"),
+    (KnappFamily(t0=-0.01), (64.0,), "t0, rho"),
+    (KnappFamily(t0=0.6), (1024.0, 16.0), "t0, rho"),   # past 1 at 16 only
+    (RandomFamily(delta=1.25), (256.0,), "delta"),
+], ids=["bump-eps0", "knapp-t0-negative", "knapp-interval", "random-delta"])
+def test_sweep_config_refuses_a_support_off_the_domain(family, lams, keys):
+    with pytest.raises(ConfigError, match=f"outside the curve's domain "
+                                          rf"\[0, 1\]: check {keys} "):
+        SweepConfig(curve=moment_curve(2), family=family, lams=lams,
+                    qs=(3.0,))
+    # the edges of the domain are on it
+    SweepConfig(curve=moment_curve(2), family=BumpFamily(eps0=1.0),
+                lams=lams, qs=(3.0,))
+    SweepConfig(curve=moment_curve(2), family=KnappFamily(t0=0.0),
+                lams=lams, qs=(3.0,))
+
+
 def test_ols_fit():
     x = np.array([0.0, 1.0, 2.0, 3.0])
     slope, rms = ols_fit(x, -0.5 * x + 2.0)
@@ -159,7 +177,7 @@ def test_decay_sweep_records_and_determinism():
         assert rec.resolution == sphere_resolution_for(2, rec.lam)
         want = rec.field_norm / (rec.lam**-rec.decay_exponent * rec.input_norm)
         assert abs(rec.ratio - want) < 1e-12
-        assert rec.panels > 0
+        assert rec.panels == 0          # degree 2 takes no panel
         if math.isinf(rec.q):
             assert rec.decay_exponent == 0.0
     assert set(res.fits) == {(math.inf, 3.0), (2.0, 3.0),
@@ -348,7 +366,9 @@ def _sample(d, family, lam):
 @pytest.mark.parametrize("family", [BumpFamily(), RandomFamily(delta=1.0)],
                          ids=["bump", "random"])
 def test_panels_column_is_the_kernels_widest_layout(family, monkeypatch):
-    """Per segment, the widest layout eval_field's panel rule used."""
+    """Per segment, the widest layout the panel rule used.  At d=2 the
+    field takes no panel, so the column is 0; the panel rule itself, run
+    on the same nodes, reports its widest layouts."""
     used = {}
     count = osc._segment_panel_count
 
@@ -359,9 +379,12 @@ def test_panels_column_is_the_kernels_widest_layout(family, monkeypatch):
 
     monkeypatch.setattr(osc, "_segment_panel_count", spy)
     f, sample = _sample(2, family, 256.0)
+    assert sample.panels == 0 and not used
     assert sample.mu.size > 2 * osc._Y_CHUNK
+    _, panels = osc._panel_field(extension_phase(moment_curve(2)), 256.0, f,
+                                 sample.mu.nodes)
     assert used and set(used) <= set(f.segments)
-    assert sample.panels == sum(used.values())
+    assert panels == sum(used.values())
 
 
 def _all_node_count(sample):
@@ -376,12 +399,19 @@ def _all_node_count(sample):
     (2, BumpFamily(), 256.0),
     (2, RandomFamily(delta=1.0), 256.0),
 ], ids=["d3-bump", "d2-bump", "d2-random"])
-def test_panels_column_equals_the_all_node_count(d, family, lam, monkeypatch):
-    """With every node on the panel rule the column is the layout sized
-    for all nodes at once, since the bound is elementwise."""
-    monkeypatch.setattr(osc, "_QUADRATIC_MIN", math.inf)
+def test_panels_column_equals_the_all_node_count(d, family, lam):
+    """The panel rule's count is the layout sized for all nodes at once,
+    since the bound is elementwise.  At d=2 the column is 0, and the
+    panel rule is run on its own."""
     _, sample = _sample(d, family, lam)
-    assert sample.panels == _all_node_count(sample) > 0
+    if d == 2:
+        assert sample.panels == 0
+        ext = extension_phase(moment_curve(2))
+        panels = sum(osc._panel_field(ext, lam, f, sample.mu.nodes)[1]
+                     for f in sample.inputs)
+    else:
+        panels = sample.panels
+    assert panels == _all_node_count(sample) > 0
 
 
 def test_panels_column_is_zero_when_every_node_takes_the_closed_form(
@@ -611,6 +641,11 @@ def test_cli_error_codes():
     ["knapp", "--rho", "-1"],
     ["knapp", "--rho", "inf"],
     ["knapp", "--rho", "nan"],
+    ["knapp", "--t0", "-0.5"],
+    ["knapp", "--t0", "1.0"],
+    ["knapp", "--d", "2", "--t0", "5"],
+    ["random-lower", "--delta", "3"],
+    ["sweep", "--config", "bump-eps0-3.ini"],
     ["sweep", "--config", "random-delta-1e400.ini"],
     ["sweep", "--config", "bump-eps0-0.ini"],
     ["sweep", "--config", "bump-x0-inf.ini"],
@@ -632,7 +667,10 @@ def test_cli_error_codes():
         "kdim-extent-inf", "kdim-extent-zero", "random-delta-inf",
         "random-delta-nan", "random-delta-zero", "random-delta-negative",
         "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
-        "knapp-rho-nan", "sweep-random-delta-overflow",
+        "knapp-rho-nan", "knapp-t0-below-domain",
+        "knapp-interval-past-domain", "knapp-t0-far-outside-domain",
+        "random-delta-past-domain", "sweep-bump-eps0-past-domain",
+        "sweep-random-delta-overflow",
         "sweep-bump-eps0-zero", "sweep-bump-x0-inf",
         "sweep-bump-x0-off-sphere", "sweep-random-n-samples",
         "sweep-family-typo", "sweep-foreign-family-key", "sweep-sweep-typo",
@@ -644,6 +682,7 @@ def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     for name, family, extra in (
             ("random-delta-1e400", "random\ndelta = 1e400", ""),
             ("bump-eps0-0", "bump\neps0 = 0", ""),
+            ("bump-eps0-3", "bump\neps0 = 3", ""),
             ("bump-x0-inf", "bump\nx0 = inf, 0", ""),
             ("bump-x0-off-sphere", "bump\nx0 = 3, 0", ""),
             ("random-n-samples", "random\nn_samples = 5", ""),
@@ -758,16 +797,17 @@ _CHEAP_RUNS = {
 }
 
 
-def _imported_by_cli(tmp_path, runs: dict, module: str) -> bytes:
-    """Run cli_main once per {subcommand: argv} of runs in a fresh
-    interpreter in tmp_path; its stdout says whether module was imported."""
+def _after_cli(tmp_path, runs: dict, report: str, setup: str = "") -> bytes:
+    """Run setup, then cli_main once per {subcommand: argv} of runs, in a
+    fresh interpreter in tmp_path; its stdout is the value of report."""
     code = ("import io, sys\n"
             "from contextlib import redirect_stdout\n"
             "from rlab.cli import cli_main\n"
+            f"{setup}\n"
             f"for name, argv in {runs!r}.items():\n"
             "    with redirect_stdout(io.StringIO()):\n"
             "        assert cli_main([name] + argv) == 0, name\n"
-            f"print({module!r} in sys.modules)\n")
+            f"print({report})\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
@@ -784,19 +824,37 @@ def test_cli_never_imports_scipy(tmp_path):
     assert set(_CHEAP_RUNS) == set(sub.choices)
     (tmp_path / "cfg.ini").write_text(
         "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 16\nqs = 3\n")
-    assert _imported_by_cli(tmp_path, _CHEAP_RUNS, "scipy") == b"False\n"
+    assert (_after_cli(tmp_path, _CHEAP_RUNS, "'scipy' in sys.modules")
+            == b"False\n")
 
 
 def test_cli_never_imports_numpy_polynomial(tmp_path):
     # Gauss-Legendre rules and curve values take numpy.polynomial's steps
-    # without paying for its import: the sweep's panel rule and the d=3
-    # sphere grid both build a Gauss-Legendre rule
+    # without paying for its import: the d=3 sphere grid builds a
+    # Gauss-Legendre rule
     (tmp_path / "cfg.ini").write_text(
         "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
         "[sweep]\nlams = 64, 128\nqs = 3\n")
     runs = {"sweep": ["--config", "cfg.ini"],
             "audit-measure": ["--d", "3", "--resolution", "16"]}
-    assert _imported_by_cli(tmp_path, runs, "numpy.polynomial") == b"False\n"
+    assert (_after_cli(tmp_path, runs, "'numpy.polynomial' in sys.modules")
+            == b"False\n")
+
+
+def test_d2_sweep_takes_no_panel(tmp_path):
+    # degree 2 takes the closed form or the Taylor form on every node: a
+    # d=2 bump sweep sizes no panel and builds no Gauss-Legendre rule
+    (tmp_path / "cfg.ini").write_text(
+        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
+        "[sweep]\nlams = 64, 128, 256, 512\nqs = 3, 4, 6\n")
+    setup = ("import rlab.measures, rlab.oscillatory as osc\n"
+             "sized = []\n"
+             "count = osc._segment_panel_count\n"
+             "osc._segment_panel_count = "
+             "lambda *a: sized.append(a) or count(*a)")
+    report = "len(rlab.measures._GL_CACHE), len(sized)"
+    assert (_after_cli(tmp_path, {"sweep": ["--config", "cfg.ini"]}, report,
+                       setup) == b"0 0\n")
 
 
 def _help_schemas():

@@ -372,10 +372,9 @@ def _sphere_case(d, family, lam, stride):
 def test_wide_panels_match_the_old_layout(case, monkeypatch):
     """4 pi radians per panel against the old pi/4 per panel."""
     curve, lam, f, nodes = case()
-    monkeypatch.setattr(osc, "_QUADRATIC_MIN", math.inf)   # panels only
-    wide = eval_field(curve, lam, f, nodes)
+    wide = _panel_rule(curve, lam, f, nodes)
     monkeypatch.setattr(osc, "PANEL_CAP", 0.25 * np.pi)
-    narrow = eval_field(curve, lam, f, nodes)
+    narrow = _panel_rule(curve, lam, f, nodes)
     assert np.max(np.abs(wide - narrow)) <= 1e-13 * np.max(np.abs(narrow))
 
 
@@ -402,10 +401,9 @@ def _direct_field(phase, lam, f, ypts):
 
 
 def _panel_rule(phase, lam, f, ypts):
-    """eval_field with every node on the panel rule, degree 2 included."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(osc, "_QUADRATIC_MIN", math.inf)
-        return eval_field(phase, lam, f, ypts)
+    """The panel rule's field, which eval_field takes at every degree but
+    2, on every node."""
+    return osc._panel_field(osc._as_phase(phase), lam, f, ypts)[0]
 
 
 def _assert_matches_direct(phase, lam, f, ypts):
@@ -624,10 +622,28 @@ def test_faddeeva_on_both_rays(ray):
         assert abs(got - want) <= 5e-15 * abs(want)
 
 
+def _mp_segment(big_c, big_b, big_a, a, b):
+    """int_a^b exp(i (A t^2 + B t + C)) dt to 40 digits from exact
+    inputs (floats or mpf), by erf with the square root k of -i A."""
+    with mpmath.workdps(40):
+        big_c, big_b, big_a, a, b = (mpmath.mpf(v)
+                                     for v in (big_c, big_b, big_a, a, b))
+        if big_a == 0:
+            part = ((mpmath.expj(big_b * b) - mpmath.expj(big_b * a))
+                    / (1j * big_b) if big_b else b - a)
+        else:
+            k = mpmath.sqrt(-1j * big_a)
+            t_star = -big_b / (2 * big_a)
+            part = (mpmath.expj(-big_b ** 2 / (4 * big_a))
+                    * mpmath.sqrt(mpmath.pi) / (2 * k)
+                    * (mpmath.erf(k * (b - t_star))
+                       - mpmath.erf(k * (a - t_star))))
+        return mpmath.expj(big_c) * part
+
+
 def _mp_field(lam, f, y):
     """The extension field of moment_curve(2) at the point y, to 40
-    digits from the exact float inputs: per segment
-    int_a^b exp(i (A t^2 + B t)) dt by erf, with its square root k of -i A."""
+    digits from the exact float inputs."""
     with mpmath.workdps(40):
         total = mpmath.mpc(0)
         for seg in f.segments:
@@ -636,20 +652,22 @@ def _mp_field(lam, f, y):
                 x0, lam_mod = seg.modulation
                 v = [vi - mpmath.mpf(lam_mod) * mpmath.mpf(xi)
                      for vi, xi in zip(v, x0)]
-            a, b = mpmath.mpf(seg.start), mpmath.mpf(seg.end)
-            big_a, big_b = v[1] / 2, v[0]
-            if big_a == 0:
-                part = ((mpmath.expj(big_b * b) - mpmath.expj(big_b * a))
-                        / (1j * big_b) if big_b else b - a)
-            else:
-                k = mpmath.sqrt(-1j * big_a)
-                t_star = -big_b / (2 * big_a)
-                part = (mpmath.expj(-big_b ** 2 / (4 * big_a))
-                        * mpmath.sqrt(mpmath.pi) / (2 * k)
-                        * (mpmath.erf(k * (b - t_star))
-                           - mpmath.erf(k * (a - t_star))))
-            total += complex(seg.coefficient) * part
+            total += complex(seg.coefficient) * _mp_segment(
+                0.0, v[0], v[1] / 2, seg.start, seg.end)
         return complex(total)
+
+
+def _count_form_rows(monkeypatch):
+    """Rows per call of the closed form and of the Taylor form."""
+    rows = {"closed": [], "taylor": []}
+    for key, name in (("closed", "_quadratic_sums"),
+                      ("taylor", "_taylor_sums")):
+        def counting(coef, start, end, inner=getattr(osc, name), key=key):
+            rows[key].append(coef.shape[0])
+            return inner(coef, start, end)
+
+        monkeypatch.setattr(osc, name, counting)
+    return rows
 
 
 def test_nodes_on_both_sides_of_the_closed_form_threshold(monkeypatch):
@@ -658,29 +676,49 @@ def test_nodes_on_both_sides_of_the_closed_form_threshold(monkeypatch):
     lam = 64.0
     # A = lam x2 / 2 on moment(2): |A| (b - a)^2 = 1 at x2 = edge
     edge = 2.0 / (lam * seg.length ** 2)
-    x2 = edge * np.array([0.5, 0.99, 1.0, 1.01, 2.0, 40.0])
+    x2 = edge * np.array([0.0, 1e-12, 1e-6, 0.01, 0.5, 0.99,
+                          1.0, 1.01, 2.0, 40.0])
     x2 = np.concatenate([x2, -x2])
     # B = lam x1 puts t* = -x1 / x2 inside, at either end, or outside
     ypts = np.array([(x1, b) for b in x2
                      for x1 in (-0.5 * b, -0.2 * b, -0.9 * b, 0.37)])
-    sizes = []          # rows per call of the closed form
-    inner = osc._quadratic_sums
-
-    def counting(coef, start, end):
-        sizes.append(coef.shape[0])
-        return inner(coef, start, end)
-
-    monkeypatch.setattr(osc, "_quadratic_sums", counting)
+    rows = _count_form_rows(monkeypatch)
     got = eval_field(MC2, lam, f, ypts)
     closed = np.abs(lam * ypts[:, 1] / 2) * seg.length ** 2 >= 1.0
-    assert sum(sizes) == np.count_nonzero(closed) == 32
+    assert sum(rows["closed"]) == np.count_nonzero(closed) == 32
+    assert sum(rows["taylor"]) == np.count_nonzero(~closed) == 48
     want = np.array([_mp_field(lam, f, y) for y in ypts])
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.max(np.abs(got - _panel_rule(MC2, lam, f, ypts))) <= 1e-14
-    # lambda = 0: every A is 0, so every node takes the panel rule
-    sizes.clear()
+    # lambda = 0: every A is 0, so every node takes the Taylor form
+    rows["closed"].clear()
+    rows["taylor"].clear()
     dc = eval_field(MC2, 0.0, f, ypts)
-    assert np.max(np.abs(dc - seg.length)) <= 1e-15 and sum(sizes) == 0
+    assert np.max(np.abs(dc - seg.length)) <= 1e-15
+    assert sum(rows["closed"]) == 0 and sum(rows["taylor"]) == len(ypts)
+
+
+@pytest.mark.parametrize("start, end", [
+    (0.0, 1.0), (0.2, 0.9), (-0.75, -0.5), (1.5, 1.75)])
+def test_taylor_form_against_a_referee(start, end):
+    """Rows (C, B, A) with |A| (b - a)^2 from 0 to 0.999 and either sign
+    of A, and x = (B + 2 A m) h on both sides of the switch from the c_k
+    series to their recurrence at |x| = 2."""
+    length, mid, h = end - start, 0.5 * (start + end), 0.5 * (end - start)
+    cases = [(sign * s / length ** 2, x)
+             for s in (0.0, 1e-12, 1e-6, 0.01, 0.5, 0.999) for sign in (1, -1)
+             for x in (0.0, 1e-8, 0.3, -1.5, 1.999, 2.0, -2.001, 2.5, 7.0,
+                       -15.0)]
+    phases = np.random.default_rng(17).uniform(-3.0, 3.0, size=len(cases))
+    rows = [(c, x / h - 2.0 * a * mid, a) for c, (a, x) in zip(phases, cases)]
+    coef = np.array(rows)
+    x = (coef[:, 1] + 2.0 * mid * coef[:, 2]) * h
+    # x = 2 itself may round to either side
+    series = np.count_nonzero(np.abs(x) < osc._SERIES_MAX)
+    assert 60 <= series <= 72 and len(rows) - series >= 48
+    got = osc._taylor_sums(coef, start, end)
+    want = np.array([complex(_mp_segment(*row, start, end)) for row in rows])
+    assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def _peak_sample(values, size):
@@ -742,10 +780,10 @@ def test_closed_form_batch_width_moves_no_bit(family, monkeypatch):
 
 def _count_kernel_work(monkeypatch, run):
     """Work eval_field does inside run(): libm and table exponentials,
-    phase points and rows of the panel rule, Faddeeva values, and calls
-    of the closed form (one _faddeeva call each)."""
-    counts = dict.fromkeys(
-        ("libm", "table", "phase", "panel_rows", "w", "closed_calls"), 0)
+    phase points and rows of the panel rule, Faddeeva values, calls of the
+    closed form (one _faddeeva call each) and rows of the Taylor form."""
+    counts = dict.fromkeys(("libm", "table", "phase", "panel_rows", "w",
+                            "closed_calls", "taylor"), 0)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -770,27 +808,35 @@ def _count_kernel_work(monkeypatch, run):
         counts["closed_calls"] += 1
         return faddeeva(z)
 
-    cis, panels, faddeeva = osc._cis, osc._segment_panel_count, osc._faddeeva
+    def counting_taylor(coef, start, end):
+        counts["taylor"] += coef.shape[0]
+        return taylor(coef, start, end)
+
+    cis, panels, faddeeva, taylor = (osc._cis, osc._segment_panel_count,
+                                     osc._faddeeva, osc._taylor_sums)
     monkeypatch.setattr(osc, "np", CountingNumpy())
     monkeypatch.setattr(osc, "_cis", counting_cis)
     monkeypatch.setattr(osc, "_segment_panel_count", counting_panels)
     monkeypatch.setattr(osc, "_faddeeva", counting_faddeeva)
+    monkeypatch.setattr(osc, "_taylor_sums", counting_taylor)
     run()
     return counts
 
 
 def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
-    """The benchmark's bump-d2 sweep takes the closed form: two Faddeeva
-    values per node, and libm sees one top value per panel-rule node."""
+    """The benchmark's bump-d2 sweep takes no panel: two Faddeeva values
+    per closed-form node, and libm sees no exponential."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = sweep_config_from_file(os.path.join(root, "perfbench", "bump-d2.ini"))
     counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
     # 640 + 1280 + 2560 + 5120 nodes, one segment each; 58 of them have
-    # |A| < 1 and take the panel rule.  The closed form takes the rest in
-    # 1 + 1 + 2 + 3 batches of up to 2,048 nodes
-    assert counts == {"libm": 58, "table": 24_076, "phase": 18_240,
-                      "panel_rows": 58, "w": 2 * (9_600 - 58),
-                      "closed_calls": 7}
+    # |A| < 1 and take the Taylor form.  The closed form takes the rest in
+    # 1 + 1 + 2 + 3 batches of up to 2,048 nodes.  Table values: both ends
+    # of each closed-form node and 2,400 saddles, then exp(i P(m)) of each
+    # Taylor node and exp(i x) of the 29 whose |x| >= 2
+    assert counts == {"libm": 0, "table": 2 * 9_542 + 2_400 + 58 + 29,
+                      "phase": 0, "panel_rows": 0, "w": 2 * 9_542,
+                      "closed_calls": 7, "taylor": 58}
 
 
 def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
@@ -802,7 +848,7 @@ def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
     # 3 * 16 table values, and one libm top value
     assert counts == {"libm": 324_818, "table": 15_591_264,
                       "phase": 20_788_352, "panel_rows": 324_818, "w": 0,
-                      "closed_calls": 0}
+                      "closed_calls": 0, "taylor": 0}
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
