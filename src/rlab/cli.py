@@ -9,7 +9,10 @@ arrays, or numpy's ``LinAlgError``).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,87 +47,35 @@ kdim: lambda,q,ell,box_volume,sum_volumes,closed_form_slope,
   min_field_ratio,field_ok,resolution,panels"""
 
 
-_FLAGS = {
-    "config": dict(required=True, help="config file path"),
-    "seed": dict(type=int, default=None,
-                 help="seed for every random draw (default 0)"),
-    "out": dict(default=None, help="CSV output path (default stdout)"),
-}
+def _arg(*flags, **kwargs):
+    """One add_argument call of a command table entry."""
+    return flags, kwargs
 
 
-def _add_flags(sp, *names):
-    for name in names:
-        sp.add_argument(f"--{name}", **_FLAGS[name])
+_CONFIG = _arg("--config", required=True, help="config file path")
+_SEED = _arg("--seed", type=int, default=None,
+             help="seed for every random draw (default 0)")
+_OUT = _arg("--out", default=None, help="CSV output path (default stdout)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="rlab",
-        description="Numerical laboratory for extension-operator decay "
-                    "over curved measures.",
-        epilog=_CSV_NOTE,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
+class _Command(NamedTuple):
+    help: str
+    description: str | None
+    arguments: tuple
+    run: Callable[[argparse.Namespace], int]
 
-    sp = sub.add_parser("exponents", help="print critical exponents")
-    sp.add_argument("--d", type=int, required=True)
 
-    sp = sub.add_parser("sweep", help="decay sweep from a config file",
-                        description="Flags override the file's [sweep] "
-                                    "values.")
-    _add_flags(sp, "config", "seed", "out")
+# subcommand name -> entry, in the order of the help listing
+_COMMANDS: dict[str, _Command] = {}
 
-    sp = sub.add_parser("knapp", help="knapp-family excess sweep")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--t0", type=float, default=0.2)
-    sp.add_argument("--rho", type=float, default=None)
-    sp.add_argument("--lams", default="64,128,256,512,1024")
-    sp.add_argument("--qs", default="3,4")
-    sp.add_argument("--ps", default="inf")
-    _add_flags(sp, "out")
 
-    sp = sub.add_parser("random-lower",
-                        help="randomized lower-bound experiment")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--delta", type=float, default=0.25)
-    sp.add_argument("--n-samples", type=int, default=64)
-    sp.add_argument("--lams", default="256,1024,4096")
-    sp.add_argument("--qs", default="3")
-    _add_flags(sp, "seed", "out")
-
-    sp = sub.add_parser("phase-diagram", help="excess-sign grid")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--grid-n", type=int, default=20)
-    sp.add_argument("--lam-pair", default=None,
-                    help="two lambdas for the slopes (default 64,1024 for "
-                         "knapp, 256,1024 for random); the random family "
-                         "(delta = 0.25) needs lambda >= delta^(-2d), "
-                         "i.e. 256 at d=2")
-    sp.add_argument("--family", default="knapp",
-                    choices=("knapp", "random"))
-    _add_flags(sp, "seed", "out")
-
-    sp = sub.add_parser("hyperplane", help="hyperplane shadow coefficient")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--normal", required=True,
-                    help="comma separated components")
-
-    sp = sub.add_parser("kdim", help="k-dimensional graph threshold")
-    sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--k", type=int, default=2)
-    sp.add_argument("--lams", default="16,32")
-    sp.add_argument("--qs", default="6,7,8,9,10")
-    sp.add_argument("--extent", type=float, default=0.75)
-    _add_flags(sp, "out")
-
-    sp = sub.add_parser("audit-measure", help="dimension audit")
-    sp.add_argument("--d", type=int, default=2)
-    sp.add_argument("--kind", default="sphere",
-                    choices=("sphere", "singular"))
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--resolution", type=int, default=0)
-    _add_flags(sp, "seed")
-    return ap
+def _command(name, help, *arguments, description=None):
+    """Enter the decorated runner in the command table as subcommand name;
+    the runner takes the parsed arguments and returns the exit code."""
+    def enter(run):
+        _COMMANDS[name] = _Command(help, description, arguments, run)
+        return run
+    return enter
 
 
 def _emit(res, out) -> None:
@@ -145,102 +96,184 @@ def _print_sweep(res) -> None:
         print(line)
 
 
-def _run(args) -> int:
-    if args.command == "exponents":
-        tab = exponent_table(args.d)
-        qc = tab["q_critical"]
-        coeff = tab["line_coeff"]
-        print(f"d={args.d}")
-        print(f"q_c={qc}")
-        print(f"critical line: 1/p + {coeff}*(1/q) = 1"
-              + ("  i.e. 1/p + 2/q = 1" if coeff == 2 else ""))
-        print(f"estimate holds on q > {qc} with 1/p + {coeff}/q < 1")
-        return 0
+@_command("exponents", "print critical exponents",
+          _arg("--d", type=int, required=True))
+def _exponents(args) -> int:
+    tab = exponent_table(args.d)
+    qc = tab["q_critical"]
+    coeff = tab["line_coeff"]
+    print(f"d={args.d}")
+    print(f"q_c={qc}")
+    print(f"critical line: 1/p + {coeff}*(1/q) = 1"
+          + ("  i.e. 1/p + 2/q = 1" if coeff == 2 else ""))
+    print(f"estimate holds on q > {qc} with 1/p + {coeff}/q < 1")
+    return 0
 
-    if args.command == "hyperplane":
-        normal = parse_floats(args.normal)
-        omega = hyperplane_omega(normal, args.d)
-        print(f"omega={omega}")
-        print(f"critical line coefficient: "
-              f"{args.d * (args.d - 1) // 2} + {omega}")
-        return 0
 
-    if args.command == "sweep":
-        config = sweep_config_from_file(
-            args.config, {"seed": args.seed, "out": args.out})
-        _print_sweep(decay_sweep(config))
-        return 0
+@_command("sweep", "decay sweep from a config file", _CONFIG, _SEED, _OUT,
+          description="Flags override the file's [sweep] values.")
+def _sweep(args) -> int:
+    config = sweep_config_from_file(
+        args.config, {"seed": args.seed, "out": args.out})
+    _print_sweep(decay_sweep(config))
+    return 0
 
-    if args.command == "knapp":
-        config = SweepConfig(curve=moment_curve(args.d),
-                             family=KnappFamily(t0=args.t0, rho=args.rho),
-                             lams=parse_floats(args.lams),
-                             qs=parse_floats(args.qs),
-                             ps=parse_floats(args.ps), out=args.out)
-        _print_sweep(decay_sweep(config))
-        return 0
 
-    if args.command == "random-lower":
-        config = SweepConfig(
-            curve=moment_curve(args.d),
-            family=RandomFamily(delta=args.delta,
-                                n_samples=args.n_samples),
-            lams=parse_floats(args.lams), qs=parse_floats(args.qs),
-            seed=args.seed or 0, out=args.out)
-        res = khintchine_experiment(config)
-        _emit(res, config.out)
-        print(f"# ratio band across lambda: {res.band():.4f}")
-        return 0
+@_command("knapp", "knapp-family excess sweep",
+          _arg("--d", type=int, default=2),
+          _arg("--t0", type=float, default=0.2),
+          _arg("--rho", type=float, default=None),
+          _arg("--lams", default="64,128,256,512,1024"),
+          _arg("--qs", default="3,4"),
+          _arg("--ps", default="inf"),
+          _OUT)
+def _knapp(args) -> int:
+    config = SweepConfig(curve=moment_curve(args.d),
+                         family=KnappFamily(t0=args.t0, rho=args.rho),
+                         lams=parse_floats(args.lams),
+                         qs=parse_floats(args.qs),
+                         ps=parse_floats(args.ps), out=args.out)
+    _print_sweep(decay_sweep(config))
+    return 0
 
-    if args.command == "phase-diagram":
-        if args.family == "knapp" and args.seed is not None:
-            raise ConfigError("--seed needs --family random: knapp inputs "
-                              "draw nothing at random")
-        family = (KnappFamily() if args.family == "knapp"
-                  else RandomFamily())
-        lam_pair = (None if args.lam_pair is None
-                    else parse_floats(args.lam_pair))
-        res = phase_diagram(args.d, args.grid_n, family=family,
-                            lam_pair=lam_pair, out=args.out,
-                            seed=args.seed or 0)
-        _emit(res, args.out)
-        print(f"# off-band cells: {res.n_off_band}  "
-              f"sign agreement: {res.agreement:.4f}")
-        return 0
 
-    if args.command == "kdim":
-        res = kdim_experiment(args.d, args.k, moment_curve(args.d),
-                              parse_floats(args.lams), parse_floats(args.qs),
-                              extent=args.extent, out=args.out)
-        _emit(res, args.out)
-        print(f"# q_critical={res.q_critical}")
-        for q in sorted(res.slopes):
-            print(f"# q={q}: closed-form slope {res.slopes[q]:+.5f}")
-        return 0
+@_command("random-lower", "randomized lower-bound experiment",
+          _arg("--d", type=int, default=2),
+          _arg("--delta", type=float, default=0.25),
+          _arg("--n-samples", type=int, default=64),
+          _arg("--lams", default="256,1024,4096"),
+          _arg("--qs", default="3"),
+          _SEED, _OUT)
+def _random_lower(args) -> int:
+    config = SweepConfig(
+        curve=moment_curve(args.d),
+        family=RandomFamily(delta=args.delta, n_samples=args.n_samples),
+        lams=parse_floats(args.lams), qs=parse_floats(args.qs),
+        seed=args.seed or 0, out=args.out)
+    res = khintchine_experiment(config)
+    _emit(res, config.out)
+    print(f"# ratio band across lambda: {res.band():.4f}")
+    return 0
 
-    if args.command == "audit-measure":
-        if args.kind == "sphere":
-            mu = sphere_measure(args.d, args.resolution)
-            alpha = args.d - 1 if args.alpha is None else args.alpha
-        else:
-            alpha = 1.5 if args.alpha is None else args.alpha
-            mu = singular_alpha_measure(args.d, alpha,
-                                        args.resolution or 64)
-        ratio = dimension_audit(mu, alpha, seed=args.seed or 0)
-        print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
-        return 0
 
-    raise ConfigError(f"unknown command {args.command!r}")
+@_command("phase-diagram", "excess-sign grid",
+          _arg("--d", type=int, default=2),
+          _arg("--grid-n", type=int, default=20),
+          _arg("--lam-pair", default=None,
+               help="two lambdas for the slopes (default 64,1024 for "
+                    "knapp, 256,1024 for random); the random family "
+                    "(delta = 0.25) needs lambda >= delta^(-2d), "
+                    "i.e. 256 at d=2"),
+          _arg("--family", default="knapp", choices=("knapp", "random")),
+          _SEED, _OUT)
+def _phase_diagram(args) -> int:
+    if args.family == "knapp" and args.seed is not None:
+        raise ConfigError("--seed needs --family random: knapp inputs "
+                          "draw nothing at random")
+    family = KnappFamily() if args.family == "knapp" else RandomFamily()
+    lam_pair = (None if args.lam_pair is None
+                else parse_floats(args.lam_pair))
+    res = phase_diagram(args.d, args.grid_n, family=family,
+                        lam_pair=lam_pair, out=args.out,
+                        seed=args.seed or 0)
+    _emit(res, args.out)
+    print(f"# off-band cells: {res.n_off_band}  "
+          f"sign agreement: {res.agreement:.4f}")
+    return 0
+
+
+@_command("hyperplane", "hyperplane shadow coefficient",
+          _arg("--d", type=int, required=True),
+          _arg("--normal", required=True, help="comma separated components"))
+def _hyperplane(args) -> int:
+    normal = parse_floats(args.normal)
+    omega = hyperplane_omega(normal, args.d)
+    print(f"omega={omega}")
+    print(f"critical line coefficient: "
+          f"{args.d * (args.d - 1) // 2} + {omega}")
+    return 0
+
+
+@_command("kdim", "k-dimensional graph threshold",
+          _arg("--d", type=int, default=4),
+          _arg("--k", type=int, default=2),
+          _arg("--lams", default="16,32"),
+          _arg("--qs", default="6,7,8,9,10"),
+          _arg("--extent", type=float, default=0.75),
+          _OUT)
+def _kdim(args) -> int:
+    res = kdim_experiment(args.d, args.k, moment_curve(args.d),
+                          parse_floats(args.lams), parse_floats(args.qs),
+                          extent=args.extent, out=args.out)
+    _emit(res, args.out)
+    print(f"# q_critical={res.q_critical}")
+    for q in sorted(res.slopes):
+        print(f"# q={q}: closed-form slope {res.slopes[q]:+.5f}")
+    return 0
+
+
+@_command("audit-measure", "dimension audit",
+          _arg("--d", type=int, default=2),
+          _arg("--kind", default="sphere", choices=("sphere", "singular")),
+          _arg("--alpha", type=float, default=None),
+          _arg("--resolution", type=int, default=0),
+          _SEED)
+def _audit_measure(args) -> int:
+    if args.kind == "sphere":
+        mu = sphere_measure(args.d, args.resolution)
+        alpha = args.d - 1 if args.alpha is None else args.alpha
+    else:
+        alpha = 1.5 if args.alpha is None else args.alpha
+        mu = singular_alpha_measure(args.d, alpha, args.resolution or 64)
+    ratio = dimension_audit(mu, alpha, seed=args.seed or 0)
+    print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
+    return 0
+
+
+def build_parser(names=None) -> argparse.ArgumentParser:
+    """The rlab parser with the subcommands names, in table order by
+    default every one."""
+    ap = argparse.ArgumentParser(
+        prog="rlab",
+        description="Numerical laboratory for extension-operator decay "
+                    "over curved measures.",
+        epilog=_CSV_NOTE,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in _COMMANDS if names is None else names:
+        cmd = _COMMANDS[name]
+        sp = sub.add_parser(name, help=cmd.help, description=cmd.description)
+        for flags, kwargs in cmd.arguments:
+            sp.add_argument(*flags, **kwargs)
+    return ap
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv as the full parser parses it, building only the subcommand
+    argv[0] names when that parse succeeds: the parsers of the others
+    would cost a tenth of a small sweep.  A one-entry parse that exits
+    nonzero is repeated with every entry, its stderr dropped, so each
+    usage line, message and exit code is the full parser's (the top-level
+    usage of an unrecognized argument, for one, lists every subcommand).
+    """
+    if argv and argv[0] in _COMMANDS:
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                return build_parser(argv[:1]).parse_args(argv)
+        except SystemExit as exc:
+            if not exc.code:
+                raise
+    return build_parser().parse_args(argv)
 
 
 def cli_main(argv=None) -> int:
-    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = ap.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _run(args)
+        return _COMMANDS[args.command].run(args)
     except (ComputationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

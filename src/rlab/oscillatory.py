@@ -287,12 +287,18 @@ def _cis(theta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     theta N / 2 pi.  Short Taylor sums give z = (cos r - 1) + i sin r,
     and the result is T + T z with T the table entry of k mod N, so z's
     rounding is scaled by |z| < 4e-3.  Outside the range, and for a
-    non-finite theta, it is libm's exp.
+    non-finite theta, it is libm's exp, element by element: no element's
+    bits depend on the others in theta.
     """
     size = theta.size
     if size and not (-_CIS_RANGE <= theta.min() and theta.max() <= _CIS_RANGE):
+        near = np.abs(theta) <= _CIS_RANGE      # False for nan
+        far = ~near
         with np.errstate(invalid="ignore"):      # nan and inf give nan
-            return np.exp(1j * theta, out=out)
+            out[far] = np.exp(1j * theta[far])
+        inside = theta[near]
+        out[near] = _cis(inside, np.empty(inside.size, dtype=complex), work)
+        return out
     k, r, t = work[:3 * size].reshape(3, size)
     z = work[3 * size:5 * size].view(complex)
     np.multiply(theta, _CIS_N / (2.0 * np.pi), out=k)

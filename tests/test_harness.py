@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import rlab.cli
 import rlab.measures
 import rlab.oscillatory as osc
 from brute_force import audit_reference
@@ -797,6 +798,14 @@ _CHEAP_RUNS = {
 }
 
 
+_CHEAP_CFG = "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 16\nqs = 3\n"
+
+
+def _subparsers(ap):
+    return next(a for a in ap._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _after_cli(tmp_path, runs: dict, report: str, setup: str = "") -> bytes:
     """Run setup, then cli_main once per {subcommand: argv} of runs, in a
     fresh interpreter in tmp_path; its stdout is the value of report."""
@@ -819,13 +828,84 @@ def _after_cli(tmp_path, runs: dict, report: str, setup: str = "") -> bytes:
 def test_cli_never_imports_scipy(tmp_path):
     # numpy is the only runtime dependency: every subcommand runs once in
     # a fresh interpreter, which must not have imported scipy
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    assert set(_CHEAP_RUNS) == set(sub.choices)
-    (tmp_path / "cfg.ini").write_text(
-        "[curve]\nkind = moment(2)\n\n[sweep]\nlams = 16\nqs = 3\n")
+    assert set(_CHEAP_RUNS) == set(_subparsers(build_parser()))
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
     assert (_after_cli(tmp_path, _CHEAP_RUNS, "'scipy' in sys.modules")
             == b"False\n")
+
+
+def _parse_cases(name, sp):
+    """Argvs for subcommand name: -h, its cheap run, an unrecognized
+    argument, and per argument each argparse error it admits (left out
+    when required, an invalid choice, a bad int)."""
+    run = [name] + _CHEAP_RUNS[name]
+    cases = [[name, "-h"], run, run + ["--bogus"], run + ["extra"]]
+    for act in sp._actions:
+        flag = act.option_strings[-1]
+        if act.required:
+            at = run.index(flag)
+            cases.append(run[:at] + run[at + 2:])
+        if act.choices:
+            cases.append(run + [flag, "bogus"])
+        if act.type is int:
+            cases.append(run + [flag, "x"])
+    return cases
+
+
+@pytest.mark.parametrize("name", [None, *_CHEAP_RUNS])
+def test_cli_reads_as_the_full_parser(name, tmp_path, monkeypatch):
+    # cli_main builds the parser of argv[0]'s subcommand alone; stdout,
+    # stderr and exit code equal those of a cli_main whose every parser
+    # holds all eight
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
+    full = build_parser()
+    if name is None:
+        cases = [[], ["--help"], ["-h"], ["bogus"], ["bogus", "-h"],
+                 ["--d", "2"]]
+    else:
+        cases = _parse_cases(name, _subparsers(full)[name])
+    got = [_capture(argv) for argv in cases]
+    every = rlab.cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(rlab.cli, "build_parser", lambda names=None: every())
+        want = [_capture(argv) for argv in cases]
+    for argv, g, w in zip(cases, got, want):
+        assert g == w, argv
+    if name is not None:
+        # help, the run, then argparse errors only, at least a bad int
+        assert len(cases) > 4
+        assert [g[0] for g in got] == [0, 0] + [2] * (len(cases) - 2)
+        run = [name] + _CHEAP_RUNS[name]
+        assert rlab.cli._parse_args(run) == full.parse_args(run)
+
+
+def test_sweep_builds_only_its_parser(tmp_path, monkeypatch):
+    # the top-level parser and sweep's: 2 parsers and 5 arguments (each
+    # parser's -h, --config, --seed, --out), where the full parser is 9
+    # and 46
+    counts = {"parsers": 0, "arguments": 0}
+    init = argparse.ArgumentParser.__init__
+    add = argparse._ActionsContainer.add_argument
+
+    def counted_init(self, *args, **kwargs):
+        counts["parsers"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_add(self, *args, **kwargs):
+        counts["arguments"] += 1
+        return add(self, *args, **kwargs)
+
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        counted_add)
+    code, out, _ = _capture(["sweep", "--config", str(tmp_path / "cfg.ini")])
+    assert code == 0 and "\nlambda,p,q," in out
+    assert counts == {"parsers": 2, "arguments": 5}
+    counts.update(parsers=0, arguments=0)
+    build_parser()
+    assert counts == {"parsers": 9, "arguments": 46}
 
 
 def test_cli_never_imports_numpy_polynomial(tmp_path):

@@ -593,10 +593,34 @@ def test_cis_non_finite_and_out_of_range():
     assert np.all(np.isnan(got[1:4].real)) and np.all(np.isnan(got[1:4].imag))
     assert _cis_error(theta[[0, 4]], got[[0, 4]]) <= 1.0
     assert np.all(np.isnan(_cis(np.full(7, np.nan))))
-    # past the range of exact heads, libm takes over
-    far = np.array([1.5, 4.0e9, -1.0e12])
-    assert np.array_equal(_cis(far), np.exp(1j * far))
+    # past the range of exact heads, libm takes over for those elements
+    # alone: 1.5 keeps the bits it has without them
+    mixed = np.array([1.5, 4.0e9, -1.0e12, np.nan])
+    got = _cis(mixed)
+    assert np.array_equal(got[:1], _cis(mixed[:1]))
+    assert np.array_equal(got[1:3], np.exp(1j * mixed[1:3]))
+    assert np.isnan(got[3].real) and np.isnan(got[3].imag)
     assert _cis(np.empty(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("d, seg", [(2, (0.0, 1.0)),
+                                    (3, (0.5, 0.5 + 2.0 ** -30))],
+                         ids=["d2", "d3"])
+def test_a_far_point_moves_no_other_value(d, seg):
+    # the far point's phase leaves _cis's range, so its exponentials are
+    # libm's; every other point of its batch (at d=3 its chunk, which the
+    # short segment keeps at MIN_PANELS panels) keeps the table's bits
+    lam = 2.0 ** 20
+    rng = np.random.default_rng(2300 + d)
+    ypts = rng.uniform(-1.0, 1.0, size=(64, d))
+    phase = extension_phase(moment_curve(d))
+    f = indicator(*seg)
+    far = np.full((1, d), 5e3)
+    # its phase at the segment's end
+    assert lam * far[0] @ seg[1] ** np.arange(1, d + 1) > osc._CIS_RANGE
+    alone = eval_field(phase, lam, f, ypts)
+    joined = eval_field(phase, lam, f, np.vstack([ypts, far]))
+    assert np.array_equal(joined[:-1], alone)
 
 
 # ----------------------------------------------------------------------
