@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 success, 2 bad arguments or config (a ``ConfigError`` or a
-plain ``ValueError`` refusing an argument), 3 numerical failure (a
+Exit codes: 0 success, 2 bad arguments or config (a ``ConfigError``,
+such as a CSV path that cannot be written, or a plain ``ValueError``
+refusing an argument), 3 numerical failure (a
 ``ComputationError``, such as a ``DataError`` from a check on computed
 arrays, or numpy's ``LinAlgError``).
 """
@@ -9,8 +10,6 @@ arrays, or numpy's ``LinAlgError``).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import sys
 from typing import Callable, NamedTuple
 
@@ -78,15 +77,22 @@ def _command(name, help, *arguments, description=None):
     return enter
 
 
-def _emit(res, out) -> None:
-    """Write the CSV to stdout unless the experiment wrote it to out."""
+def _emit(text, out) -> None:
+    """Write the CSV text to stdout, or to the file out when one is given."""
     if out is None:
-        sys.stdout.write(res.csv_text)
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot write the CSV to {out}: {exc.strerror}") from exc
 
 
-def _print_sweep(res) -> None:
+def _print_sweep(res, out) -> None:
     """The sweep's CSV, then one '# fit' line per (p, q)."""
-    _emit(res, res.config.out)
+    _emit(res.csv_text, out)
     for (p, q), fit in sorted(res.fits.items()):
         line = (f"# fit p={p} q={q}: norm_slope={fit['norm_slope']:+.5f} "
                 f"ratio_slope={fit['ratio_slope']:+.5f} "
@@ -115,7 +121,7 @@ def _exponents(args) -> int:
 def _sweep(args) -> int:
     config = sweep_config_from_file(
         args.config, {"seed": args.seed, "out": args.out})
-    _print_sweep(decay_sweep(config))
+    _print_sweep(decay_sweep(config), config.out)
     return 0
 
 
@@ -132,8 +138,8 @@ def _knapp(args) -> int:
                          family=KnappFamily(t0=args.t0, rho=args.rho),
                          lams=parse_floats(args.lams),
                          qs=parse_floats(args.qs),
-                         ps=parse_floats(args.ps), out=args.out)
-    _print_sweep(decay_sweep(config))
+                         ps=parse_floats(args.ps))
+    _print_sweep(decay_sweep(config), args.out)
     return 0
 
 
@@ -149,9 +155,9 @@ def _random_lower(args) -> int:
         curve=moment_curve(args.d),
         family=RandomFamily(delta=args.delta, n_samples=args.n_samples),
         lams=parse_floats(args.lams), qs=parse_floats(args.qs),
-        seed=args.seed or 0, out=args.out)
+        seed=args.seed or 0)
     res = khintchine_experiment(config)
-    _emit(res, config.out)
+    _emit(res.csv_text, args.out)
     print(f"# ratio band across lambda: {res.band():.4f}")
     return 0
 
@@ -174,9 +180,8 @@ def _phase_diagram(args) -> int:
     lam_pair = (None if args.lam_pair is None
                 else parse_floats(args.lam_pair))
     res = phase_diagram(args.d, args.grid_n, family=family,
-                        lam_pair=lam_pair, out=args.out,
-                        seed=args.seed or 0)
-    _emit(res, args.out)
+                        lam_pair=lam_pair, seed=args.seed or 0)
+    _emit(res.csv_text, args.out)
     print(f"# off-band cells: {res.n_off_band}  "
           f"sign agreement: {res.agreement:.4f}")
     return 0
@@ -204,8 +209,8 @@ def _hyperplane(args) -> int:
 def _kdim(args) -> int:
     res = kdim_experiment(args.d, args.k, moment_curve(args.d),
                           parse_floats(args.lams), parse_floats(args.qs),
-                          extent=args.extent, out=args.out)
-    _emit(res, args.out)
+                          extent=args.extent)
+    _emit(res.csv_text, args.out)
     print(f"# q_critical={res.q_critical}")
     for q in sorted(res.slopes):
         print(f"# q={q}: closed-form slope {res.slopes[q]:+.5f}")
@@ -232,14 +237,19 @@ def _audit_measure(args) -> int:
 
 def build_parser(names=None) -> argparse.ArgumentParser:
     """The rlab parser with the subcommands names, in table order by
-    default every one."""
+    default every one; its usage line lists every subcommand either way."""
     ap = argparse.ArgumentParser(
         prog="rlab",
         description="Numerical laboratory for extension-operator decay "
                     "over curved measures.",
         epilog=_CSV_NOTE,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
+    # a one-entry parser shows the full parser's usage line, the brace list
+    # of every subcommand; the full parser leaves that to argparse, so that
+    # its missing-subcommand error still names the dest, "command"
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if names is None else "{" + ",".join(_COMMANDS) + "}")
     for name in _COMMANDS if names is None else names:
         cmd = _COMMANDS[name]
         sp = sub.add_parser(name, help=cmd.help, description=cmd.description)
@@ -249,21 +259,11 @@ def build_parser(names=None) -> argparse.ArgumentParser:
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """argv as the full parser parses it, building only the subcommand
-    argv[0] names when that parse succeeds: the parsers of the others
-    would cost a tenth of a small sweep.  A one-entry parse that exits
-    nonzero is repeated with every entry, its stderr dropped, so each
-    usage line, message and exit code is the full parser's (the top-level
-    usage of an unrecognized argument, for one, lists every subcommand).
-    """
-    if argv and argv[0] in _COMMANDS:
-        try:
-            with contextlib.redirect_stderr(io.StringIO()):
-                return build_parser(argv[:1]).parse_args(argv)
-        except SystemExit as exc:
-            if not exc.code:
-                raise
-    return build_parser().parse_args(argv)
+    """argv as the full parser parses it, from a parser holding only the
+    subcommand argv[0] names (every one when it names none): the parsers
+    of the others would cost a tenth of a small sweep."""
+    names = argv[:1] if argv and argv[0] in _COMMANDS else None
+    return build_parser(names).parse_args(argv)
 
 
 def cli_main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Sweep driver: lambda sweeps, slope fits, randomized lower bounds.
 
-Each experiment produces an in-memory list of records plus a CSV dump
-with a self-describing '#' header.  CSV output contains no timing data:
-reruns with identical config and seed must be byte-identical.
+Each experiment produces an in-memory list of records plus its CSV text
+with a self-describing '#' header; the harness writes no file (the CLI
+puts the text on stdout or at --out).  CSV output contains no timing
+data: reruns with identical config and seed must be byte-identical.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class SweepConfig:
     qs: tuple
     ps: tuple = (float("inf"),)
     seed: int = 0
-    out: str | None = None
+    out: str | None = None       # the CSV path; only the CLI reads it
 
     def __post_init__(self):
         lams = tuple(float(v) for v in self.lams)
@@ -203,22 +204,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path_or_buf, header_lines: list, columns: list,
-              rows: list) -> str:
-    """Deterministic CSV with '#' header echo; returns the text."""
+def format_csv(header_lines: list, columns: list, rows: list) -> str:
+    """Deterministic CSV text with '#' header echo."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    text = buf.getvalue()
-    if isinstance(path_or_buf, (str,)):
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
-    elif path_or_buf is not None:
-        path_or_buf.write(text)
-    return text
+    return buf.getvalue()
 
 
 # ----------------------------------------------------------------------
@@ -352,19 +346,16 @@ class SweepResult:
     records: list
     fits: dict                   # (p, q) -> slopes; empty for one lambda
 
-    def _write(self, out) -> str:
+    @property
+    def csv_text(self) -> str:
+        """The CSV, formatted when read (phase_diagram never reads it)."""
         c = self.config
         header = [f"decay_sweep d={c.curve.dim} family={c.family.name}",
                   f"curve={c.curve.name}", f"family_params={c.family}",
                   f"lams={list(map(_fmt, sorted(c.lams)))} seed={c.seed}",
                   "ratio = field_norm / (lambda^-decay_exponent * input_norm)"]
-        return write_csv(out, header, SweepRecord.HEADER,
-                         [r.row() for r in self.records])
-
-    @property
-    def csv_text(self) -> str:
-        """The CSV, formatted when read (phase_diagram never reads it)."""
-        return self._write(None)
+        return format_csv(header, SweepRecord.HEADER,
+                          [r.row() for r in self.records])
 
 
 def decay_sweep(config: SweepConfig) -> SweepResult:
@@ -416,10 +407,7 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
 
     records = [r for lam in sorted(config.lams) for r in run_one(lam)]
     fits = _sweep_fits(config, records) if len(config.lams) >= 2 else {}
-    res = SweepResult(config=config, records=records, fits=fits)
-    if config.out is not None:
-        res._write(config.out)
-    return res
+    return SweepResult(config=config, records=records, fits=fits)
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +454,9 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
     fam = config.family
     if not isinstance(fam, RandomFamily):
         raise ConfigError("khintchine_experiment needs a random family")
-    if any(q < 2 for q in config.qs):
-        raise ConfigError("the randomized bound needs q >= 2")
+    if not all(2 <= q < math.inf for q in config.qs):
+        # the lower bound lambda^(-q/(2d)) |P| is 0 at q = inf
+        raise ConfigError("the randomized bound needs finite q >= 2")
     if fam.n_samples < 32:
         raise ConfigError("need at least 32 sign samples")
     curve = config.curve
@@ -526,8 +515,8 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
         "mean_power = E ||sum_k eps_k T chi_k||_q^q over sign draws",
         "lower_bound = lambda^(-q/(2d)) * sum_k |P_k|",
     ]
-    csv_text = write_csv(config.out, header, KhintchineRecord.HEADER,
-                         [r.row() for r in records])
+    csv_text = format_csv(header, KhintchineRecord.HEADER,
+                          [r.row() for r in records])
     return KhintchineResult(records=records, csv_text=csv_text)
 
 
@@ -544,7 +533,7 @@ class PhaseDiagramResult:
 
 
 def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
-                  out=None, seed: int = 0) -> PhaseDiagramResult:
+                  seed: int = 0) -> PhaseDiagramResult:
     """Measured two-lambda excess slopes over the (1/p, 1/q) square.
 
     One decay sweep over the grid's exponents (infinity at 1/p = 0 and
@@ -613,7 +602,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     # (+ 0.0 turns a rounded -0.0 into 0)
     rows = [[round(c[k], 10) + 0.0 if k == "measured_excess" else c[k]
              for k in cols] for c in cells]
-    csv_text = write_csv(out, header, cols, rows)
+    csv_text = format_csv(header, cols, rows)
     return PhaseDiagramResult(cells=cells, agreement=agreement,
                               n_off_band=n_off, csv_text=csv_text)
 
@@ -646,7 +635,7 @@ class KdimResult:
 
 
 def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
-                    extent: float = 0.75, out=None) -> KdimResult:
+                    extent: float = 0.75) -> KdimResult:
     """Sign of the excess slope across the k-dimensional threshold.
 
     The slope of log[lambda^{-q/(2d)} N(lambda) |P-bar| / lambda^{-k}]
@@ -703,7 +692,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
         f"q_critical={_fmt(qc)}",
         "closed_form_slope = -(q - q_c)/(2d) from continuum box counts",
     ]
-    csv_text = write_csv(out, header, KdimRecord.HEADER,
-                         [r.row() for r in records])
+    csv_text = format_csv(header, KdimRecord.HEADER,
+                          [r.row() for r in records])
     return KdimResult(records=records, q_critical=qc, slopes=slopes,
                       csv_text=csv_text)

@@ -39,11 +39,11 @@ from rlab.harness import (
     _sweep_fits,
     decay_sweep,
     default_bump_point,
+    format_csv,
     kdim_experiment,
     khintchine_experiment,
     ols_fit,
     phase_diagram,
-    write_csv,
 )
 from rlab.measures import (
     QuadMeasure,
@@ -142,12 +142,10 @@ def test_ols_fit_on_stacked_columns_matches_lstsq(n):
         assert abs(one[1] - want) <= 1e-13
 
 
-def test_write_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    text = write_csv(str(path), ["alpha", "beta"], ["a", "b"],
-                     [[1.0, 2.5], [0.125, float("inf")]])
-    on_disk = path.read_text()
-    assert on_disk == text
+def test_format_csv():
+    text = format_csv(["alpha", "beta"], ["a", "b"],
+                      [[1.0, 2.5], [0.125, float("inf")]])
+    assert text.endswith("\n")
     lines = text.splitlines()
     assert lines[0] == "# alpha" and lines[1] == "# beta"
     assert lines[2] == "a,b"
@@ -322,14 +320,14 @@ def test_phase_diagram_cells_are_the_sweeps_ratio_slopes(family, grid_n,
 
 def test_phase_diagram_formats_only_its_own_csv(monkeypatch):
     """The sweep behind a phase diagram formats no CSV: phase_diagram
-    reads only its fits, and its own table is the one write_csv call."""
+    reads only its fits, and its own table is the one format_csv call."""
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return write_csv(*args)
+        return format_csv(*args)
 
-    monkeypatch.setattr("rlab.harness.write_csv", counting)
+    monkeypatch.setattr("rlab.harness.format_csv", counting)
     res = phase_diagram(2, 3, lam_pair=(16.0, 32.0))
     assert len(calls) == 1
     assert res.csv_text.startswith("# phase_diagram d=2 grid_n=3")
@@ -659,6 +657,7 @@ def test_cli_error_codes():
     ["phase-diagram", "--family", "knapp", "--seed", "3"],
     ["phase-diagram", "--d", "3"],
     ["knapp", "--d", "3"],
+    ["random-lower", "--lams", "256,1024", "--n-samples", "32", "--qs", "inf"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -676,7 +675,8 @@ def test_cli_error_codes():
         "sweep-bump-x0-off-sphere", "sweep-random-n-samples",
         "sweep-family-typo", "sweep-foreign-family-key", "sweep-sweep-typo",
         "sweep-unknown-section", "phase-diagram-knapp-seed",
-        "phase-diagram-d3-grid-over-budget", "knapp-d3-grid-over-budget"])
+        "phase-diagram-d3-grid-over-budget", "knapp-d3-grid-over-budget",
+        "random-q-inf"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
@@ -832,6 +832,56 @@ def test_cli_never_imports_scipy(tmp_path):
     (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
     assert (_after_cli(tmp_path, _CHEAP_RUNS, "'scipy' in sys.modules")
             == b"False\n")
+
+
+_EXPERIMENTS = ["sweep", "knapp", "random-lower", "phase-diagram", "kdim"]
+
+
+def _out_runs(name, out):
+    """The cheap run of experiment name writing its CSV to out, by --out
+    and, for sweep, also by the config file's [sweep] out."""
+    runs = [[name] + _CHEAP_RUNS[name] + ["--out", out]]
+    if name == "sweep":
+        runs.append(["sweep", "--config", "cfg-out.ini"])
+    return runs
+
+
+def _write_cheap_configs(tmp_path, out):
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
+    (tmp_path / "cfg-out.ini").write_text(_CHEAP_CFG + f"out = {out}\n")
+
+
+@pytest.mark.parametrize("name", _EXPERIMENTS)
+def test_cli_out_file_holds_the_stdout_csv(name, tmp_path, monkeypatch):
+    # the file gets every byte of the CSV the run prints without an out
+    # path, and stdout keeps only the '#' summary lines after it
+    monkeypatch.chdir(tmp_path)
+    _write_cheap_configs(tmp_path, "run.csv")
+    code, printed, _ = _capture([name] + _CHEAP_RUNS[name])
+    assert code == 0
+    for run in _out_runs(name, "run.csv"):
+        code, summary, err = _capture(run)
+        written = (tmp_path / "run.csv").read_bytes().decode()
+        (tmp_path / "run.csv").unlink()
+        assert (code, err) == (0, ""), run
+        assert written.startswith("# ") and printed == written + summary, run
+        assert all(ln.startswith("# ") for ln in summary.splitlines()), run
+
+
+@pytest.mark.parametrize("name", _EXPERIMENTS)
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_cli_unwritable_out_exits_2(name, where, tmp_path, monkeypatch):
+    # an out path into a missing directory, or naming a directory, is a
+    # bad argument: cli_main returns 2 (no exception escapes it to print a
+    # traceback) with the path on stderr
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "missing" / "a.csv" if where == "missing-dir"
+              else tmp_path)
+    _write_cheap_configs(tmp_path, out)
+    for run in _out_runs(name, out):
+        code, printed, err = _capture(run)
+        assert code == 2 and printed == "", run
+        assert err.startswith(f"error: cannot write the CSV to {out}: "), run
 
 
 def _parse_cases(name, sp):
