@@ -10,6 +10,8 @@ arrays, or numpy's ``LinAlgError``).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -77,6 +79,23 @@ def _command(name, help, *arguments, description=None):
     return enter
 
 
+def _unwritable(out, reason):
+    return ConfigError(f"cannot write the CSV to {out}: {reason}")
+
+
+def _check_out(out) -> None:
+    """Refuse, before the run and without making a file, an out path that
+    names a directory or lies in a missing one."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise _unwritable(out, os.strerror(errno.EISDIR))
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise _unwritable(out, os.strerror(code))
+
+
 def _emit(text, out) -> None:
     """Write the CSV text to stdout, or to the file out when one is given."""
     if out is None:
@@ -86,8 +105,7 @@ def _emit(text, out) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ConfigError(
-            f"cannot write the CSV to {out}: {exc.strerror}") from exc
+        raise _unwritable(out, exc.strerror) from exc
 
 
 def _print_sweep(res, out) -> None:
@@ -121,6 +139,7 @@ def _exponents(args) -> int:
 def _sweep(args) -> int:
     config = sweep_config_from_file(
         args.config, {"seed": args.seed, "out": args.out})
+    _check_out(config.out)
     _print_sweep(decay_sweep(config), config.out)
     return 0
 
@@ -134,6 +153,7 @@ def _sweep(args) -> int:
           _arg("--ps", default="inf"),
           _OUT)
 def _knapp(args) -> int:
+    _check_out(args.out)
     config = SweepConfig(curve=moment_curve(args.d),
                          family=KnappFamily(t0=args.t0, rho=args.rho),
                          lams=parse_floats(args.lams),
@@ -151,6 +171,7 @@ def _knapp(args) -> int:
           _arg("--qs", default="3"),
           _SEED, _OUT)
 def _random_lower(args) -> int:
+    _check_out(args.out)
     config = SweepConfig(
         curve=moment_curve(args.d),
         family=RandomFamily(delta=args.delta, n_samples=args.n_samples),
@@ -176,6 +197,7 @@ def _phase_diagram(args) -> int:
     if args.family == "knapp" and args.seed is not None:
         raise ConfigError("--seed needs --family random: knapp inputs "
                           "draw nothing at random")
+    _check_out(args.out)
     family = KnappFamily() if args.family == "knapp" else RandomFamily()
     lam_pair = (None if args.lam_pair is None
                 else parse_floats(args.lam_pair))
@@ -207,6 +229,7 @@ def _hyperplane(args) -> int:
           _arg("--extent", type=float, default=0.75),
           _OUT)
 def _kdim(args) -> int:
+    _check_out(args.out)
     res = kdim_experiment(args.d, args.k, moment_curve(args.d),
                           parse_floats(args.lams), parse_floats(args.qs),
                           extent=args.extent)

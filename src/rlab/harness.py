@@ -640,7 +640,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
 
     The slope of log[lambda^{-q/(2d)} N(lambda) |P-bar| / lambda^{-k}]
     with the continuum box count N = extent lambda^{1/(2d)} is exactly
-    -(q - q_c)/(2d), flipping sign at q_c = (2d-k+1)k/2 + 1.  The field
+    (q_c - q)/(2d), flipping sign at q_c = (2d-k+1)k/2 + 1.  The field
     computation validates the mechanism behind the bound: each interval
     indicator, recentered at its anchor, keeps |T chi| >= 0.4 |I| across
     the whole dual box.
@@ -653,11 +653,18 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     for lam in lams:
         if not 0 < lam < math.inf:
             raise ConfigError(f"lambda {lam} must be finite and positive")
-    if not all(float(q) >= 1 for q in qs):
+    if not all(1 <= float(q) < math.inf for q in qs):
+        # the closed-form slope (q_c - q)/(2d) is infinite at q = inf
         raise ConfigError(
-            f"q must be >= 1, got q={tuple(float(q) for q in qs)}")
+            f"q must be finite and >= 1, got q={tuple(float(q) for q in qs)}")
     if not 0 < extent < math.inf:
         raise ConfigError(f"extent {extent} must be finite and positive")
+    # the intervals partition [0, extent], which must lie on the domain
+    lo, hi = curve.domain
+    if lo > 0.0 or extent > hi:
+        raise ConfigError(
+            f"the kdim input lies on [0, {extent:g}], outside the curve's "
+            f"domain [{lo:g}, {hi:g}]: check extent")
     patch = submanifold_builder(d, k, curve, extent=extent)
     phase = graph_phase(patch.curve, patch)
     qc = float(kdim_threshold(d, k))
@@ -667,7 +674,8 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
                     interval=part0.intervals[-1])
 
     records = []
-    slopes = {float(q): -(float(q) - qc) / (2 * d) for q in qs}
+    # q_c - q, not -(q - q_c), so that q = q_c gives 0 and not -0
+    slopes = {float(q): (qc - float(q)) / (2 * d) for q in qs}
     for lam in lams:
         part = partition_family(phase, extent, lam)
         boxes = part.boxes(c)

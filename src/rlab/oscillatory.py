@@ -65,9 +65,9 @@ then Stirling numbers), never by subtracting phase values.  Every
 _ANCHOR panels (fewer from degree 3 on, see _anchor_spacing) they are
 taken afresh and exponentiated again, which bounds the round-off the
 recurrence accumulates (Press et al., Numerical Recipes, 3rd ed., 2007,
-section 5.4).  E_0 .. E_(D-1), D * 16 values per point, come from the
-table-driven _cis to within 1 ulp; E_D, one value per point and segment,
-from libm's exp.
+section 5.4).  E_0 .. E_(D-1), D * 16 values per point, come from one
+call of the table-driven _cis per anchor, to within 1 ulp; E_D, one value
+per point and segment, from libm's exp.
 """
 
 from __future__ import annotations
@@ -276,31 +276,32 @@ def _cis_constants():
 _CIS_TABLE, _CIS_SPLIT = _cis_constants()
 
 
-def _cis(theta: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """exp(i theta) into out, within 1 ulp of 1.0 for |theta| <= _CIS_RANGE
-    (Tang, ACM TOMS 15, 1989).
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of the flat theta in a new array, within 1 ulp of 1.0
+    for |theta| <= _CIS_RANGE (Tang, ACM TOMS 15, 1989).
 
-    theta is flat, out complex of theta's size and work a float scratch
-    of at least five times it.  With k = rint(theta N / 2 pi), the
-    reduced r = theta - k 2 pi / N is exact up to the tail part of the
-    split, as every k * head is; |r| <= pi / N up to the rounding of
-    theta N / 2 pi.  Short Taylor sums give z = (cos r - 1) + i sin r,
-    and the result is T + T z with T the table entry of k mod N, so z's
-    rounding is scaled by |z| < 4e-3.  Outside the range, and for a
-    non-finite theta, it is libm's exp, element by element: no element's
-    bits depend on the others in theta.
+    It allocates its result and its own scratch, so a caller makes one
+    call on all its angles and pays the fixed cost of a call once.  With
+    k = rint(theta N / 2 pi), the reduced r = theta - k 2 pi / N is exact
+    up to the tail part of the split, as every k * head is; |r| <= pi / N
+    up to the rounding of theta N / 2 pi.  Short Taylor sums give
+    z = (cos r - 1) + i sin r, and the result is T + T z with T the table
+    entry of k mod N, so z's rounding is scaled by |z| < 4e-3.  Outside
+    the range, and for a non-finite theta, it is libm's exp, element by
+    element: no element's bits depend on the others in theta.
     """
     size = theta.size
+    out = np.empty(size, dtype=complex)
     if size and not (-_CIS_RANGE <= theta.min() and theta.max() <= _CIS_RANGE):
         near = np.abs(theta) <= _CIS_RANGE      # False for nan
         far = ~near
         with np.errstate(invalid="ignore"):      # nan and inf give nan
             out[far] = np.exp(1j * theta[far])
-        inside = theta[near]
-        out[near] = _cis(inside, np.empty(inside.size, dtype=complex), work)
+        out[near] = _cis(theta[near])
         return out
+    work = np.empty(5 * size)
     k, r, t = work[:3 * size].reshape(3, size)
-    z = work[3 * size:5 * size].view(complex)
+    z = work[3 * size:].view(complex)
     np.multiply(theta, _CIS_N / (2.0 * np.pi), out=k)
     np.rint(k, out=k)
     idx = t.view(np.int64)
@@ -396,8 +397,7 @@ def _quadratic_sums(coef: np.ndarray, start: float, end: float) -> np.ndarray:
     saddle = ~upper[0] & upper[1]           # start < t* <= end
     theta = np.concatenate([(c0 + ends * (c1 + ends * c2)).ravel(),
                             (c0 - 0.25 * c1 * c1 / c2)[saddle]])
-    e = _cis(theta, np.empty(theta.size, dtype=complex),
-             np.empty(5 * theta.size))
+    e = _cis(theta)
     total = e[:m] * wt[0]
     total -= e[m:2 * m] * wt[1]
     total[saddle] += 2.0 * e[2 * m:]
@@ -458,8 +458,7 @@ def _taylor_sums(coef: np.ndarray, start: float, end: float) -> np.ndarray:
     xf = x[far]
     # exp(i P(m)) per row, then exp(i x) per row whose c_k need sin and cos
     theta = np.concatenate([c0 + mid * (c1 + mid * c2), xf])
-    e = _cis(theta, np.empty(theta.size, dtype=complex),
-             np.empty(5 * theta.size))
+    e = _cis(theta)
     moments = np.empty((m, _TAYLOR_TERMS))        # c_k(x) at [row, k]
     if xf.size < m:
         y = x[~far] ** 2
@@ -615,34 +614,31 @@ def _difference_maps(start: float, h: float, n_panels: int,
     return out.reshape(k0s.size, deg * PANEL_ORDER, width)
 
 
-def _panel_sums(seg: Segment, coef: np.ndarray, n_panels: int, maps: dict,
-                anchors: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _panel_sums(seg: Segment, coef: np.ndarray, n_panels: int,
+                maps: dict) -> np.ndarray:
     """The segment's integral on n_panels panels, per row of coef.
 
     coef holds the t-coefficients of each point's total phase.  The points
     share the one layout, and exp(i Phi) follows the forward-difference
     recurrence of the module docstring, re-anchored every
-    _anchor_spacing(D) panels.  maps caches the difference maps per
-    layout; anchors and work are scratch for at least PANEL_ORDER *
-    len(coef) values per difference.
+    _anchor_spacing(D) panels.  An anchor's D * PANEL_ORDER differences
+    per point take one _cis call.  maps caches the difference maps per
+    layout.
     """
     m, width = coef.shape
     deg = width - 1
     spacing = _anchor_spacing(deg)
     h = seg.length / n_panels
-    cols = PANEL_ORDER * m
-    # E_0 .. E_(D-1) of one anchor; E_D is one libm exp per point
-    point_anchors = anchors[:deg * cols].reshape(deg, cols)
+    # E_D is one libm exp per point
     top = np.exp(1j * (math.factorial(deg) * h ** deg) * coef[:, deg])
     key = (seg.start, h, n_panels)
     if key not in maps:
         maps[key] = _difference_maps(seg.start, h, n_panels, width)
     total = np.zeros((PANEL_ORDER, m), dtype=complex)
     for k0, dmap in zip(range(0, n_panels, spacing), maps[key]):
-        diffs = (dmap @ coef.T).reshape(deg, cols)
-        for theta, e_l in zip(diffs, point_anchors):
-            _cis(theta, e_l, work)
-        terms = [*point_anchors.reshape(deg, PANEL_ORDER, m), top]
+        # E_0 .. E_(D-1) of the anchor, rows ordered by l, then tau
+        anchor = _cis((dmap @ coef.T).ravel())
+        terms = [*anchor.reshape(deg, PANEL_ORDER, m), top]
         for step in range(min(spacing, n_panels - k0)):
             if step:
                 for l in range(deg):
@@ -651,14 +647,14 @@ def _panel_sums(seg: Segment, coef: np.ndarray, n_panels: int, maps: dict,
     return (0.5 * h * gauss_legendre(PANEL_ORDER)[1]) @ total
 
 
-def _coefficients(phase: PhaseSpec, lam: float, seg: Segment, rows: np.ndarray,
+def _coefficients(phase: PhaseSpec, lam: float, seg: Segment,
                   ypts: np.ndarray) -> np.ndarray:
     """t-coefficients of the total phase at each point, shape (n, D + 1)."""
     x = lam * phase.embed(ypts)
     mod = _modulation_point(phase, seg)
     if mod is not None:
         x = x - mod[1] * mod[0]
-    return x @ rows
+    return x @ phase.curve._float_rows(0)
 
 
 def _quadratic_field(phase: PhaseSpec, lam: float, f: TestFunction,
@@ -669,13 +665,12 @@ def _quadratic_field(phase: PhaseSpec, lam: float, f: TestFunction,
     its own point alone, so the batch width moves no bit."""
     n = ypts.shape[0]
     out = np.zeros(n, dtype=complex)
-    rows = phase.curve._float_rows(0)
     for seg in f.segments:
         if seg.length == 0.0:
             continue
         for lo in range(0, n, _CLOSED_BATCH):
             hi = min(n, lo + _CLOSED_BATCH)
-            coef = _coefficients(phase, lam, seg, rows, ypts[lo:hi])
+            coef = _coefficients(phase, lam, seg, ypts[lo:hi])
             closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
             vals = np.empty(hi - lo, dtype=complex)
             if closed.any():
@@ -694,14 +689,8 @@ def _panel_field(phase: PhaseSpec, lam: float, f: TestFunction,
     widest chunk's layout, summed over segments."""
     n = ypts.shape[0]
     out = np.zeros(n, dtype=complex)
-    rows = phase.curve._float_rows(0)
-    deg = rows.shape[1] - 1
     maps = {}       # difference maps per segment layout, shared by chunks
     panels = 0
-    # _panel_sums's scratch, sized for the widest chunk
-    size = PANEL_ORDER * min(n, _Y_CHUNK)
-    anchors = np.empty(deg * size, dtype=complex)
-    work = np.empty(5 * size)
     for seg in f.segments:
         if seg.length == 0.0:
             continue
@@ -709,11 +698,11 @@ def _panel_field(phase: PhaseSpec, lam: float, f: TestFunction,
         for lo in range(0, n, _Y_CHUNK):
             hi = min(n, lo + _Y_CHUNK)
             chunk = ypts[lo:hi]
-            coef = _coefficients(phase, lam, seg, rows, chunk)
+            coef = _coefficients(phase, lam, seg, chunk)
             n_panels = _segment_panel_count(phase, lam, seg, chunk)
             widest = max(widest, n_panels)
-            out[lo:hi] += seg.coefficient * _panel_sums(
-                seg, coef, n_panels, maps, anchors, work)
+            out[lo:hi] += seg.coefficient * _panel_sums(seg, coef, n_panels,
+                                                        maps)
         panels += widest
     return out, panels
 

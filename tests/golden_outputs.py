@@ -84,14 +84,14 @@ e001f36078f9 0 random-lower
 5d5771ba9b5e 0 phase-diagram --grid-n 6
 53b4574de8a8 0 phase-diagram --grid-n 4 --family random
 6dcd55bd7dfc 0 phase-diagram
-1ddfb52918db 0 kdim
+97f2f3b48b58 0 kdim
 2913315a818e 0 hyperplane --d 4 --normal 1,2,3,4
 7ad001a4ced0 0 audit-measure --d 3 --resolution 64 --seed 1
 ef74786dc79b 0 audit-measure --kind singular --d 2
 0a3d3073b7f1 0 sweep --config CFG/bump-d2-large.ini
 5e0ee1514a80 0 phase-diagram --family random
 9319d73d670b 0 sweep --config CFG/knapp-d2.ini
-2d3f3c9a5441 0 kdim --lams 16,32,64
+417b6058de1e 0 kdim --lams 16,32,64
 """.splitlines()
 
 

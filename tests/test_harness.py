@@ -466,6 +466,7 @@ def test_kdim_experiment_slopes():
     assert res.q_critical == 8.0
     assert res.slopes[7.0] == pytest.approx(1.0 / 8.0, abs=1e-15)
     assert res.slopes[8.0] == pytest.approx(0.0, abs=1e-15)
+    assert math.copysign(1.0, res.slopes[8.0]) == 1.0      # 0, not -0
     assert res.slopes[9.0] == pytest.approx(-1.0 / 8.0, abs=1e-15)
     for rec in res.records:
         assert rec.field_ok == 1
@@ -632,6 +633,8 @@ def test_cli_error_codes():
     ["kdim", "--qs", "0.5"],
     ["kdim", "--extent", "inf"],
     ["kdim", "--extent", "0"],
+    ["kdim", "--extent", "1.5", "--lams", "16", "--qs", "8"],
+    ["kdim", "--qs", "inf", "--lams", "16"],
     ["random-lower", "--delta", "inf"],
     ["random-lower", "--delta", "nan"],
     ["random-lower", "--delta", "0"],
@@ -664,7 +667,8 @@ def test_cli_error_codes():
         "audit-resolution-negative", "hyperplane-d2", "kdim-lam-zero",
         "kdim-lam-inf", "kdim-lam-negative", "kdim-lam-duplicate",
         "kdim-lams-empty", "kdim-q-negative", "kdim-q-half",
-        "kdim-extent-inf", "kdim-extent-zero", "random-delta-inf",
+        "kdim-extent-inf", "kdim-extent-zero", "kdim-extent-past-domain",
+        "kdim-q-inf", "random-delta-inf",
         "random-delta-nan", "random-delta-zero", "random-delta-negative",
         "knapp-rho-zero", "knapp-rho-negative", "knapp-rho-inf",
         "knapp-rho-nan", "knapp-t0-below-domain",
@@ -869,19 +873,24 @@ def test_cli_out_file_holds_the_stdout_csv(name, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", _EXPERIMENTS)
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
 def test_cli_unwritable_out_exits_2(name, where, tmp_path, monkeypatch):
-    # an out path into a missing directory, or naming a directory, is a
-    # bad argument: cli_main returns 2 (no exception escapes it to print a
-    # traceback) with the path on stderr
+    # an out path into a missing directory, naming a directory, or under a
+    # file is a bad argument refused before any field: cli_main returns 2
+    # (no exception escapes it to print a traceback) with the path on
+    # stderr, and makes no file
     monkeypatch.chdir(tmp_path)
-    out = str(tmp_path / "missing" / "a.csv" if where == "missing-dir"
-              else tmp_path)
+    out = str({"missing-dir": tmp_path / "missing" / "a.csv",
+               "a-dir": tmp_path,
+               "under-a-file": tmp_path / "cfg.ini" / "a.csv"}[where])
     _write_cheap_configs(tmp_path, out)
+    files = sorted(os.listdir(tmp_path))
+    _forbid_fields(monkeypatch)
     for run in _out_runs(name, out):
         code, printed, err = _capture(run)
         assert code == 2 and printed == "", run
         assert err.startswith(f"error: cannot write the CSV to {out}: "), run
+        assert sorted(os.listdir(tmp_path)) == files, run
 
 
 def _parse_cases(name, sp):

@@ -509,9 +509,7 @@ _EPS = 2.0 ** -52           # one ulp of 1.0, the modulus of exp(i theta)
 
 
 def _cis(theta):
-    theta = np.ascontiguousarray(theta, dtype=float)
-    out = np.empty(theta.size, dtype=complex)
-    return osc._cis(theta, out, np.empty(5 * theta.size))
+    return osc._cis(np.ascontiguousarray(theta, dtype=float))
 
 
 def _cis_error(theta, got):
@@ -804,10 +802,11 @@ def test_closed_form_batch_width_moves_no_bit(family, monkeypatch):
 
 def _count_kernel_work(monkeypatch, run):
     """Work eval_field does inside run(): libm and table exponentials,
-    phase points and rows of the panel rule, Faddeeva values, calls of the
-    closed form (one _faddeeva call each) and rows of the Taylor form."""
-    counts = dict.fromkeys(("libm", "table", "phase", "panel_rows", "w",
-                            "closed_calls", "taylor"), 0)
+    _cis calls, phase points and rows of the panel rule, Faddeeva values,
+    calls of the closed form (one _faddeeva call each) and rows of the
+    Taylor form."""
+    counts = dict.fromkeys(("libm", "table", "table_calls", "phase",
+                            "panel_rows", "w", "closed_calls", "taylor"), 0)
 
     class CountingNumpy:
         def __getattr__(self, name):
@@ -817,9 +816,10 @@ def _count_kernel_work(monkeypatch, run):
             counts["libm"] += np.size(x)
             return np.exp(x, *args, **kwargs)
 
-    def counting_cis(theta, out, work):
+    def counting_cis(theta):
         counts["table"] += theta.size
-        return cis(theta, out, work)
+        counts["table_calls"] += 1
+        return cis(theta)
 
     def counting_panels(phase, lam, seg, ypts):
         n_panels = panels(phase, lam, seg, ypts)
@@ -857,10 +857,11 @@ def test_bump_d2_exponentials_come_from_the_table(monkeypatch):
     # |A| < 1 and take the Taylor form.  The closed form takes the rest in
     # 1 + 1 + 2 + 3 batches of up to 2,048 nodes.  Table values: both ends
     # of each closed-form node and 2,400 saddles, then exp(i P(m)) of each
-    # Taylor node and exp(i x) of the 29 whose |x| >= 2
+    # Taylor node and exp(i x) of the 29 whose |x| >= 2, in one _cis call
+    # per closed-form batch and one per Taylor-form call (6)
     assert counts == {"libm": 0, "table": 2 * 9_542 + 2_400 + 58 + 29,
-                      "phase": 0, "panel_rows": 0, "w": 2 * 9_542,
-                      "closed_calls": 7, "taylor": 58}
+                      "table_calls": 7 + 6, "phase": 0, "panel_rows": 0,
+                      "w": 2 * 9_542, "closed_calls": 7, "taylor": 58}
 
 
 def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
@@ -869,10 +870,12 @@ def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
                       qs=(7.0,))
     counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
     # 324,818 nodes on MIN_PANELS = 4 panels, so one anchor per node with
-    # 3 * 16 table values, and one libm top value
+    # 3 * 16 table values, and one libm top value; the anchor of each of
+    # the 635 chunks of up to 512 nodes takes one _cis call
     assert counts == {"libm": 324_818, "table": 15_591_264,
-                      "phase": 20_788_352, "panel_rows": 324_818, "w": 0,
-                      "closed_calls": 0, "taylor": 0}
+                      "table_calls": 635, "phase": 20_788_352,
+                      "panel_rows": 324_818, "w": 0, "closed_calls": 0,
+                      "taylor": 0}
 
 
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
