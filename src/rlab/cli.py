@@ -85,7 +85,8 @@ def _unwritable(out, reason):
 
 def _check_out(out) -> None:
     """Refuse, before the run and without making a file, an out path that
-    names a directory or lies in a missing one."""
+    names a directory, lies in a missing one or in one without write
+    permission."""
     if out is None:
         return
     if os.path.isdir(out):
@@ -94,6 +95,8 @@ def _check_out(out) -> None:
     if not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
         raise _unwritable(out, os.strerror(code))
+    if not os.access(parent, os.W_OK):
+        raise _unwritable(out, os.strerror(errno.EACCES))
 
 
 def _emit(text, out) -> None:

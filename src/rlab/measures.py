@@ -136,9 +136,12 @@ class QuadMeasure:
 def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
     """Surface measure on S^{d-1} for d in {2, 3}.
 
-    d=2: uniform angles (trapezoid; exact for trigonometric polynomials).
-    d=3: Gauss-Legendre in the polar cosine x uniform azimuth.
-    Resolution 0 picks the builder default (256 nodes, 64 polar).
+    d=2: n uniform angles (trapezoid; exact for trigonometric
+    polynomials).  d=3: n_u Gauss-Legendre nodes in the polar cosine x
+    2 n_u uniform azimuths (Atkinson & Han, Spherical Harmonics and
+    Approximations on the Unit Sphere, 2012), 2 n_u^2 nodes.  Resolution
+    0 picks the builder default (256 nodes, 64 polar).  max_spacing is the
+    arc 2 pi/n at d=2 and the azimuthal step pi/n_u at d=3.
     """
     if resolution < 0:
         raise ValueError("resolution must be >= 0 (0 = default)")
@@ -151,7 +154,7 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         weights = np.full(n, 2.0 * np.pi / n)
         return QuadMeasure(
             2, nodes, weights, alpha=1.0, provenance="sphere",
-            max_spacing=_sphere_spacing(2, n),
+            max_spacing=2.0 * np.pi / n,
         )
     if d == 3:
         n_u = resolution or 64
@@ -168,36 +171,34 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         weights = np.repeat(wu, n_az) * (2.0 * np.pi / n_az)
         return QuadMeasure(
             3, nodes, weights, alpha=2.0, provenance="sphere",
-            max_spacing=_sphere_spacing(3, n_u),
+            max_spacing=np.pi / n_u,
         )
     raise ValueError("sphere_measure supports d in {2, 3}")
 
 
-def _sphere_spacing(d: int, resolution: int) -> float:
-    """Largest node spacing of sphere_measure(d, resolution): the arc
-    2 pi/n at d=2, the polar step pi/n_u (equal to the azimuthal one) at
-    d=3."""
-    return (2.0 if d == 2 else 1.0) * np.pi / resolution
-
-
-def _sphere_rule(d: int, lam: float) -> int:
-    """The resolution of sphere_resolution_for(d, lam), with no budget."""
-    return max(8, int(math.ceil((10.0 if d == 2 else 8.0 * np.pi) * lam)))
+def _sphere_rule(d: int, lam: float) -> tuple:
+    """(resolution, node count) of sphere_resolution_for(d, lam), with no
+    budget: n = 10 lambda nodes at d=2; n_u = 4 lambda polar nodes and
+    2 n_u^2 nodes at d=3; resolution at least 8."""
+    n = max(8, math.ceil((10.0 if d == 2 else 4.0) * lam))
+    return n, (n if d == 2 else 2 * n * n)
 
 
 def sphere_resolution_for(d: int, lam: float) -> int:
-    """Smallest builder resolution meeting the frequency spacing rule.
+    """Smallest builder resolution meeting the grid rule at lambda.
 
-    The field T_lambda f varies on x-scale 1/lambda, so the sphere grid
-    must satisfy arc spacing <= 2 pi/(10 lambda) for d=2 and angular
-    spacing <= 1/(8 lambda) for d=3.  A grid of more than
-    SPHERE_NODE_BUDGET nodes is refused with ValueError: d=3 admits every
-    lambda <= 128, d=2 every lambda <= 2^21.
+    The field T_lambda f varies on x-scale 1/lambda: the circle takes
+    n = 10 lambda nodes, the 2-sphere n_u = 4 lambda polar nodes (and
+    2 n_u azimuths).  The d=3 rule is measured, not derived: on the d=3
+    bump at lambda = 16 .. 64 it puts ||F||_q for q in {2, 7, 8, 12}
+    within 1e-11 of a grid of 8 pi lambda polar nodes (odd q converge
+    slowest).  A grid of more than SPHERE_NODE_BUDGET nodes is refused
+    with ValueError: d=3 admits every lambda <= 1024, d=2 every
+    lambda <= 2^21.
     """
     if d not in (2, 3):
         raise ValueError("d in {2, 3}")
-    n = _sphere_rule(d, lam)
-    nodes = n if d == 2 else 2 * n * n
+    n, nodes = _sphere_rule(d, lam)
     if nodes > SPHERE_NODE_BUDGET:
         raise ValueError(
             f"the d={d} sphere grid at lambda={lam:g} needs {nodes:,} nodes, "

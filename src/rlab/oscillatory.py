@@ -83,7 +83,6 @@ from .errors import DataError
 from .measures import (
     QuadMeasure,
     _sphere_rule,
-    _sphere_spacing,
     gauss_legendre,
 )
 
@@ -739,19 +738,19 @@ def field(curve_or_phase, lam: float, f: TestFunction,
           mu: QuadMeasure, *, stats: dict | None = None) -> np.ndarray:
     """Operator values on all measure nodes, in node order.
 
-    Warns when a sphere measure is coarser than the grid that
-    sphere_resolution_for(d, lam) gives, at any lambda (the node budget
-    limits only the grids rlab allocates).  Other measures are not
-    checked.  stats is eval_field's: stats["panels"] is set to the panels
-    the panel rule used.
+    Warns when a sphere measure has fewer nodes, and so a wider spacing,
+    than the grid sphere_resolution_for(d, lam) gives, at any lambda (the
+    node budget limits only the grids rlab allocates).  Other measures
+    are not checked.  stats is eval_field's: stats["panels"] is set to the
+    panels the panel rule used.
     """
     phase = _as_phase(curve_or_phase)
     if mu.provenance == "sphere":
-        rule = _sphere_spacing(mu.dim, _sphere_rule(mu.dim, max(lam, 1.0)))
-        if mu.max_spacing > rule * (1 + 1e-9):
-            warnings.warn(f"measure spacing {mu.max_spacing:.3e} exceeds the "
-                          f"lambda rule {rule:.3e} at lambda={lam:g}",
-                          stacklevel=2)
+        need = _sphere_rule(mu.dim, max(lam, 1.0))[1]
+        if mu.size < need:
+            warnings.warn(f"the spacing of a sphere grid of {mu.size:,} "
+                          f"nodes exceeds the lambda rule at lambda={lam:g}, "
+                          f"which needs {need:,} nodes", stacklevel=2)
     return eval_field(phase, lam, f, mu.nodes, stats=stats)
 
 

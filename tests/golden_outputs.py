@@ -75,10 +75,10 @@ ps = inf, 2
 EXPECTED = """\
 2b55f6397e32 0 sweep --config CFG/bump-d2.ini
 5677e963cbc1 0 sweep --config CFG/random-d2.ini
-138037963c34 0 sweep --config CFG/bump-d3.ini
+f340705d05f0 0 sweep --config CFG/bump-d3.ini
 2b55f6397e32 0 sweep --config perfbench/bump-d2.ini
 7bb63da7d81b 0 knapp --d 2 --lams 64,128,256,512,1024 --qs 3,4 --ps inf,1.5,6
-cb759e92d51b 0 knapp --d 3 --lams 16,32,64 --qs 7
+eb277e651930 0 knapp --d 3 --lams 16,32,64 --qs 7
 6bff286f89a7 0 random-lower --lams 256,1024 --n-samples 32 --qs 3,4
 e001f36078f9 0 random-lower
 5d5771ba9b5e 0 phase-diagram --grid-n 6
@@ -92,6 +92,7 @@ ef74786dc79b 0 audit-measure --kind singular --d 2
 5e0ee1514a80 0 phase-diagram --family random
 9319d73d670b 0 sweep --config CFG/knapp-d2.ini
 417b6058de1e 0 kdim --lams 16,32,64
+4083e005c9d1 0 phase-diagram --d 3 --grid-n 4 --lam-pair 16,64
 """.splitlines()
 
 

@@ -92,10 +92,11 @@ def test_sweep_config_validation():
                            "qs": (3.0,), **bad})
     cfg = SweepConfig(curve=mc, family=fam, lams=(64.0, 16.0), qs=(3.0,))
     assert cfg.ps == (math.inf,)
-    # the d=3 grid at lambda=1024 has 1.3e9 nodes: refused before any field
+    # the d=3 grid at lambda=2048 has 2 * 8192^2 = 134,217,728 nodes, four
+    # times the budget: refused before any field
     with pytest.raises(ValueError, match="budget"):
         SweepConfig(curve=moment_curve(3), family=KnappFamily(),
-                    lams=(64.0, 1024.0), qs=(3.0,))
+                    lams=(64.0, 2048.0), qs=(3.0,))
 
 
 @pytest.mark.parametrize("family, lams, keys", [
@@ -658,8 +659,8 @@ def test_cli_error_codes():
     ["sweep", "--config", "sweep-typo.ini"],
     ["sweep", "--config", "unknown-section.ini"],
     ["phase-diagram", "--family", "knapp", "--seed", "3"],
-    ["phase-diagram", "--d", "3"],
-    ["knapp", "--d", "3"],
+    ["phase-diagram", "--d", "3", "--lam-pair", "64,2048"],
+    ["knapp", "--d", "3", "--lams", "64,2048"],
     ["random-lower", "--lams", "256,1024", "--n-samples", "32", "--qs", "inf"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
@@ -873,18 +874,31 @@ def test_cli_out_file_holds_the_stdout_csv(name, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", _EXPERIMENTS)
-@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir", "under-a-file",
+                                   "read-only-dir"])
 def test_cli_unwritable_out_exits_2(name, where, tmp_path, monkeypatch):
-    # an out path into a missing directory, naming a directory, or under a
-    # file is a bad argument refused before any field: cli_main returns 2
-    # (no exception escapes it to print a traceback) with the path on
-    # stderr, and makes no file
+    # an out path into a missing directory, naming a directory, under a
+    # file, or in a directory without write permission is a bad argument
+    # refused before any field: cli_main returns 2 (no exception escapes
+    # it to print a traceback) with the path on stderr, and makes no file
     monkeypatch.chdir(tmp_path)
     out = str({"missing-dir": tmp_path / "missing" / "a.csv",
                "a-dir": tmp_path,
-               "under-a-file": tmp_path / "cfg.ini" / "a.csv"}[where])
+               "under-a-file": tmp_path / "cfg.ini" / "a.csv",
+               "read-only-dir": tmp_path / "a.csv"}[where])
     _write_cheap_configs(tmp_path, out)
     files = sorted(os.listdir(tmp_path))
+    if where == "read-only-dir":
+        # the tests may run as root, who may write anywhere: os.access
+        # reports tmp_path as not writable instead
+        access = os.access
+
+        def no_write_here(path, mode, *args, **kwargs):
+            if os.fspath(path) == str(tmp_path) and mode & os.W_OK:
+                return False
+            return access(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "access", no_write_here)
     _forbid_fields(monkeypatch)
     for run in _out_runs(name, out):
         code, printed, err = _capture(run)

@@ -71,20 +71,24 @@ def test_gauss_legendre_is_leggauss_bit_for_bit(n):
 
 
 def test_sphere_resolution_rule():
-    # d=3 grids grow ~ lam^2 nodes, so keep its frequencies modest here
-    for d, lams in ((2, (16.0, 300.0)), (3, (16.0, 40.0))):
+    # n = 10 lambda nodes at d=2, n_u = 4 lambda polar nodes and 2 n_u^2
+    # nodes at d=3; d=3 grids grow ~ lam^2 nodes, so keep its frequencies
+    # modest here
+    for d, lams in ((2, (16.0, 300.0, 300.05)), (3, (16.0, 40.0, 40.1))):
         for lam in lams:
             res = sphere_resolution_for(d, lam)
-            mu = sphere_measure(d, res)
-            rule = 2 * math.pi / (10 * lam) if d == 2 else 1 / (8 * lam)
-            assert mu.max_spacing <= rule * (1 + 1e-9)
+            assert res == math.ceil((10 if d == 2 else 4) * lam)
+            size = sphere_measure(d, res).size
+            assert size == (res if d == 2 else 2 * res * res)
     with pytest.raises(ValueError):
         sphere_resolution_for(5, 16.0)
-    # the node budget: 2 n_u^2 = 20,698,178 nodes at d=3, lambda=128 and
-    # 82,792,712 at 256; n = 10 lambda nodes at d=2
-    assert sphere_resolution_for(3, 128.0) == 3217
+    # the node budget of 2^25 = 33,554,432 nodes: d=3 at lambda=1024 has
+    # exactly 2 * 4096^2 of them, at 1025 it has 2 * 4100^2; d=2 at 2^21
+    # has 10 * 2^21
+    assert rlab.measures.SPHERE_NODE_BUDGET == 2 * 4096 ** 2 == 33_554_432
+    assert sphere_resolution_for(3, 1024.0) == 4096
     assert sphere_resolution_for(2, 2.0 ** 21) == 10 * 2 ** 21
-    for d, lam in ((3, 256.0), (3, 1024.0), (2, 2.0 ** 22)):
+    for d, lam in ((3, 1025.0), (3, 2048.0), (2, 2.0 ** 22)):
         with pytest.raises(ValueError, match="budget"):
             sphere_resolution_for(d, lam)
     # a negative resolution is refused, not read as "use the default"

@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,6 +27,7 @@ from rlab.harness import (
     decay_sweep,
 )
 from rlab.measures import (
+    _sphere_rule,
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
@@ -245,6 +247,89 @@ def test_field_resolution_guard():
     assert vals.shape == (coarse3.size,)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("lam", [16.0, 40.1])
+def test_field_checks_the_rule_by_node_count(d, lam):
+    # the grid the rule gives is silent; one resolution below it warns
+    curve, f = moment_curve(d), indicator(0.0, 0.05)
+    res, _ = _sphere_rule(d, lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field(curve, lam, f, sphere_measure(d, res))
+    with pytest.warns(UserWarning, match="exceeds the lambda rule"):
+        field(curve, lam, f, sphere_measure(d, res - 1))
+
+
+def _d3_case(family, lam):
+    """moment(3), lambda, the family's input at lambda, and the grid
+    sphere_resolution_for(3, lambda) gives."""
+    curve, lam, f, _ = _sphere_case(3, family, lam, 1)
+    return curve, lam, f, sphere_measure(3, sphere_resolution_for(3, lam))
+
+
+def test_d3_grid_rule_against_the_8_pi_lambda_grid():
+    """The d=3 bump's norms on the 4 lambda grid against the 8 pi lambda
+    grid of the earlier rule.  q = 3 (slowest) and the sampled max are
+    printed, not gated."""
+    for lam in (16.0, 32.0):
+        curve, lam, f, mu = _d3_case(BumpFamily(), lam)
+        old = sphere_measure(3, math.ceil(8 * math.pi * lam))
+        assert mu.size < old.size
+        new_vals, old_vals = field(curve, lam, f, mu), field(curve, lam, f, old)
+        errs = {q: abs(lq_norm(new_vals, mu, q) / lq_norm(old_vals, old, q) - 1)
+                for q in (2.0, 3.0, 7.0, 8.0, 12.0, math.inf)}
+        print(f"lambda={lam:g}: " + " ".join(f"q={q:g}:{e:.1e}"
+                                             for q, e in errs.items()))
+        for q in (2.0, 7.0, 8.0, 12.0):
+            assert errs[q] <= 1e-10, (lam, q, errs[q])
+
+
+def _l2_referee(curve, lam, f):
+    """||F||_2 on S^2 with no sphere grid,
+
+        ||F||_2^2 = int int f(s) conj f(t) 4 pi sin(r) / r ds dt,
+
+    r = lam |curve(s) - curve(t)|, the Fourier transform of the surface
+    measure (Stein, Harmonic Analysis, 1993, ch. VIII).  Each segment
+    takes 16-point Gauss-Legendre panels, 2 lambda per unit length: in
+    each variable the modulation and sin(r) each turn by at most
+    lam |curve'| <= 3.75 lam per unit length on [0, 1], so a panel
+    carries at most 3.75 radians."""
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    ts, fw = [], []
+    for seg in f.segments:
+        edges = np.linspace(seg.start, seg.end,
+                            max(1, math.ceil(2 * lam * seg.length)) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        t = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx).ravel()
+        vals = seg.coefficient * (half * gw).ravel()
+        if seg.modulation is not None:
+            x0, lam_mod = seg.modulation
+            vals = vals * np.exp(-1j * lam_mod * (curve.eval_many(t) @ x0))
+        ts.append(t)
+        fw.append(vals)
+    g, fw = curve.eval_many(np.concatenate(ts)), np.concatenate(fw)
+    r = lam * np.sqrt(sum((g[:, k, None] - g[None, :, k]) ** 2
+                          for k in range(3)))
+    kernel = 4 * np.pi * np.divide(np.sin(r), r, out=np.ones_like(r),
+                                   where=r > 0)
+    return math.sqrt((fw @ kernel @ fw.conj()).real)
+
+
+@pytest.mark.parametrize("family", [
+    BumpFamily(), KnappFamily(), RandomFamily(delta=1.0),
+], ids=["bump", "knapp", "random"])
+def test_d3_l2_against_a_grid_free_referee(family):
+    """The field's L^2 norm on the rule's grid against _l2_referee.  The
+    random family takes delta = 1: its default 0.25 needs lambda >= 4096
+    at d=3."""
+    for lam in (16.0, 32.0, 64.0):
+        curve, lam, f, mu = _d3_case(family, lam)
+        got = lq_norm(field(curve, lam, f, mu), mu, 2.0)
+        want = _l2_referee(curve, lam, f)
+        assert abs(got - want) <= 1e-13 * want, (lam, got, want)
+
+
 def test_segment_validation():
     with pytest.raises(ValueError):
         Segment(0.5, 0.2)
@@ -365,7 +450,7 @@ def _sphere_case(d, family, lam, stride):
 
 @pytest.mark.parametrize("case", [
     lambda: _sphere_case(2, BumpFamily(), 1024.0, 4),
-    lambda: _sphere_case(3, BumpFamily(), 32.0, 317),
+    lambda: _sphere_case(3, BumpFamily(), 32.0, 8),
     lambda: _sphere_case(2, KnappFamily(), 256.0, 1),
     lambda: _sphere_case(2, RandomFamily(delta=1.0), 256.0, 1),
 ], ids=["bump-d2", "bump-d3", "knapp", "random"])
@@ -869,12 +954,12 @@ def test_bump_d3_exponentials_come_from_the_table(monkeypatch):
     cfg = SweepConfig(curve=MC3, family=BumpFamily(), lams=(16.0,),
                       qs=(7.0,))
     counts = _count_kernel_work(monkeypatch, lambda: decay_sweep(cfg))
-    # 324,818 nodes on MIN_PANELS = 4 panels, so one anchor per node with
-    # 3 * 16 table values, and one libm top value; the anchor of each of
-    # the 635 chunks of up to 512 nodes takes one _cis call
-    assert counts == {"libm": 324_818, "table": 15_591_264,
-                      "table_calls": 635, "phase": 20_788_352,
-                      "panel_rows": 324_818, "w": 0, "closed_calls": 0,
+    # 2 * 64^2 = 8,192 nodes on MIN_PANELS = 4 panels, so one anchor per
+    # node with 3 * 16 table values, and one libm top value; the anchor of
+    # each of the 16 chunks of 512 nodes takes one _cis call
+    assert counts == {"libm": 8_192, "table": 393_216,
+                      "table_calls": 16, "phase": 524_288,
+                      "panel_rows": 8_192, "w": 0, "closed_calls": 0,
                       "taylor": 0}
 
 
