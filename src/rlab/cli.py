@@ -255,7 +255,7 @@ def _audit_measure(args) -> int:
         alpha = args.d - 1 if args.alpha is None else args.alpha
     else:
         alpha = 1.5 if args.alpha is None else args.alpha
-        mu = singular_alpha_measure(args.d, alpha, args.resolution or 64)
+        mu = singular_alpha_measure(args.d, alpha, args.resolution)
     ratio = dimension_audit(mu, alpha, seed=args.seed or 0)
     print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
     return 0

@@ -2,7 +2,7 @@
 
 Curves are stored per component as polynomial coefficient rows over
 ``fractions.Fraction``, so derivatives, torsion determinants and the
-dyadic rescaling are computed exactly.  Cached float coefficient
+type tuples they decide are computed exactly.  Cached float coefficient
 tables back the vectorized evaluation used by the oscillatory quadrature.
 """
 
@@ -306,12 +306,12 @@ def det_poly(curve: Curve, orders: Iterable[int]) -> Poly:
     return total
 
 
-def type_candidates(curve: Curve, a_max: int | None = None) -> list:
+def type_candidates(curve: Curve) -> list:
     """Derivative tuples in increasing (sum, lexicographic) order, with
-    orders up to min(a_max, max_derivative_order); a_max defaults to 2d."""
+    orders up to min(2d, max_derivative_order)."""
     d = curve.dim
-    a_max = min(2 * d if a_max is None else a_max, curve.max_derivative_order)
-    return sorted(combinations(range(1, a_max + 1), d), key=lambda a: (sum(a), a))
+    top = min(2 * d, curve.max_derivative_order)
+    return sorted(combinations(range(1, top + 1), d), key=lambda a: (sum(a), a))
 
 
 def _singular_frame(curve: Curve, t, orders, m: np.ndarray) -> bool:
@@ -347,23 +347,4 @@ def detect_type(curve: Curve, t) -> TypeTuple:
     raise NotFiniteTypeError(
         f"no admissible derivative tuple up to order {max(cols, default=0)} "
         f"at t={t}"
-    )
-
-
-def dyadic_rescale(curve: Curve, type_tuple: TypeTuple, ell: int) -> Curve:
-    """Anisotropic dyadic zoom: component i -> 2^{ell a_i} p_i(2^{-ell} t)."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    rows = []
-    for ai, row in zip(type_tuple, curve.coeffs):
-        fac = Fraction(2) ** (ell * ai)
-        rows.append(
-            poly_trim(tuple(c * fac * Fraction(1, 2 ** (ell * j)) for j, c in enumerate(row)))
-        )
-    lo, hi = curve.domain
-    return Curve(
-        tuple(rows),
-        domain=(lo * 2**ell, hi * 2**ell),
-        max_derivative_order=curve.max_derivative_order,
-        name=f"{curve.name}@zoom{ell}",
     )

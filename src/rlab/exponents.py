@@ -26,8 +26,6 @@ from .curves import (
 )
 from .errors import NotFiniteTypeError
 
-Rational = Fraction
-
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -128,16 +126,14 @@ class Region:
 
     ``classify`` is purely geometric (interior / boundary / exterior of the
     closed region).  ``holds`` answers whether the norm estimate is known
-    to hold (True), known to fail (False), or open (None) at the point;
-    the answer on the line depends on the region kind.
+    to hold (True), known to fail (False), or open (None) at the point:
+    True inside, and on the line too when ``line_closed``; open where
+    q = q_threshold.
     """
 
-    kind: str
-    d: int
     q_threshold: Fraction
     line_coeff: Fraction
     line_closed: bool
-    threshold_closed: bool = False
 
     def _slacks(self, pt: ExponentPoint) -> tuple:
         s_thresh = Fraction(1) / self.q_threshold - pt.inv_q  # >= 0 inside
@@ -156,13 +152,8 @@ class Region:
         s_thresh, s_line = self._slacks(pt)
         if s_thresh < 0 or s_line < 0:
             return False
-        line_ok = s_line > 0 or (s_line == 0 and self.line_closed)
-        thresh_ok = s_thresh > 0 or (s_thresh == 0 and self.threshold_closed)
-        if line_ok and thresh_ok:
+        if s_thresh > 0 and (s_line > 0 or self.line_closed):
             return True
-        if self.kind == "hyperplane":
-            # sharp characterization: anything else fails
-            return False
         return None
 
 
@@ -171,8 +162,6 @@ def sphere_region(d: int) -> Region:
     if d < 2:
         raise ValueError("d >= 2 required")
     return Region(
-        kind="sphere",
-        d=d,
         q_threshold=Fraction(d * d + d, 2),
         line_coeff=Fraction(d * d + d - 2, 2),
         line_closed=False,
@@ -184,24 +173,8 @@ def finite_type_region(kappa_max, d: int) -> Region:
     if d < 2:
         raise ValueError("d >= 2 required")
     return Region(
-        kind="finite_type",
-        d=d,
         q_threshold=Fraction(d * d + d, 2),
         line_coeff=_frac(kappa_max),
-        line_closed=True,
-    )
-
-
-def hyperplane_region(omega, d: int) -> Region:
-    """Sharp range for moment-curve shadows on a hyperplane."""
-    if d < 3:
-        raise ValueError("d >= 3 required")
-    base = Fraction(d * (d - 1), 2)
-    return Region(
-        kind="hyperplane",
-        d=d,
-        q_threshold=base + 1,
-        line_coeff=base + _frac(omega),
         line_closed=True,
     )
 
@@ -335,8 +308,9 @@ def kappa_max_scan(curve: Curve) -> int:
 def hyperplane_omega(c_normal: Sequence, d: int) -> int:
     """Excess line coefficient of the hyperplane shadow.
 
-    omega = max_t |a(t)|_1 - d(d-1)/2 for the projected curve in R^{d-1};
-    like hyperplane_region, it needs d >= 3.
+    omega = max_t |a(t)|_1 - d(d-1)/2 for the projected curve in R^{d-1},
+    so the shadow's line is 1/p + (d(d-1)/2 + omega)/q = 1; it needs
+    d >= 3.
     """
     if d < 3:
         raise ValueError("d >= 3 required")

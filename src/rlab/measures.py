@@ -2,10 +2,11 @@
 
 Builders produce ``QuadMeasure`` objects: node/weight arrays together with
 the claimed scaling dimension alpha.  Everything downstream (field norms,
-box masses, Monte Carlo dimension audits) consumes this one container.
+Monte Carlo dimension audits) consumes this one container.
 
 Resolution semantics are per builder: node count on the circle, polar
-count for the 2-sphere, cells per axis elsewhere.
+count for the 2-sphere, cells per axis elsewhere.  No builder makes a
+grid of more than NODE_BUDGET nodes.
 
 The graph charts ``SphereCap`` and ``SubmanifoldPatch`` alone know a chart
 phase embed(y) . curve(t): each has chart dimension k, l graph outputs,
@@ -33,7 +34,7 @@ from .errors import (
 from .exponents import _frac
 
 _GL_CACHE: dict = {}
-SPHERE_NODE_BUDGET = 2 ** 25    # largest sphere grid sphere_resolution_for gives
+NODE_BUDGET = 2 ** 25    # largest grid a measure builder makes
 
 
 def _legendre_series(x: np.ndarray, c: Sequence[float]) -> np.ndarray:
@@ -84,6 +85,14 @@ def gauss_legendre(n: int) -> tuple:
     return x, w
 
 
+def _check_budget(nodes: int, grid: str) -> None:
+    """Refuse with ValueError a grid of more than NODE_BUDGET nodes, before
+    any of it is allocated; grid names it in the message."""
+    if nodes > NODE_BUDGET:
+        raise ValueError(f"{grid} needs {nodes:,} nodes, "
+                         f"more than the budget of {NODE_BUDGET:,}")
+
+
 # ----------------------------------------------------------------------
 # containers
 # ----------------------------------------------------------------------
@@ -119,15 +128,6 @@ class QuadMeasure:
     def size(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    def integrate(self, f) -> complex:
-        """Integrate a callable or a per-node value array."""
-        vals = f(self.nodes) if callable(f) else np.asarray(f)
-        return complex(np.sum(self.weights * vals))
-
 
 # ----------------------------------------------------------------------
 # sphere
@@ -141,7 +141,8 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
     2 n_u uniform azimuths (Atkinson & Han, Spherical Harmonics and
     Approximations on the Unit Sphere, 2012), 2 n_u^2 nodes.  Resolution
     0 picks the builder default (256 nodes, 64 polar).  max_spacing is the
-    arc 2 pi/n at d=2 and the azimuthal step pi/n_u at d=3.
+    arc 2 pi/n at d=2 and the azimuthal step pi/n_u at d=3.  A grid of
+    more than NODE_BUDGET nodes is refused with ValueError.
     """
     if resolution < 0:
         raise ValueError("resolution must be >= 0 (0 = default)")
@@ -149,6 +150,7 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         n = resolution or 256
         if n < 8:
             raise ValueError("resolution >= 8 required")
+        _check_budget(n, f"the d=2 sphere grid at resolution {n}")
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
         weights = np.full(n, 2.0 * np.pi / n)
@@ -160,6 +162,7 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         n_u = resolution or 64
         if n_u < 8:
             raise ValueError("resolution >= 8 required")
+        _check_budget(2 * n_u * n_u, f"the d=3 sphere grid at resolution {n_u}")
         n_az = 2 * n_u
         u, wu = gauss_legendre(n_u)
         phi = 2.0 * np.pi * (np.arange(n_az) + 0.5) / n_az
@@ -192,17 +195,14 @@ def sphere_resolution_for(d: int, lam: float) -> int:
     2 n_u azimuths).  The d=3 rule is measured, not derived: on the d=3
     bump at lambda = 16 .. 64 it puts ||F||_q for q in {2, 7, 8, 12}
     within 1e-11 of a grid of 8 pi lambda polar nodes (odd q converge
-    slowest).  A grid of more than SPHERE_NODE_BUDGET nodes is refused
+    slowest).  A grid of more than NODE_BUDGET nodes is refused
     with ValueError: d=3 admits every lambda <= 1024, d=2 every
     lambda <= 2^21.
     """
     if d not in (2, 3):
         raise ValueError("d in {2, 3}")
     n, nodes = _sphere_rule(d, lam)
-    if nodes > SPHERE_NODE_BUDGET:
-        raise ValueError(
-            f"the d={d} sphere grid at lambda={lam:g} needs {nodes:,} nodes, "
-            f"more than the budget of {SPHERE_NODE_BUDGET:,}")
+    _check_budget(nodes, f"the d={d} sphere grid at lambda={lam:g}")
     return n
 
 
@@ -308,7 +308,8 @@ def cap_box_sigma_mass(d: int, half_widths: Sequence[float]) -> float:
 
 def _axis_cells(resolution: int):
     """Symmetric cell partition of [-1, 1], refined toward 0 over 16
-    dyadic octaves.
+    dyadic octaves: the 4 resolution - 2 uniform cells off the middle
+    two, 2 max(4, resolution // 8) cells per octave and one plug at 0.
 
     Returns (lo, hi) arrays.  The refinement keeps tiny boxes centered at
     the origin resolvable at every dyadic scale.
@@ -348,20 +349,32 @@ def _power_cell_mass(lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
     return anti(hi) - anti(lo)
 
 
-def singular_alpha_measure(d: int, alpha: float, resolution: int = 64) -> QuadMeasure:
+def _axis_cell_count(resolution: int) -> int:
+    """len(_axis_cells(resolution)[0]), without building the cells."""
+    return 4 * resolution - 1 + 32 * max(4, resolution // 8)
+
+
+def singular_alpha_measure(d: int, alpha: float, resolution: int = 0) -> QuadMeasure:
     """Compactly supported measure of exact dimension alpha in R^d.
 
     The first d - ceil(alpha) coordinates are pinned to zero; the next
     coordinate carries the density |x|^{alpha - ceil(alpha)}; the remaining
     ones are Lebesgue.  All restricted to the unit ball, with the last free
-    coordinate clipped exactly to the ball boundary.
+    coordinate clipped exactly to the ball boundary.  Resolution 0 picks
+    the builder default, 64.  The ceil(alpha) - 1 tensored axes give
+    n_base base points and the last axis n_cells cells; a grid whose
+    n_base x n_cells clip table passes NODE_BUDGET is refused with
+    ValueError.
     """
     if not d - 2 < alpha <= d:
         raise ValueError("alpha in (d-2, d] required")
+    resolution = resolution or 64
     if resolution < 16:
         raise ValueError("resolution >= 16 required")
     ca = math.ceil(alpha)
     n_zero = d - ca
+    _check_budget(_axis_cell_count(resolution) ** ca,
+                  f"the alpha={alpha:g} singular grid at resolution {resolution}")
     s = alpha - ca  # in (-1, 0]
     lo, hi = _axis_cells(resolution)
     mid = 0.5 * (lo + hi)
@@ -401,16 +414,6 @@ def singular_alpha_measure(d: int, alpha: float, resolution: int = 64) -> QuadMe
         d, nodes, weights, alpha=float(alpha), provenance="singular",
         max_spacing=float(np.max(hi - lo)),
     )
-
-
-def box_mass(mu: QuadMeasure, half_widths: Sequence[float], center=None) -> float:
-    """Mass of an axis-aligned box |x_i - c_i| <= hw_i under mu."""
-    hw = np.asarray(half_widths, dtype=float)
-    if hw.shape != (mu.dim,):
-        raise ValueError(f"need {mu.dim} half widths")
-    c = np.zeros(mu.dim) if center is None else np.asarray(center, dtype=float)
-    inside = np.all(np.abs(mu.nodes - c) <= hw, axis=1)
-    return float(np.sum(mu.weights[inside]))
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,8 @@ ef74786dc79b 0 audit-measure --kind singular --d 2
 9319d73d670b 0 sweep --config CFG/knapp-d2.ini
 417b6058de1e 0 kdim --lams 16,32,64
 4083e005c9d1 0 phase-diagram --d 3 --grid-n 4 --lam-pair 16,64
+e3b0c44298fc 2 audit-measure --d 3 --resolution 10000000
+e3b0c44298fc 2 audit-measure --kind singular --d 3 --alpha 2.5
 """.splitlines()
 
 

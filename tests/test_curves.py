@@ -12,7 +12,6 @@ from rlab.curves import (
     TypeTuple,
     det_poly,
     detect_type,
-    dyadic_rescale,
     eval_derivative,
     monomial_curve,
     moment_curve,
@@ -135,7 +134,6 @@ def test_poly_root_count_closed_interval(roots, want):
 def test_type_candidates_order_and_cap():
     assert type_candidates(moment_curve(2)) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    assert type_candidates(moment_curve(2), a_max=3) == [(1, 2), (1, 3), (2, 3)]
     capped = Curve(moment_curve(2).coeffs, max_derivative_order=3)
     assert type_candidates(capped) == [(1, 2), (1, 3), (2, 3)]
     assert len(type_candidates(moment_curve(3))) == math.comb(6, 3)
@@ -223,25 +221,6 @@ def test_monomial_components():
         Fraction(0),
         Fraction(1, 24),
     )
-
-
-def test_dyadic_rescale_monomials_invariant():
-    a = TypeTuple((1, 2, 4))
-    curve = monomial_curve([1, 2, 4])
-    for ell in (0, 1, 3):
-        out = dyadic_rescale(curve, a, ell)
-        assert out.coeffs == curve.coeffs
-        assert out.domain == (0.0, 2.0**ell)
-    with pytest.raises(ValueError):
-        dyadic_rescale(curve, a, -1)
-
-
-def test_dyadic_rescale_general_coefficients():
-    # component i picks up 2^{ell(a_i - j)} on the t^j coefficient
-    curve = poly_curve([[0, 1, 1], [0, 0, 1]])
-    out = dyadic_rescale(curve, TypeTuple((1, 2)), 2)
-    assert out.coeffs[0] == (Fraction(0), Fraction(1), Fraction(1, 4))
-    assert out.coeffs[1] == (Fraction(0), Fraction(0), Fraction(1))
 
 
 def test_type_tuple_validation():

@@ -1,4 +1,4 @@
-"""Rational exponent arithmetic: kappa/beta functionals, regions, projections."""
+"""Exact exponent arithmetic: kappa/beta functionals, regions, projections."""
 
 import math
 from fractions import Fraction
@@ -16,7 +16,6 @@ from rlab.exponents import (
     finite_type_region,
     hyperplane_omega,
     hyperplane_project,
-    hyperplane_region,
     kappa,
     kappa_max_scan,
     kdim_threshold,
@@ -131,15 +130,6 @@ def test_finite_type_region():
     pt = ExponentPoint(Fraction(1, 4), Fraction(1, 8))
     assert reg.classify(pt) == "boundary"
     assert reg.holds(pt) is True
-
-
-def test_hyperplane_region_sharp():
-    reg = hyperplane_region(2, 3)
-    assert reg.q_threshold == 4 and reg.line_coeff == 5
-    good = ExponentPoint(0, Fraction(1, 5))
-    assert reg.holds(good) is True
-    # the sharp characterization turns everything else into a hard failure
-    assert reg.holds(ExponentPoint(Fraction(1, 2), Fraction(1, 4))) is False
 
 
 def test_kdim_threshold_and_region():

@@ -24,7 +24,6 @@ from rlab.measures import (
     _mass_bounds,
     _max_mass_ratio,
     _min_spacing,
-    box_mass,
     cap_box_sigma_mass,
     dimension_audit,
     gauss_legendre,
@@ -39,8 +38,8 @@ from rlab.oscillatory import graph_phase
 
 
 def test_sphere_total_mass():
-    assert abs(sphere_measure(2).total_mass - 2 * math.pi) < 1e-12
-    assert abs(sphere_measure(3).total_mass - 4 * math.pi) < 1e-12
+    assert abs(np.sum(sphere_measure(2).weights) - 2 * math.pi) < 1e-12
+    assert abs(np.sum(sphere_measure(3).weights) - 4 * math.pi) < 1e-12
 
 
 def test_sphere_nodes_on_sphere():
@@ -54,11 +53,11 @@ def test_sphere_bessel_oracle():
     """Plane-wave integrals against the classical special functions."""
     xi = 7.3
     mu2 = sphere_measure(2, 256)
-    got = mu2.integrate(lambda x: np.exp(1j * xi * x[:, 0]))
+    got = np.sum(mu2.weights * np.exp(1j * xi * mu2.nodes[:, 0]))
     want = 2 * math.pi * scipy.special.j0(xi)
     assert abs(got - want) < 1e-10
     mu3 = sphere_measure(3, 64)
-    got = mu3.integrate(lambda x: np.exp(1j * xi * x[:, 2]))
+    got = np.sum(mu3.weights * np.exp(1j * xi * mu3.nodes[:, 2]))
     want = 4 * math.pi * math.sin(xi) / xi
     assert abs(got - want) < 1e-10
 
@@ -85,7 +84,7 @@ def test_sphere_resolution_rule():
     # the node budget of 2^25 = 33,554,432 nodes: d=3 at lambda=1024 has
     # exactly 2 * 4096^2 of them, at 1025 it has 2 * 4100^2; d=2 at 2^21
     # has 10 * 2^21
-    assert rlab.measures.SPHERE_NODE_BUDGET == 2 * 4096 ** 2 == 33_554_432
+    assert rlab.measures.NODE_BUDGET == 2 * 4096 ** 2 == 33_554_432
     assert sphere_resolution_for(3, 1024.0) == 4096
     assert sphere_resolution_for(2, 2.0 ** 21) == 10 * 2 ** 21
     for d, lam in ((3, 1025.0), (3, 2048.0), (2, 2.0 ** 22)):
@@ -95,6 +94,38 @@ def test_sphere_resolution_rule():
     for d in (2, 3):
         with pytest.raises(ValueError):
             sphere_measure(d, -5)
+
+
+@pytest.mark.parametrize("build, nodes", [
+    (lambda: sphere_measure(2, 2 ** 25 + 1), "33,554,433"),
+    (lambda: sphere_measure(3, 4097), "33,570,818"),
+    (lambda: sphere_measure(3, 10 ** 7), "200,000,000,000,000"),
+    # 511 cells per axis at the default resolution 64, cubed
+    (lambda: singular_alpha_measure(3, 2.5), "133,432,831"),
+    (lambda: singular_alpha_measure(3, 3.0, 10 ** 7), f"{79_999_999 ** 3:,}"),
+], ids=["circle", "sphere-one-past", "sphere-huge", "singular-default",
+        "singular-huge"])
+def test_builders_refuse_a_grid_over_the_node_budget(build, nodes):
+    # the refusal comes before any large allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"needs {nodes} nodes.*budget"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_singular_cell_count_and_default_resolution():
+    for r in range(16, 300):
+        assert rlab.measures._axis_cells(r)[0].size == \
+            rlab.measures._axis_cell_count(r)
+    # resolution 0 is the builder default, 64
+    default = singular_alpha_measure(2, 1.5)
+    explicit = singular_alpha_measure(2, 1.5, 64)
+    assert np.array_equal(default.nodes, explicit.nodes)
+    assert np.array_equal(default.weights, explicit.weights)
 
 
 def test_quad_measure_validation():
@@ -145,15 +176,20 @@ def test_singular_measure_total_mass_oracle():
         lambda x: abs(x) ** -0.5 * 2.0 * math.sqrt(1.0 - x * x), -1, 1,
         points=[0.0], limit=200,
     )
-    assert abs(mu.total_mass - want) / want < 1e-4
+    assert abs(np.sum(mu.weights) - want) / want < 1e-4
     assert mu.alpha == 1.5 and mu.provenance == "singular"
+
+
+def _box_mass(mu, half_widths):
+    """Mass of the box |x_i| <= half_widths[i] under mu."""
+    return float(np.sum(mu.weights[np.all(np.abs(mu.nodes) <= half_widths, axis=1)]))
 
 
 def test_singular_measure_box_scaling():
     # mass of [-h,h]^2 is 8 h^{3/2} while the box stays inside the ball
     mu = singular_alpha_measure(2, 1.5, resolution=128)
     for h in (0.0625, 0.25):
-        got = box_mass(mu, (h, h))
+        got = _box_mass(mu, (h, h))
         assert abs(got - 8.0 * h**1.5) / (8.0 * h**1.5) < 0.02
     with pytest.raises(ValueError):
         singular_alpha_measure(2, 2.5)
@@ -167,11 +203,13 @@ def test_scaled_measure_exact_factors():
     kap = kappa((1, 2), Fraction(3, 2))
     for ell in (1, 3):
         sc = scaled_measure(mu, a, ell, kap)
-        assert abs(sc.total_mass - mu.total_mass * 2.0 ** (-ell * float(kap))) < 1e-12
+        assert abs(np.sum(sc.weights)
+                   - np.sum(mu.weights) * 2.0 ** (-ell * float(kap))) < 1e-12
         # anisotropic dilate of a box keeps the proportional mass
         hw = np.array([0.25, 0.25])
         hws = hw * np.array([2.0**-ell, 2.0 ** (-2 * ell)])
-        assert abs(box_mass(sc, hws) - box_mass(mu, hw) * 2.0 ** (-ell * float(kap))) < 1e-12
+        assert abs(_box_mass(sc, hws)
+                   - _box_mass(mu, hw) * 2.0 ** (-ell * float(kap))) < 1e-12
 
 
 def test_submanifold_closed_forms():
