@@ -252,7 +252,7 @@ def _kdim(args) -> int:
 def _audit_measure(args) -> int:
     if args.kind == "sphere":
         mu = sphere_measure(args.d, args.resolution)
-        alpha = args.d - 1 if args.alpha is None else args.alpha
+        alpha = mu.alpha if args.alpha is None else args.alpha
     else:
         alpha = 1.5 if args.alpha is None else args.alpha
         mu = singular_alpha_measure(args.d, alpha, args.resolution)

@@ -157,23 +157,31 @@ class Region:
         return None
 
 
+def _q_critical(d: int) -> Fraction:
+    """q_c = d(d+1)/2, the sphere region's threshold."""
+    return Fraction(d * d + d, 2)
+
+
+def _line_coeff(d: int) -> Fraction:
+    """L = (d^2 + d - 2)/2 of the sphere region's line 1/p + L/q = 1."""
+    return Fraction(d * d + d - 2, 2)
+
+
 def sphere_region(d: int) -> Region:
     """Sharp range for nondegenerate curves against surface measure."""
     if d < 2:
         raise ValueError("d >= 2 required")
     return Region(
-        q_threshold=Fraction(d * d + d, 2),
-        line_coeff=Fraction(d * d + d - 2, 2),
+        q_threshold=_q_critical(d),
+        line_coeff=_line_coeff(d),
         line_closed=False,
     )
 
 
 def finite_type_region(kappa_max, d: int) -> Region:
     """Range for finite-type curves; the scaling line is included."""
-    if d < 2:
-        raise ValueError("d >= 2 required")
     return Region(
-        q_threshold=Fraction(d * d + d, 2),
+        q_threshold=sphere_region(d).q_threshold,
         line_coeff=_frac(kappa_max),
         line_closed=True,
     )
@@ -214,11 +222,9 @@ def predicted_excess(
     point (estimate must fail), negative means it is dominated.
     """
     if family == "knapp":
-        line = Fraction(d * d + d - 2, 2)
-        return (point.inv_p + line * point.inv_q - 1) / (2 * d)
+        return (point.inv_p + _line_coeff(d) * point.inv_q - 1) / (2 * d)
     if family == "random":
-        qc = Fraction(d * d + d, 2)
-        return (qc * point.inv_q - 1) / (2 * d)
+        return (_q_critical(d) * point.inv_q - 1) / (2 * d)
     if family == "alpha_rect":
         if a is None or alpha is None or rho is None:
             raise ValueError("alpha_rect needs a, alpha, rho")

@@ -28,7 +28,6 @@ from .extremal import (
     solve_stationary,
 )
 from .measures import (
-    QuadMeasure,
     sphere_cap_graph,
     sphere_measure,
     sphere_resolution_for,
@@ -43,6 +42,7 @@ from .oscillatory import (
     graph_phase,
     lp_norm,
     lq_norm,
+    segment_fields,
 )
 
 DEFAULT_SIGN_SAMPLES = 64
@@ -236,30 +236,6 @@ def _build_input(config: SweepConfig, lam: float,
     raise ConfigError(f"unknown input family {fam!r}")
 
 
-@dataclass(frozen=True)
-class _Sample:
-    """One lambda of a sphere experiment: the measure, the inputs, and
-    one field per input in input order."""
-
-    lam: float
-    mu: QuadMeasure
-    inputs: list
-    fields: list
-    panels: int                  # panels the panel rule used, as field()
-                                 # reports them, summed over the inputs
-
-
-def _evaluate(curve: Curve, lam: float, inputs: list) -> _Sample:
-    """Build the sphere measure at lambda and one field per input."""
-    d = curve.dim
-    mu = sphere_measure(d, sphere_resolution_for(d, lam))
-    stats = [{} for _ in inputs]
-    fields = [field(curve, lam, f, mu, stats=s)
-              for f, s in zip(inputs, stats)]
-    return _Sample(lam=lam, mu=mu, inputs=inputs, fields=fields,
-                   panels=sum(s["panels"] for s in stats))
-
-
 def _box_field(phase: PhaseSpec, lam: float, f: TestFunction, box) -> tuple:
     """F on box.lattice(_BOX_LATTICE) and the panels the panel rule used;
     perfbench's kdim capture reads eval_field's four positional args."""
@@ -361,8 +337,9 @@ class SweepResult:
 def decay_sweep(config: SweepConfig) -> SweepResult:
     """Field norms on the sphere across lambda, with per-(p,q) slopes.
 
-    The sphere grid is rebuilt at every lambda to satisfy the spacing
-    rule; one field evaluation per lambda serves every (p, q) pair.
+    The sphere grid is rebuilt at every lambda with the node count of
+    measures._sphere_rule; one field evaluation per lambda serves every
+    (p, q) pair.
     Slopes are fitted only when there are at least two lambda values;
     a single lambda yields its records and empty ``fits``.
 
@@ -380,8 +357,10 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     is_knapp = isinstance(config.family, KnappFamily)
 
     def run_one(lam: float):
-        sample = _evaluate(curve, lam, [_build_input(config, lam, phase)])
-        mu, f, vals = sample.mu, sample.inputs[0], sample.fields[0]
+        f = _build_input(config, lam, phase)
+        mu = sphere_measure(d, sphere_resolution_for(d, lam))
+        stats = {}
+        vals = field(curve, lam, f, mu, stats=stats)
         if is_knapp:
             fam = config.family
             box = knapp_box(phase, fam.support(d, lam)[1], lam, 1.0,
@@ -400,7 +379,7 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
                 recs.append(SweepRecord(
                     lam=lam, p=p, q=q, input_norm=fn, field_norm=nrm,
                     decay_exponent=s, ratio=ratio, resolution=mu.size,
-                    max_spacing=mu.max_spacing, panels=sample.panels,
+                    max_spacing=mu.max_spacing, panels=stats["panels"],
                     witness_norm=wit,
                     witness_ratio=(wit / (lam ** -s * fn)) if wit else 0.0))
         return recs
@@ -476,16 +455,22 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
 
     def run_one(lam: float):
         part = parts[lam]
-        sample = _evaluate(curve, lam, [TestFunction((part.segment(k),))
-                                        for k in range(part.ell)])
-        mu, fields = sample.mu, np.stack(sample.fields)
-        signs = sign_table[:, : part.ell]
-        boxes = part.boxes(c)
-        vol = sum(b.volume for b in boxes)
-        # each draw's combination is formed once, and every q reads it
-        mods = (np.abs(s.astype(complex) @ fields) for s in signs)
-        powers_q = np.array([[float(np.sum(mu.weights * m ** q))
-                              for q in config.qs] for m in mods]).T
+        mu = sphere_measure(d, sphere_resolution_for(d, lam))
+        f = TestFunction(tuple(part.segment(k) for k in range(part.ell)))
+        stats = {}
+        rows = segment_fields(curve, lam, f, mu.nodes, stats=stats)
+        vol = sum(b.volume for b in part.boxes(c))
+        powers_q = np.empty((len(config.qs), fam.n_samples))
+        for j, signs in enumerate(sign_table[:, : part.ell]):
+            # one signed sum per draw, in interval order, read by every q
+            combo = np.zeros(mu.size, dtype=complex)
+            for s_k, row in zip(signs, rows):
+                if s_k > 0:
+                    combo += row
+                else:
+                    combo -= row
+            mods = np.abs(combo)
+            powers_q[:, j] = [np.sum(mu.weights * mods**q) for q in config.qs]
         recs = []
         for q, powers in zip(config.qs, powers_q):
             lb = lam ** (-q / (2 * d)) * vol
@@ -503,7 +488,7 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
                     c_used=c, mean_power=mean,
                     std_err=std_err,
                     lower_bound=lb, upper_chain=upper, ratio=mean / lb,
-                    resolution=mu.size, panels=sample.panels))
+                    resolution=mu.size, panels=stats["panels"]))
         return recs
 
     records = [r for lam in lams for r in run_one(lam)]

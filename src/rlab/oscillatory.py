@@ -2,11 +2,12 @@
 
 Every phase is a curve phase x . curve(t): on the frequency side x is an
 ambient point, on the chart side x is the embedding of a chart point
-(graph embeddings of the sphere or of integral submanifolds).  The one
-evaluation core, eval_field, routes by the curve's degree alone: at
-degree 2 each node takes one of two O(1) forms, the closed form or the
+(graph embeddings of the sphere or of integral submanifolds).  One
+segment loop evaluates every field, routing by the curve's degree alone:
+at degree 2 each node takes one of two O(1) forms, the closed form or the
 Taylor form, and every other degree takes the panel rule.  The kind of
-phase never enters.
+phase never enters.  eval_field adds every segment's term into one array;
+segment_fields keeps one row per segment.
 
 Closed form.  When the curve has degree 2, a segment [a, b] carries
 P(t) = A t^2 + B t + C at each node.  With r = sqrt|A|, omega =
@@ -656,82 +657,86 @@ def _coefficients(phase: PhaseSpec, lam: float, seg: Segment,
     return x @ phase.curve._float_rows(0)
 
 
-def _quadratic_field(phase: PhaseSpec, lam: float, f: TestFunction,
-                     ypts: np.ndarray) -> np.ndarray:
-    """The field of a degree-2 curve, in batches of _CLOSED_BATCH points
-    per segment: the closed form where |A| (b - a)^2 >= _QUADRATIC_MIN on
-    the segment [a, b], the Taylor form elsewhere.  Each value depends on
-    its own point alone, so the batch width moves no bit."""
+def _quadratic_segment(phase: PhaseSpec, lam: float, seg: Segment,
+                       ypts: np.ndarray, out: np.ndarray) -> int:
+    """Add the segment's term of a degree-2 curve's field into out, in
+    batches of _CLOSED_BATCH points, by the closed or the Taylor form
+    (see _QUADRATIC_MIN); each value depends on its own point alone, so
+    the batch width moves no bit.  It takes no panel: it returns 0."""
     n = ypts.shape[0]
-    out = np.zeros(n, dtype=complex)
-    for seg in f.segments:
-        if seg.length == 0.0:
-            continue
-        for lo in range(0, n, _CLOSED_BATCH):
-            hi = min(n, lo + _CLOSED_BATCH)
-            coef = _coefficients(phase, lam, seg, ypts[lo:hi])
-            closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
-            vals = np.empty(hi - lo, dtype=complex)
-            if closed.any():
-                vals[closed] = _quadratic_sums(coef[closed], seg.start,
-                                               seg.end)
-            if not closed.all():
-                vals[~closed] = _taylor_sums(coef[~closed], seg.start, seg.end)
-            out[lo:hi] += seg.coefficient * vals
-    return out
+    for lo in range(0, n, _CLOSED_BATCH):
+        hi = min(n, lo + _CLOSED_BATCH)
+        coef = _coefficients(phase, lam, seg, ypts[lo:hi])
+        closed = np.abs(coef[:, 2]) * seg.length ** 2 >= _QUADRATIC_MIN
+        vals = np.empty(hi - lo, dtype=complex)
+        if closed.any():
+            vals[closed] = _quadratic_sums(coef[closed], seg.start, seg.end)
+        if not closed.all():
+            vals[~closed] = _taylor_sums(coef[~closed], seg.start, seg.end)
+        out[lo:hi] += seg.coefficient * vals
+    return 0
 
 
-def _panel_field(phase: PhaseSpec, lam: float, f: TestFunction,
-                 ypts: np.ndarray) -> tuple:
-    """The field by the panel rule, in chunks of _Y_CHUNK points that
-    share one layout per segment, and the panels it used: per segment the
-    widest chunk's layout, summed over segments."""
+def _panel_segment(phase: PhaseSpec, lam: float, seg: Segment,
+                   ypts: np.ndarray, out: np.ndarray) -> int:
+    """Add the segment's term of the field by the panel rule into out, in
+    chunks of _Y_CHUNK points that share one layout, and return the
+    widest chunk's panels."""
     n = ypts.shape[0]
-    out = np.zeros(n, dtype=complex)
-    maps = {}       # difference maps per segment layout, shared by chunks
-    panels = 0
-    for seg in f.segments:
-        if seg.length == 0.0:
-            continue
-        widest = 0
-        for lo in range(0, n, _Y_CHUNK):
-            hi = min(n, lo + _Y_CHUNK)
-            chunk = ypts[lo:hi]
-            coef = _coefficients(phase, lam, seg, chunk)
-            n_panels = _segment_panel_count(phase, lam, seg, chunk)
-            widest = max(widest, n_panels)
-            out[lo:hi] += seg.coefficient * _panel_sums(seg, coef, n_panels,
-                                                        maps)
-        panels += widest
-    return out, panels
+    maps = {}       # difference maps per layout, shared by chunks
+    widest = 0
+    for lo in range(0, n, _Y_CHUNK):
+        hi = min(n, lo + _Y_CHUNK)
+        chunk = ypts[lo:hi]
+        coef = _coefficients(phase, lam, seg, chunk)
+        n_panels = _segment_panel_count(phase, lam, seg, chunk)
+        widest = max(widest, n_panels)
+        out[lo:hi] += seg.coefficient * _panel_sums(seg, coef, n_panels, maps)
+    return widest
 
 
-def eval_field(curve_or_phase, lam: float, f: TestFunction,
-               ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
-    """Evaluate the operator at chart points, shape (n,) complex.
-
-    The route depends on the curve's degree alone.  At degree 2 every
-    point takes an O(1) form of the module docstring per segment: the
-    closed form where |A| (b - a)^2 >= _QUADRATIC_MIN on the segment
-    [a, b], the Taylor form elsewhere.  Every other degree takes the
-    panel rule.  Each point's value sums its segment integrals in segment
-    order.  If stats is a dict, stats["panels"] is set to the panels the
-    panel rule used: per segment the widest chunk's layout, summed over
-    segments, so 0 at degree 2.
-    """
+def _segment_loop(curve_or_phase, lam: float, f: TestFunction,
+                  ypts: np.ndarray, stats: dict | None, rows: bool):
+    """The one segment loop: in segment order, add segment k's term, by
+    the route of the curve's degree, into row k of a zeroed (segments, n)
+    array if rows, else into one zeroed (n,) array, and return the array.
+    If stats is a dict, stats["panels"] is set to the panels the panel
+    rule used: per segment the widest chunk's layout, summed over
+    segments, so 0 at degree 2."""
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError("lambda must be finite and nonnegative")
     phase = _as_phase(curve_or_phase)
     ypts = np.atleast_2d(np.asarray(ypts, dtype=float))
     if not np.isfinite(ypts).all():
         raise ValueError("a point is not finite: points must be finite")
-    if phase.curve.degree == 2:
-        out, panels = _quadratic_field(phase, lam, f, ypts), 0
-    else:
-        out, panels = _panel_field(phase, lam, f, ypts)
+    n, segs = ypts.shape[0], f.segments
+    out = np.zeros((len(segs), n) if rows else n, dtype=complex)
+    route = _quadratic_segment if phase.curve.degree == 2 else _panel_segment
+    panels = 0
+    for seg, acc in zip(segs, out if rows else [out] * len(segs)):
+        if seg.length > 0.0:
+            panels += route(phase, lam, seg, ypts, acc)
     if stats is not None:
         stats["panels"] = panels
     return out
+
+
+def eval_field(curve_or_phase, lam: float, f: TestFunction,
+               ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
+    """Evaluate the operator at chart points, shape (n,) complex: each
+    point's segment integrals, by the route of the curve's degree alone
+    (the module docstring), summed in segment order in one array.  If
+    stats is a dict, stats["panels"] is set as _segment_loop says."""
+    return _segment_loop(curve_or_phase, lam, f, ypts, stats, rows=False)
+
+
+def segment_fields(curve_or_phase, lam: float, f: TestFunction,
+                   ypts: np.ndarray, *, stats: dict | None = None) -> np.ndarray:
+    """eval_field one segment at a time, shape (segments, n) complex: row
+    k is segment k's term, coefficient included, and 0 for a zero-length
+    segment.  Summed in segment order, the rows are eval_field's values
+    bit for bit, with the same stats."""
+    return _segment_loop(curve_or_phase, lam, f, ypts, stats, rows=True)
 
 
 def field(curve_or_phase, lam: float, f: TestFunction,

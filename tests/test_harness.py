@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import rlab.cli
+import rlab.harness
 import rlab.measures
 import rlab.oscillatory as osc
 from brute_force import audit_reference
@@ -35,7 +36,6 @@ from rlab.harness import (
     SweepConfig,
     SweepRecord,
     _build_input,
-    _evaluate,
     _sweep_fits,
     decay_sweep,
     default_bump_point,
@@ -257,6 +257,56 @@ def test_khintchine_equal_powers_give_exactly_zero_std_err():
     assert ",0," in res.csv_text.splitlines()[-1]
 
 
+def test_khintchine_draws_are_interval_order_sums():
+    """Each draw's power reads the explicit interval-order sum of the
+    one-interval fields, so the mean power matches bit for bit at ell = 6
+    and 8 (a BLAS product of signs and fields rounds differently from
+    ell = 6 on)."""
+    curve, n_samples = moment_curve(2), 64
+    cfg = SweepConfig(curve=curve,
+                      family=RandomFamily(delta=1.0, n_samples=n_samples),
+                      lams=(1024.0, 4096.0), qs=(3.0,), seed=0)
+    records = khintchine_experiment(cfg).records
+    assert [r.ell for r in records] == [6, 8]
+    signs = (np.random.default_rng(0).integers(0, 2, size=(n_samples, 8))
+             * 2 - 1)
+    phase = graph_phase(curve, sphere_cap_graph(2))
+    for rec in records:
+        part = partition_family(phase, 1.0, rec.lam)
+        mu = sphere_measure(2, sphere_resolution_for(2, rec.lam))
+        fields = [eval_field(curve, rec.lam,
+                             osc.TestFunction((part.segment(k),)), mu.nodes)
+                  for k in range(part.ell)]
+        powers = []
+        for draw in signs:
+            combo = fields[0] * draw[0]
+            for s_k, row in zip(draw[1:], fields[1:]):
+                combo = combo + s_k * row
+            powers.append(float(np.sum(mu.weights * np.abs(combo) ** 3.0)))
+        assert rec.mean_power == float(np.mean(powers))
+
+
+def test_khintchine_makes_one_kernel_call_per_lambda(monkeypatch):
+    calls = []
+    inner = rlab.harness.segment_fields
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("one field per interval")
+
+    monkeypatch.setattr("rlab.harness.segment_fields", spy)
+    monkeypatch.setattr("rlab.harness.field", no_field)
+    monkeypatch.setattr("rlab.harness.eval_field", no_field)
+    res = khintchine_experiment(SweepConfig(
+        curve=moment_curve(2), family=RandomFamily(delta=1.0, n_samples=32),
+        lams=(256.0, 1024.0), qs=(3.0,)))
+    assert calls == [256.0, 1024.0]
+    assert [r.ell for r in res.records] == [4, 6]
+
+
 def test_khintchine_validation():
     mc = moment_curve(2)
     with pytest.raises(ConfigError):
@@ -357,10 +407,21 @@ def test_sweep_fits_refuse_unloggable_values(family, column, bad):
 
 
 def _sample(d, family, lam):
+    """The sweep's input at lambda, its sphere measure, and the panels
+    column of its record."""
     curve = moment_curve(d)
     config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
     f = _build_input(config, lam, graph_phase(curve, sphere_cap_graph(d)))
-    return f, _evaluate(curve, lam, [f])
+    mu = sphere_measure(d, sphere_resolution_for(d, lam))
+    return f, mu, decay_sweep(config).records[0].panels
+
+
+def _panel_rule_count(lam, f, nodes):
+    """The panels the panel rule uses on f, run on its own at d=2."""
+    ext = extension_phase(moment_curve(2))
+    out = np.zeros(nodes.shape[0], dtype=complex)
+    return sum(osc._panel_segment(ext, lam, seg, nodes, out)
+               for seg in f.segments if seg.length > 0.0)
 
 
 @pytest.mark.parametrize("family", [BumpFamily(), RandomFamily(delta=1.0)],
@@ -378,20 +439,19 @@ def test_panels_column_is_the_kernels_widest_layout(family, monkeypatch):
         return n
 
     monkeypatch.setattr(osc, "_segment_panel_count", spy)
-    f, sample = _sample(2, family, 256.0)
-    assert sample.panels == 0 and not used
-    assert sample.mu.size > 2 * osc._Y_CHUNK
-    _, panels = osc._panel_field(extension_phase(moment_curve(2)), 256.0, f,
-                                 sample.mu.nodes)
+    f, mu, panels = _sample(2, family, 256.0)
+    assert panels == 0 and not used
+    assert mu.size > 2 * osc._Y_CHUNK
+    panels = _panel_rule_count(256.0, f, mu.nodes)
     assert used and set(used) <= set(f.segments)
     assert panels == sum(used.values())
 
 
-def _all_node_count(sample):
+def _all_node_count(lam, f, mu):
     """The panel count the harness once took over every sphere node."""
-    ext = extension_phase(moment_curve(sample.mu.dim))
-    return sum(_segment_panel_count(ext, sample.lam, seg, sample.mu.nodes)
-               for f in sample.inputs for seg in f.segments if seg.length > 0)
+    ext = extension_phase(moment_curve(mu.dim))
+    return sum(_segment_panel_count(ext, lam, seg, mu.nodes)
+               for seg in f.segments if seg.length > 0)
 
 
 @pytest.mark.parametrize("d, family, lam", [
@@ -403,22 +463,18 @@ def test_panels_column_equals_the_all_node_count(d, family, lam):
     """The panel rule's count is the layout sized for all nodes at once,
     since the bound is elementwise.  At d=2 the column is 0, and the
     panel rule is run on its own."""
-    _, sample = _sample(d, family, lam)
+    f, mu, panels = _sample(d, family, lam)
     if d == 2:
-        assert sample.panels == 0
-        ext = extension_phase(moment_curve(2))
-        panels = sum(osc._panel_field(ext, lam, f, sample.mu.nodes)[1]
-                     for f in sample.inputs)
-    else:
-        panels = sample.panels
-    assert panels == _all_node_count(sample) > 0
+        assert panels == 0
+        panels = _panel_rule_count(lam, f, mu.nodes)
+    assert panels == _all_node_count(lam, f, mu) > 0
 
 
 def test_panels_column_is_zero_when_every_node_takes_the_closed_form(
         monkeypatch):
     monkeypatch.setattr(osc, "_QUADRATIC_MIN", 1e-300)
-    _, sample = _sample(2, BumpFamily(), 256.0)
-    assert sample.panels == 0 < _all_node_count(sample)
+    f, mu, panels = _sample(2, BumpFamily(), 256.0)
+    assert panels == 0 < _all_node_count(256.0, f, mu)
 
 
 def test_cli_output_does_not_depend_on_blas_threads(tmp_path):

@@ -49,6 +49,7 @@ from rlab.oscillatory import (
     lorentz_norm,
     lp_norm,
     lq_norm,
+    segment_fields,
 )
 
 MC2 = moment_curve(2)
@@ -241,10 +242,11 @@ def test_field_resolution_guard():
     vals = field(MC2, 200.0, f, fine)
     assert vals.shape == (fine.size,)
     # a caller-built d=3 grid is compared with the rule, not the node
-    # budget: lambda = 256 would need 82,792,712 nodes, yet this warns
+    # budget: lambda = 2048 would need 2 * 8192^2 = 134,217,728 nodes, over
+    # the budget of 2^25, yet this warns and evaluates
     coarse3 = sphere_measure(3, 16)
     with pytest.warns(UserWarning, match="exceeds the lambda rule"):
-        vals = field(moment_curve(3), 256.0, indicator(0.0, 0.05), coarse3)
+        vals = field(moment_curve(3), 2048.0, indicator(0.0, 0.05), coarse3)
     assert vals.shape == (coarse3.size,)
 
 
@@ -449,6 +451,35 @@ def _sphere_case(d, family, lam, stride):
     return curve, lam, _build_input(config, lam, phase), mu.nodes[::stride]
 
 
+@pytest.mark.parametrize("d, family, lam, stride", [
+    (2, BumpFamily(), 4096.0, 1),
+    (2, KnappFamily(), 4096.0, 1),
+    (2, RandomFamily(delta=1.0), 4096.0, 1),
+    (3, BumpFamily(), 32.0, 4),
+    (3, RandomFamily(delta=1.0), 32.0, 4),
+], ids=["bump-d2", "knapp-d2", "random-d2", "bump-d3", "random-d3"])
+def test_segment_fields_sum_to_eval_field(d, family, lam, stride):
+    """One row per segment, 0 for a zero-length one; summed in segment
+    order the rows are eval_field's values byte for byte, with the same
+    panel count."""
+    curve, lam, f, nodes = _sphere_case(d, family, lam, stride)
+    end = f.segments[-1].end
+    f = StepFn(f.segments + (Segment(end, end),))
+    row_stats, sum_stats = {}, {}
+    rows = segment_fields(curve, lam, f, nodes, stats=row_stats)
+    want = eval_field(curve, lam, f, nodes, stats=sum_stats)
+    assert rows.shape == (len(f.segments), nodes.shape[0])
+    assert not rows[-1].any() and all(row.any() for row in rows[:-1])
+    total = np.zeros_like(want)
+    for row in rows:
+        total += row
+    assert total.tobytes() == want.tobytes()
+    assert row_stats == sum_stats
+    assert (sum_stats["panels"] > 0) == (d == 3)
+    if family.name == "random":
+        assert len(f.segments) == (9 if d == 2 else 3)
+
+
 @pytest.mark.parametrize("case", [
     lambda: _sphere_case(2, BumpFamily(), 1024.0, 4),
     lambda: _sphere_case(3, BumpFamily(), 32.0, 8),
@@ -488,8 +519,12 @@ def _direct_field(phase, lam, f, ypts):
 
 def _panel_rule(phase, lam, f, ypts):
     """The panel rule's field, which eval_field takes at every degree but
-    2, on every node."""
-    return osc._panel_field(osc._as_phase(phase), lam, f, ypts)[0]
+    2, on every node: its per-segment route, in segment order."""
+    out = np.zeros(ypts.shape[0], dtype=complex)
+    for seg in f.segments:
+        if seg.length > 0.0:
+            osc._panel_segment(osc._as_phase(phase), lam, seg, ypts, out)
+    return out
 
 
 def _assert_matches_direct(phase, lam, f, ypts):
