@@ -314,9 +314,11 @@ class PartitionFamily:
         return Segment(a, b, modulation=(tuple(self.mod_points[k]), self.lam),
                        sign=sign)
 
-    def random_signs(self, seed) -> np.ndarray:
+    def random_signs(self, seed, draws: int = 1) -> np.ndarray:
+        """draws rows of ell Rademacher signs, one per interval, from
+        default_rng(seed); row j depends on seed and ell alone."""
         rng = np.random.default_rng(seed)
-        return rng.integers(0, 2, size=self.ell) * 2 - 1
+        return rng.integers(0, 2, size=(draws, self.ell)) * 2 - 1
 
 
 def partition_family(phase: PhaseSpec, delta: float,
@@ -365,9 +367,9 @@ def random_sign_input(partition: PartitionFamily, seed) -> TestFunction:
 
     Segment k is epsilon_k chi_{I_k} e^{-i lam x_k . curve(t)} with x_k
     the embedded anchor y_k, so every piece is essentially constant on
-    its own dual box.
+    its own dual box.  The signs are row 0 of partition.random_signs(seed).
     """
-    signs = partition.random_signs(seed)
+    signs = partition.random_signs(seed)[0]
     return TestFunction(tuple(partition.segment(k, int(s))
                               for k, s in enumerate(signs)))
 

@@ -425,10 +425,12 @@ class KhintchineResult:
 def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
     """Empirical mean of ||sum_k eps_k T chi_k||_q^q against its bounds.
 
-    Each interval's indicator is recentered at its own anchor; the sign
-    patterns are drawn once from the seed and every draw reuses the same
-    per-interval fields.  A shared dyadic c (the min of the per-lambda
-    calibrations) keeps the box volumes an exact power law in lambda.
+    Each interval's indicator is recentered at its own anchor.  Each
+    lambda draws its n_samples sign patterns from the seed alone
+    (part.random_signs), so they do not depend on the other lambdas of
+    the run, and every draw reuses the same per-interval fields.  A
+    shared dyadic c (the min of the per-lambda calibrations) keeps the
+    box volumes an exact power law in lambda.
     """
     fam = config.family
     if not isinstance(fam, RandomFamily):
@@ -449,10 +451,6 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
                         interval=part.intervals[-1])
             for lam, part in parts.items())
 
-    rng = np.random.default_rng(config.seed)
-    max_ell = max(p_.ell for p_ in parts.values())
-    sign_table = rng.integers(0, 2, size=(fam.n_samples, max_ell)) * 2 - 1
-
     def run_one(lam: float):
         part = parts[lam]
         mu = sphere_measure(d, sphere_resolution_for(d, lam))
@@ -461,7 +459,8 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
         rows = segment_fields(curve, lam, f, mu.nodes, stats=stats)
         vol = sum(b.volume for b in part.boxes(c))
         powers_q = np.empty((len(config.qs), fam.n_samples))
-        for j, signs in enumerate(sign_table[:, : part.ell]):
+        draws = part.random_signs(config.seed, fam.n_samples)
+        for j, signs in enumerate(draws):
             # one signed sum per draw, in interval order, read by every q
             combo = np.zeros(mu.size, dtype=complex)
             for s_k, row in zip(signs, rows):

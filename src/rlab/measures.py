@@ -316,33 +316,27 @@ def _axis_cells(resolution: int):
     """
     if resolution < 4:
         raise ValueError("resolution >= 4 required")
-    n_u = 4 * resolution
-    edges = np.linspace(-1.0, 1.0, n_u + 1)
+    edges = np.linspace(-1.0, 1.0, 4 * resolution + 1)
     h0 = edges[1] - edges[0]
-    lo, hi = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= -h0 + 1e-15 or a >= h0 - 1e-15:
-            lo.append(a)
-            hi.append(b)
-    n_sub = max(4, resolution // 8)
-    for mth in range(16):
-        outer = h0 * 2.0**(-mth)
-        inner = h0 * 2.0**(-mth - 1)
-        sub = np.linspace(inner, outer, n_sub + 1)
-        for a, b in zip(sub[:-1], sub[1:]):
-            lo.extend([a, -b])
-            hi.extend([b, -a])
+    outer = (edges[1:] <= -h0 + 1e-15) | (edges[:-1] >= h0 - 1e-15)
+    sub = np.array([np.linspace(h0 * 2.0**(-m - 1), h0 * 2.0**-m,
+                                max(4, resolution // 8) + 1)
+                    for m in range(16)])
     plug = h0 * 2.0**-16
-    lo.append(-plug)
-    hi.append(plug)
-    lo = np.asarray(lo)
-    hi = np.asarray(hi)
+    lo = np.concatenate([edges[:-1][outer], sub[:, :-1].ravel(),
+                         -sub[:, 1:].ravel(), [-plug]])
+    hi = np.concatenate([edges[1:][outer], sub[:, 1:].ravel(),
+                         -sub[:, :-1].ravel(), [plug]])
     order = np.argsort(lo)
     return lo[order], hi[order]
 
 
 def _power_cell_mass(lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-    """Exact integral of |x|^s over [lo, hi] for s > -1."""
+    """Exact integral of |x|^s over [lo, hi] for s > -1.  At s = 0 it is
+    hi - lo, which the antiderivative's pow gives bit for bit, only slower."""
+    if s == 0.0:
+        return hi - lo
+
     def anti(x):
         return np.sign(x) * np.abs(x) ** (s + 1.0) / (s + 1.0)
 
@@ -362,9 +356,10 @@ def singular_alpha_measure(d: int, alpha: float, resolution: int = 0) -> QuadMea
     ones are Lebesgue.  All restricted to the unit ball, with the last free
     coordinate clipped exactly to the ball boundary.  Resolution 0 picks
     the builder default, 64.  The ceil(alpha) - 1 tensored axes give
-    n_base base points and the last axis n_cells cells; a grid whose
-    n_base x n_cells clip table passes NODE_BUDGET is refused with
-    ValueError.
+    n_base base points (one, with no coordinates, at ceil(alpha) = 1) and
+    the last axis n_cells cells; each base point keeps the run of cells
+    that meets the ball's chord through it.  A grid whose n_base x n_cells
+    passes NODE_BUDGET is refused with ValueError before it is built.
     """
     if not d - 2 < alpha <= d:
         raise ValueError("alpha in (d-2, d] required")
@@ -372,46 +367,35 @@ def singular_alpha_measure(d: int, alpha: float, resolution: int = 0) -> QuadMea
     if resolution < 16:
         raise ValueError("resolution >= 16 required")
     ca = math.ceil(alpha)
-    n_zero = d - ca
     _check_budget(_axis_cell_count(resolution) ** ca,
                   f"the alpha={alpha:g} singular grid at resolution {resolution}")
-    s = alpha - ca  # in (-1, 0]
     lo, hi = _axis_cells(resolution)
     mid = 0.5 * (lo + hi)
-    first_mass = _power_cell_mass(lo, hi, s)
-    plain_mass = hi - lo
-
-    if ca == 1:
-        # single free coordinate: clip its cells to [-1, 1] (already inside)
-        nodes_free = mid[:, None]
-        weights = first_mass
-        keep = weights > 0
-        nodes_free, weights = nodes_free[keep], weights[keep]
-    else:
-        # tensor the first ca-1 coordinates, clip the last one to the ball
-        axes_mid = [mid] * (ca - 1)
-        axes_mass = [first_mass] + [plain_mass] * (ca - 2)
-        grids = np.meshgrid(*axes_mid, indexing="ij")
-        base = np.column_stack([g.ravel() for g in grids])
-        wg = np.meshgrid(*axes_mass, indexing="ij")
-        wbase = np.prod(np.stack([g.ravel() for g in wg]), axis=0)
-        r2 = 1.0 - np.sum(base * base, axis=1)
-        keep = r2 > 0
-        base, wbase, r2 = base[keep], wbase[keep], r2[keep]
-        rmax = np.sqrt(r2)
-        clo = np.clip(lo[None, :], -rmax[:, None], rmax[:, None])
-        chi = np.clip(hi[None, :], -rmax[:, None], rmax[:, None])
-        seg = chi - clo  # (n_base, n_cells)
-        bi, ci = np.nonzero(seg > 0)
-        last_mid = 0.5 * (clo[bi, ci] + chi[bi, ci])
-        nodes_free = np.column_stack([base[bi], last_mid])
-        weights = wbase[bi] * seg[bi, ci]
-
-    nodes = np.concatenate(
-        [np.zeros((nodes_free.shape[0], n_zero)), nodes_free], axis=1
-    )
+    # the density exponent of each free coordinate, in (-1, 0] on the first
+    powers = [alpha - ca] + [0.0] * (ca - 1)
+    base, wbase = np.zeros((1, 0)), np.ones(1)
+    for s in powers[:-1]:
+        base = np.column_stack([np.repeat(base, lo.size, axis=0),
+                                np.tile(mid, base.shape[0])])
+        wbase = np.outer(wbase, _power_cell_mass(lo, hi, s)).ravel()
+    r2 = 1.0 - np.sum(base * base, axis=1)
+    keep = r2 > 0
+    base, wbase, rmax = base[keep], wbase[keep], np.sqrt(r2[keep])
+    # lo and hi are sorted, so the cells meeting (-rmax, rmax) are one run
+    # of count cells from first, per base point
+    first = np.searchsorted(hi, -rmax, side="right")
+    count = np.searchsorted(lo, rmax, side="left") - first
+    bi = np.repeat(np.arange(rmax.size), count)
+    ci = np.arange(bi.size) + np.repeat(first + count - np.cumsum(count),
+                                        count)
+    clo = np.maximum(lo[ci], -rmax[bi])
+    chi = np.minimum(hi[ci], rmax[bi])
+    nodes = np.zeros((bi.size, d))
+    nodes[:, d - ca:d - 1] = base[bi]
+    nodes[:, d - 1] = 0.5 * (clo + chi)
     return QuadMeasure(
-        d, nodes, weights, alpha=float(alpha), provenance="singular",
+        d, nodes, wbase[bi] * _power_cell_mass(clo, chi, powers[-1]),
+        alpha=float(alpha), provenance="singular",
         max_spacing=float(np.max(hi - lo)),
     )
 

@@ -4,6 +4,8 @@ Each computes from the definition, with no pruning or blocking, what
 ``rlab.measures`` computes fast; the tests compare the two bit for bit.
 """
 
+import math
+
 import numpy as np
 import scipy.spatial
 
@@ -114,3 +116,72 @@ class OneShotChart:
     def curvature_block(self, ts):
         a1, a2, b1, b2 = self.patch.blocks(ts)
         return b2 - b1 @ np.linalg.solve(a1, a2)
+
+
+def axis_cells_loop(resolution):
+    """The singular grid's axis cells, (lo, hi) sorted by lo, appended one
+    cell at a time: the uniform cells off the middle two, the cells of
+    each of 16 dyadic octaves on both sides, and the plug at 0."""
+    n_u = 4 * resolution
+    edges = np.linspace(-1.0, 1.0, n_u + 1)
+    h0 = edges[1] - edges[0]
+    lo, hi = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= -h0 + 1e-15 or a >= h0 - 1e-15:
+            lo.append(a)
+            hi.append(b)
+    n_sub = max(4, resolution // 8)
+    for mth in range(16):
+        outer = h0 * 2.0**(-mth)
+        inner = h0 * 2.0**(-mth - 1)
+        sub = np.linspace(inner, outer, n_sub + 1)
+        for a, b in zip(sub[:-1], sub[1:]):
+            lo.extend([a, -b])
+            hi.extend([b, -a])
+    plug = h0 * 2.0**-16
+    lo.append(-plug)
+    hi.append(plug)
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    order = np.argsort(lo)
+    return lo[order], hi[order]
+
+
+def singular_grid_by_table(d, alpha, lo, hi):
+    """(nodes, weights, max_spacing) of the singular alpha-grid on the axis
+    cells (lo, hi), with ceil(alpha) = 1 on its own path and every base
+    point clipped against every cell in one n_base x n_cells table."""
+    ca = math.ceil(alpha)
+    s = alpha - ca
+    mid = 0.5 * (lo + hi)
+    def anti(x):
+        return np.sign(x) * np.abs(x) ** (s + 1.0) / (s + 1.0)
+
+    first_mass = anti(hi) - anti(lo)
+    plain_mass = hi - lo
+    if ca == 1:
+        nodes_free = mid[:, None]
+        weights = first_mass
+        keep = weights > 0
+        nodes_free, weights = nodes_free[keep], weights[keep]
+    else:
+        axes_mid = [mid] * (ca - 1)
+        axes_mass = [first_mass] + [plain_mass] * (ca - 2)
+        grids = np.meshgrid(*axes_mid, indexing="ij")
+        base = np.column_stack([g.ravel() for g in grids])
+        wg = np.meshgrid(*axes_mass, indexing="ij")
+        wbase = np.prod(np.stack([g.ravel() for g in wg]), axis=0)
+        r2 = 1.0 - np.sum(base * base, axis=1)
+        keep = r2 > 0
+        base, wbase, r2 = base[keep], wbase[keep], r2[keep]
+        rmax = np.sqrt(r2)
+        clo = np.clip(lo[None, :], -rmax[:, None], rmax[:, None])
+        chi = np.clip(hi[None, :], -rmax[:, None], rmax[:, None])
+        seg = chi - clo
+        bi, ci = np.nonzero(seg > 0)
+        last_mid = 0.5 * (clo[bi, ci] + chi[bi, ci])
+        nodes_free = np.column_stack([base[bi], last_mid])
+        weights = wbase[bi] * seg[bi, ci]
+    nodes = np.concatenate(
+        [np.zeros((nodes_free.shape[0], d - ca)), nodes_free], axis=1)
+    return nodes, weights, float(np.max(hi - lo))

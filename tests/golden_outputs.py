@@ -95,7 +95,8 @@ ef74786dc79b 0 audit-measure --kind singular --d 2
 4083e005c9d1 0 phase-diagram --d 3 --grid-n 4 --lam-pair 16,64
 e3b0c44298fc 2 audit-measure --d 3 --resolution 10000000
 e3b0c44298fc 2 audit-measure --kind singular --d 3 --alpha 2.5
-2a2895056e45 0 random-lower --delta 1 --lams 1024,4096 --n-samples 32 --qs 3
+c348707147c0 0 random-lower --delta 1 --lams 1024,4096 --n-samples 32 --qs 3
+c206bff7534b 0 audit-measure --kind singular --d 2 --alpha 1
 """.splitlines()
 
 

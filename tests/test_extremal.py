@@ -182,8 +182,11 @@ def test_partition_family_structure():
     for tk, box in zip(part.anchors, boxes):
         assert _inside(box, solve_stationary(PH2, float(tk)))[0]
     signs = part.random_signs(5)
+    assert signs.shape == (1, part.ell)
     assert np.array_equal(signs, part.random_signs(5))
     assert set(np.unique(signs)).issubset({-1, 1})
+    # one draw is the first of many
+    assert np.array_equal(part.random_signs(5, 64)[0], signs[0])
     with pytest.raises(ValueError):
         partition_family(PH2, 0.05, 256.0)  # interval shorter than the scale
 

@@ -268,11 +268,11 @@ def test_khintchine_draws_are_interval_order_sums():
                       lams=(1024.0, 4096.0), qs=(3.0,), seed=0)
     records = khintchine_experiment(cfg).records
     assert [r.ell for r in records] == [6, 8]
-    signs = (np.random.default_rng(0).integers(0, 2, size=(n_samples, 8))
-             * 2 - 1)
     phase = graph_phase(curve, sphere_cap_graph(2))
     for rec in records:
         part = partition_family(phase, 1.0, rec.lam)
+        signs = (np.random.default_rng(0).integers(
+            0, 2, size=(n_samples, part.ell)) * 2 - 1)
         mu = sphere_measure(2, sphere_resolution_for(2, rec.lam))
         fields = [eval_field(curve, rec.lam,
                              osc.TestFunction((part.segment(k),)), mu.nodes)
@@ -284,6 +284,23 @@ def test_khintchine_draws_are_interval_order_sums():
                 combo = combo + s_k * row
             powers.append(float(np.sum(mu.weights * np.abs(combo) ** 3.0)))
         assert rec.mean_power == float(np.mean(powers))
+
+
+def test_khintchine_draws_do_not_depend_on_the_lambda_list():
+    """A lambda's sign draws come from the seed alone: adding lambda = 4096
+    (ell = 8) to the run leaves the lambda = 1024 (ell = 6) row's mean
+    and spread as they are without it."""
+    def row_1024(lams):
+        res = khintchine_experiment(SweepConfig(
+            curve=moment_curve(2),
+            family=RandomFamily(delta=1.0, n_samples=64),
+            lams=lams, qs=(3.0,), seed=0))
+        return next(r for r in res.records if r.lam == 1024.0)
+
+    alone, joined = row_1024((1024.0,)), row_1024((1024.0, 4096.0))
+    assert alone.ell == joined.ell == 6
+    assert (alone.mean_power, alone.std_err) == \
+        (joined.mean_power, joined.std_err)
 
 
 def test_khintchine_makes_one_kernel_call_per_lambda(monkeypatch):

@@ -13,7 +13,13 @@ import scipy.integrate
 import scipy.special
 
 import rlab.measures
-from brute_force import OneShotChart, audit_reference, kdtree_min_spacing
+from brute_force import (
+    OneShotChart,
+    audit_reference,
+    axis_cells_loop,
+    kdtree_min_spacing,
+    singular_grid_by_table,
+)
 from rlab.curves import TypeTuple, moment_curve, poly_curve
 from rlab.errors import DataError, DomainError
 from rlab.exponents import kappa
@@ -126,6 +132,36 @@ def test_singular_cell_count_and_default_resolution():
     explicit = singular_alpha_measure(2, 1.5, 64)
     assert np.array_equal(default.nodes, explicit.nodes)
     assert np.array_equal(default.weights, explicit.weights)
+
+
+def _assert_table_grid(mu, d, alpha, lo, hi):
+    nodes, weights, max_spacing = singular_grid_by_table(d, alpha, lo, hi)
+    assert mu.nodes.tobytes() == np.ascontiguousarray(nodes).tobytes()
+    assert mu.weights.tobytes() == weights.tobytes()
+    assert mu.max_spacing == max_spacing
+
+
+def test_singular_grid_equals_the_table_construction(monkeypatch):
+    """The cell runs per base point give the bits of the loop-built axis
+    cells clipped in one n_base x n_cells table, at every ceil(alpha)."""
+    for r in range(4, 300):
+        got, want = rlab.measures._axis_cells(r), axis_cells_loop(r)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+    # ceil(alpha) = 1 and 2 on the real cells, with and without a pinned
+    # coordinate and with s = 0
+    for d, alpha in ((1, 0.5), (2, 1.0), (2, 1.5), (2, 2.0), (3, 1.5)):
+        for res in (16, 17, 24, 32, 64):
+            _assert_table_grid(singular_alpha_measure(d, alpha, res),
+                               d, alpha, *axis_cells_loop(res))
+    # ceil(alpha) = 3 on 24 uneven cells: the real grid has 6.5 M nodes
+    edges = np.sort(np.r_[-1.0, 1.0,
+                          np.random.default_rng(1).uniform(-1.0, 1.0, 23)])
+    lo, hi = edges[:-1], edges[1:]
+    monkeypatch.setattr(rlab.measures, "_axis_cells", lambda r: (lo, hi))
+    for d, alpha in ((3, 2.5), (3, 3.0), (4, 2.5)):
+        _assert_table_grid(singular_alpha_measure(d, alpha, 16),
+                           d, alpha, lo, hi)
 
 
 def test_quad_measure_validation():
