@@ -64,6 +64,7 @@ class BumpFamily:
 
     name = "bump"
     support_keys = "eps0"
+    diagram_lams = None          # no phase diagram: no predicted excess
 
     def __post_init__(self):
         if not 0 < self.eps0 < math.inf:
@@ -76,6 +77,12 @@ class BumpFamily:
         """The parameter interval the input lives on."""
         return 0.0, self.eps0
 
+    def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
+        """The input at lambda, and no witness box."""
+        x0 = (self.x0 if self.x0 is not None
+              else default_bump_point(phase.curve.dim))
+        return bump_input(phase.curve, lam, x0, self.eps0), None
+
 
 @dataclass(frozen=True)
 class KnappFamily:
@@ -86,6 +93,7 @@ class KnappFamily:
 
     name = "knapp"
     support_keys = "t0, rho"
+    diagram_lams = (64.0, 1024.0)
 
     def __post_init__(self):
         if self.rho is not None and not 0 < self.rho < math.inf:
@@ -99,6 +107,14 @@ class KnappFamily:
         anchor."""
         return self.t0, self.t0 + lam ** -self.rho_for(d)
 
+    def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
+        """The input at lambda, and the c = 1 dual box at its anchor."""
+        d = phase.curve.dim
+        anchor = self.support(d, lam)[1]
+        x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
+        f = knapp_input(self.t0, lam, self.rho_for(d), modulation=x_anchor)
+        return f, knapp_box(phase, anchor, lam, 1.0, rho=self.rho_for(d))
+
 
 @dataclass(frozen=True)
 class RandomFamily:
@@ -109,6 +125,8 @@ class RandomFamily:
 
     name = "random"
     support_keys = "delta"
+    # the default delta = 1/4 needs lambda >= delta^(-2d), 256 at d = 2
+    diagram_lams = (256.0, 1024.0)
 
     def __post_init__(self):
         if not 0 < self.delta < math.inf:
@@ -118,6 +136,11 @@ class RandomFamily:
     def support(self, d: int, lam: float) -> tuple:
         """The parameter interval the input lives on."""
         return 0.0, self.delta
+
+    def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
+        """Signs from the seed on the partition at lambda; no witness box."""
+        part = partition_family(phase, self.delta, lam)
+        return random_sign_input(part, seed), None
 
 
 def default_bump_point(d: int) -> np.ndarray:
@@ -155,6 +178,8 @@ class SweepConfig:
         qs, ps = (tuple(float(v) for v in vs) for vs in (self.qs, self.ps))
         if not all(v >= 1 for v in qs + ps):
             raise ConfigError(f"q and p must be >= 1, got q={qs}, p={ps}")
+        if len(set(qs)) != len(qs) or len(set(ps)) != len(ps):
+            raise ConfigError(f"a q or p value repeats: q={qs}, p={ps}")
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "ps", ps)
@@ -219,43 +244,30 @@ def format_csv(header_lines: list, columns: list, rows: list) -> str:
 # decay sweeps
 # ----------------------------------------------------------------------
 
-def _build_input(config: SweepConfig, lam: float,
-                 phase: PhaseSpec) -> TestFunction:
-    fam = config.family
-    d = config.curve.dim
-    if isinstance(fam, BumpFamily):
-        x0 = fam.x0 if fam.x0 is not None else default_bump_point(d)
-        return bump_input(config.curve, lam, x0, fam.eps0)
-    if isinstance(fam, KnappFamily):
-        anchor = fam.support(d, lam)[1]
-        x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
-        return knapp_input(fam.t0, lam, fam.rho_for(d), modulation=x_anchor)
-    if isinstance(fam, RandomFamily):
-        part = partition_family(phase, fam.delta, lam)
-        return random_sign_input(part, config.seed)
-    raise ConfigError(f"unknown input family {fam!r}")
-
-
-def _box_field(phase: PhaseSpec, lam: float, f: TestFunction, box) -> tuple:
-    """F on box.lattice(_BOX_LATTICE) and the panels the panel rule used;
+def _box_witness(phase: PhaseSpec, lam: float, f: TestFunction, box,
+                 qs) -> tuple:
+    """min |F| on box.lattice(_BOX_LATTICE), {q: L^q norm of F over the
+    box} at the finite q of qs, and the panels eval_field used.  The
+    surface weights, built only when a q asks for them, are tensor Simpson
+    over |det M| times the chart area element sqrt(1 + |grad phi|^2).
     perfbench's kdim capture reads eval_field's four positional args."""
-    stats = {}
-    vals = eval_field(phase, lam, f, box.lattice(_BOX_LATTICE), stats=stats)
-    return vals, stats["panels"]
-
-
-def _box_weights(phase: PhaseSpec, box) -> np.ndarray:
-    """Surface-measure weights of box.lattice(_BOX_LATTICE) on a graph
-    chart: the tensor composite-Simpson weight of each axis-box point over
-    |det M|, times the chart area element sqrt(1 + |grad phi|^2)."""
     n = _BOX_LATTICE
-    simpson = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] / (3 * (n - 1))
-    w = np.ones(1)
-    for h in box.half_widths:        # axis step 2h/(n - 1)
-        w = np.multiply.outer(w, 2.0 * h * simpson).ravel()
-    jac = phase.patch.jacobian(box.lattice(n))[:, 0, :]
-    return (w * np.sqrt(1.0 + np.sum(jac * jac, axis=1))
-            / abs(np.linalg.det(box.transform)))
+    lattice = box.lattice(n)
+    stats = {}
+    mods = np.abs(eval_field(phase, lam, f, lattice, stats=stats))
+    finite = [q for q in qs if not math.isinf(q)]
+    norms = {}
+    if finite:
+        simpson = (np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0]
+                   / (3 * (n - 1)))
+        w = np.ones(1)
+        for h in box.half_widths:        # axis step 2h/(n - 1)
+            w = np.multiply.outer(w, 2.0 * h * simpson).ravel()
+        jac = phase.patch.jacobian(lattice)[:, 0, :]
+        w = (w * np.sqrt(1.0 + np.sum(jac * jac, axis=1))
+             / abs(np.linalg.det(box.transform)))
+        norms = {q: float(np.sum(w * mods ** q) ** (1 / q)) for q in finite}
+    return float(np.min(mods)), norms, stats["panels"]
 
 
 def ols_fit(logx: np.ndarray, logy: np.ndarray) -> tuple:
@@ -343,35 +355,30 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     Slopes are fitted only when there are at least two lambda values;
     a single lambda yields its records and empty ``fits``.
 
-    Knapp inputs also report the witness norm at finite q: the L^q norm
-    of the field over the dual box (c = 1) alone, by Simpson's rule on
-    kdim's box lattice (``_box_weights``).  The box construction bounds
-    it from below, and it follows the predicted power law at moderate
-    lambda, whereas the full-sphere norm also picks up the arc traced by
-    the interval (|field| stays near |I| on it until lambda |I|^2 |w|
-    passes pi, far beyond practical lambda).
+    The family builds each input and its witness box (Knapp: the c = 1
+    dual box at the anchor).  With a box, records at finite q carry the
+    witness norm: the L^q norm of the field over the box alone, by
+    ``_box_witness``.  The box construction bounds it from below, and it
+    follows the predicted power law at moderate lambda, whereas the
+    full-sphere norm also picks up the arc traced by the interval
+    (|field| stays near |I| on it until lambda |I|^2 |w| passes pi, far
+    beyond practical lambda).
     """
     curve = config.curve
     d = curve.dim
     phase = graph_phase(curve, sphere_cap_graph(d))
-    is_knapp = isinstance(config.family, KnappFamily)
 
     def run_one(lam: float):
-        f = _build_input(config, lam, phase)
+        f, box = config.family.input(phase, lam, config.seed)
         mu = sphere_measure(d, sphere_resolution_for(d, lam))
         stats = {}
         vals = field(curve, lam, f, mu, stats=stats)
-        if is_knapp:
-            fam = config.family
-            box = knapp_box(phase, fam.support(d, lam)[1], lam, 1.0,
-                            rho=fam.rho_for(d))
-            box_abs = np.abs(_box_field(phase, lam, f, box)[0])
-            box_w = _box_weights(phase, box)
+        wits = (_box_witness(phase, lam, f, box, config.qs)[1]
+                if box is not None else {})
         recs = []
         for q in config.qs:
             nrm = lq_norm(vals, mu, q)
-            wit = (float(np.sum(box_w * box_abs ** q) ** (1 / q))
-                   if is_knapp and not math.isinf(q) else 0.0)
+            wit = wits.get(q, 0.0)
             s = (d - 1) / q if not math.isinf(q) else 0.0
             for p in config.ps:
                 fn = lp_norm(f, p)
@@ -524,17 +531,15 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     1/q = 0) gives every cell: its measured excess is the sweep's
     ratio_slope at that (p, q).  Sign agreement is scored against the
     region classification outside the band |predicted excess| <=
-    PHASE_BAND around its zero set.  lam_pair defaults to (64, 1024) for
-    the Knapp family and (256, 1024) for the random one, whose default
-    delta = 1/4 needs lambda >= delta^(-2d) (256 at d = 2).
+    PHASE_BAND around its zero set.  lam_pair defaults to the family's
+    diagram_lams; a family without one (bump) has no diagram.
     """
     if family is None:
         family = KnappFamily()
-    if not isinstance(family, (KnappFamily, RandomFamily)):
+    if family.diagram_lams is None:
         raise ConfigError("phase_diagram supports knapp or random families")
     if lam_pair is None:
-        lam_pair = ((256.0, 1024.0) if isinstance(family, RandomFamily)
-                    else (64.0, 1024.0))
+        lam_pair = family.diagram_lams
     if len(lam_pair) != 2 or lam_pair[0] == lam_pair[1]:
         raise ConfigError("lam_pair must hold two distinct lambda values")
     if grid_n < 2:
@@ -641,6 +646,8 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
         # the closed-form slope (q_c - q)/(2d) is infinite at q = inf
         raise ConfigError(
             f"q must be finite and >= 1, got q={tuple(float(q) for q in qs)}")
+    if len({float(q) for q in qs}) != len(qs):
+        raise ConfigError(f"q values must not repeat: q={tuple(qs)}")
     if not 0 < extent < math.inf:
         raise ConfigError(f"extent {extent} must be finite and positive")
     # the intervals partition [0, extent], which must lie on the domain
@@ -667,16 +674,16 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
         total = sum(b.volume for b in boxes)
 
         f1 = TestFunction((part.segment(0),))
-        vals, panels = _box_field(phase, lam, f1, boxes[0])
+        min_field, _, panels = _box_witness(phase, lam, f1, boxes[0], ())
         ival = part.intervals[0][1] - part.intervals[0][0]
-        min_ratio = float(np.min(np.abs(vals))) / ival
+        min_ratio = min_field / ival
 
         for q in qs:
             records.append(KdimRecord(
                 lam=lam, q=float(q), ell=part.ell, box_volume=vol,
                 sum_volumes=total, closed_form_slope=slopes[float(q)],
                 min_field_ratio=min_ratio, field_ok=int(min_ratio >= 0.4),
-                resolution=vals.size, panels=panels))
+                resolution=_BOX_LATTICE ** k, panels=panels))
 
     header = [
         f"kdim_experiment d={d} k={k} extent={_fmt(extent)} c={_fmt(c)}",

@@ -497,18 +497,6 @@ def _modulation_point(phase: PhaseSpec, seg: Segment) -> tuple | None:
     return x0, lam_mod
 
 
-def _panel_nodes(seg: Segment, n_panels: int):
-    """Composite Gauss-Legendre nodes/weights over the segment, as explicit
-    arrays: the layout eval_field's recurrence walks."""
-    gx, gw = gauss_legendre(PANEL_ORDER)
-    edges = np.linspace(seg.start, seg.end, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    ts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    ws = (half[:, None] * gw[None, :]).ravel()
-    return ts, ws
-
-
 def _bernstein_matrix(a: float, b: float, width: int) -> np.ndarray:
     """Map the t-monomial coefficients of a polynomial of degree
     < width to its Bernstein coefficients on [a, b]."""

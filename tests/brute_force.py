@@ -1,7 +1,9 @@
-"""Brute-force references shared by the audit and chart tests.
+"""Brute-force references shared by the audit, chart, field and witness
+tests.
 
-Each computes from the definition, with no pruning or blocking, what
-``rlab.measures`` computes fast; the tests compare the two bit for bit.
+Each computes from the definition, with no pruning or blocking, or by a
+construction rlab has since replaced, what rlab computes fast; the tests
+compare the two bit for bit.
 """
 
 import math
@@ -10,6 +12,8 @@ import numpy as np
 import scipy.spatial
 
 from rlab.errors import DataError, DomainError
+from rlab.measures import gauss_legendre
+from rlab.oscillatory import PANEL_ORDER, eval_field
 
 
 def kdtree_min_spacing(mu):
@@ -185,3 +189,37 @@ def singular_grid_by_table(d, alpha, lo, hi):
     nodes = np.concatenate(
         [np.zeros((nodes_free.shape[0], d - ca)), nodes_free], axis=1)
     return nodes, weights, float(np.max(hi - lo))
+
+
+def panel_nodes(seg, n_panels):
+    """Composite Gauss-Legendre nodes/weights over the segment, as explicit
+    arrays: the layout eval_field's recurrence walks."""
+    gx, gw = gauss_legendre(PANEL_ORDER)
+    edges = np.linspace(seg.start, seg.end, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    ts = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
+    ws = (half[:, None] * gw[None, :]).ravel()
+    return ts, ws
+
+
+def box_field(phase, lam, f, box, n=9):
+    """F on box.lattice(n) and the panels the panel rule used: the box
+    field of the dual-box witness as it stood before _box_witness."""
+    stats = {}
+    vals = eval_field(phase, lam, f, box.lattice(n), stats=stats)
+    return vals, stats["panels"]
+
+
+def box_weights(phase, box, n=9):
+    """Surface-measure weights of box.lattice(n) on a graph chart: the
+    tensor composite-Simpson weight of each axis-box point over |det M|,
+    times the chart area element sqrt(1 + |grad phi|^2); the witness
+    weights as they stood before _box_witness."""
+    simpson = np.r_[1.0, np.tile([4.0, 2.0], n // 2)[:-1], 1.0] / (3 * (n - 1))
+    w = np.ones(1)
+    for h in box.half_widths:        # axis step 2h/(n - 1)
+        w = np.multiply.outer(w, 2.0 * h * simpson).ravel()
+    jac = phase.patch.jacobian(box.lattice(n))[:, 0, :]
+    return (w * np.sqrt(1.0 + np.sum(jac * jac, axis=1))
+            / abs(np.linalg.det(box.transform)))

@@ -16,7 +16,7 @@ import rlab.cli
 import rlab.harness
 import rlab.measures
 import rlab.oscillatory as osc
-from brute_force import audit_reference
+from brute_force import audit_reference, box_field, box_weights
 from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
 from rlab.curves import moment_curve, poly_curve
@@ -35,7 +35,7 @@ from rlab.harness import (
     RandomFamily,
     SweepConfig,
     SweepRecord,
-    _build_input,
+    _box_witness,
     _sweep_fits,
     decay_sweep,
     default_bump_point,
@@ -86,7 +86,8 @@ def test_sweep_config_validation():
     with pytest.raises(ConfigError):
         SweepConfig(curve=mc, family=fam, lams=(64.0,), qs=())
     for bad in ({"lams": (64.0, math.inf)}, {"qs": (0.5,)},
-                {"qs": (-math.inf,)}, {"ps": (0.5,)}, {"ps": (-math.inf,)}):
+                {"qs": (-math.inf,)}, {"ps": (0.5,)}, {"ps": (-math.inf,)},
+                {"qs": (3.0, 4.0, 3.0)}, {"ps": (math.inf, 2.0, math.inf)}):
         with pytest.raises(ConfigError):
             SweepConfig(**{"curve": mc, "family": fam, "lams": (64.0,),
                            "qs": (3.0,), **bad})
@@ -225,9 +226,46 @@ def test_knapp_witness_is_the_box_integral(d, lam, q):
     dsigma = (np.prod([g.ravel() for g in wts], axis=0)
               * np.sqrt(1.0 + np.sum(grad * grad, axis=1))
               / abs(np.linalg.det(box.transform)))
-    vals = eval_field(phase, lam, _build_input(config, lam, phase), y)
+    vals = eval_field(phase, lam, config.family.input(phase, lam, 0)[0], y)
     want = float(np.sum(dsigma * np.abs(vals) ** q) ** (1.0 / q))
     assert abs(rec.witness_norm - want) <= 1e-4 * want
+
+
+@pytest.mark.parametrize("d, lam, q", [(2, 64.0, 3.0), (2, 4096.0, 4.0),
+                                       (3, 16.0, 7.0)])
+def test_box_witness_keeps_the_knapp_witness_bits(d, lam, q):
+    """The witness norm, min |F| and panels equal, bit for bit, the
+    separate box field and Simpson weights they were built from before."""
+    phase = graph_phase(moment_curve(d), sphere_cap_graph(d))
+    f, box = KnappFamily().input(phase, lam, 0)
+    vals, panels = box_field(phase, lam, f, box)
+    want = float(np.sum(box_weights(phase, box) * np.abs(vals) ** q)
+                 ** (1 / q))
+    low, norms, got_panels = _box_witness(phase, lam, f, box, (q, math.inf))
+    assert list(norms) == [q] and norms[q].hex() == want.hex()
+    assert low.hex() == float(np.min(np.abs(vals))).hex()
+    assert got_panels == panels
+
+
+def test_box_witness_keeps_the_kdim_bits(monkeypatch):
+    """kdim's (4, 2) box at lambda = 16: min |F| and panels equal, bit for
+    bit, the box field it read before, and qs=() builds no weights."""
+    patch = submanifold_builder(4, 2, moment_curve(4), extent=0.75)
+    phase = graph_phase(patch.curve, patch)
+    part = partition_family(phase, 0.75, 16.0)
+    c = calibrate_c(phase, float(part.anchors[-1]), 16.0,
+                    interval=part.intervals[-1])
+    box = part.boxes(c)[0]
+    f = osc.TestFunction((part.segment(0),))
+    vals, panels = box_field(phase, 16.0, f, box)
+
+    def no_weights(*args):
+        raise AssertionError("box weights built")
+
+    monkeypatch.setattr(type(patch), "jacobian", no_weights)
+    low, norms, got_panels = _box_witness(phase, 16.0, f, box, ())
+    assert low.hex() == float(np.min(np.abs(vals))).hex()
+    assert norms == {} and got_panels == panels
 
 
 def test_khintchine_single_interval_has_zero_variance():
@@ -428,7 +466,7 @@ def _sample(d, family, lam):
     column of its record."""
     curve = moment_curve(d)
     config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
-    f = _build_input(config, lam, graph_phase(curve, sphere_cap_graph(d)))
+    f = family.input(graph_phase(curve, sphere_cap_graph(d)), lam, 0)[0]
     mu = sphere_measure(d, sphere_resolution_for(d, lam))
     return f, mu, decay_sweep(config).records[0].panels
 
@@ -680,20 +718,37 @@ def _references(path):
 
 def test_every_public_name_is_reached():
     """Each name of rlab.__all__ is read by rlab itself, by perfbench or
-    by the acceptance tests; the package's own re-export does not count."""
+    by the acceptance tests; the package's own re-export does not count.
+    Each module-level function of rlab is read by rlab beyond its own def
+    (a re-export counts) or by perfbench, or is a runner cli._command
+    registers."""
+    import ast
     import glob
 
     import rlab
 
-    paths = [p for p in glob.glob(os.path.join(SRC, "rlab", "*.py"))
-             if os.path.basename(p) != "__init__.py"]
-    paths += glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    modules = glob.glob(os.path.join(SRC, "rlab", "*.py"))
+    paths = [p for p in modules if os.path.basename(p) != "__init__.py"]
+    bench = glob.glob(os.path.join(ROOT, "perfbench", "*.py"))
+    paths += bench
     paths.append(os.path.join(ROOT, "tests", "test_acceptance.py"))
     reached = set().union(*(_references(p) for p in paths))
     unreached = set(rlab.__all__) - reached
     assert unreached == set(_UNREACHED_ON_PURPOSE), (
         "route or delete the unreached names, and keep the allowlist to the "
         f"names still unreached: {sorted(unreached ^ set(_UNREACHED_ON_PURPOSE))}")
+
+    defined = set()
+    for path in modules:
+        with open(path) as fh:
+            defined |= {node.name for node in ast.parse(fh.read()).body
+                        if isinstance(node, ast.FunctionDef)}
+    reached = set().union(*(_references(p) for p in modules + bench))
+    runners = {c.run.__name__ for c in rlab.cli._COMMANDS.values()}
+    uncalled = defined - reached - runners
+    assert not uncalled, (
+        "move the functions that nothing in rlab or perfbench calls to the "
+        f"tests that use them, or delete them: {sorted(uncalled)}")
 
 
 def _forbid_fields(monkeypatch):
@@ -792,6 +847,9 @@ def test_cli_error_codes():
     ["random-lower", "--lams", "256,1024", "--n-samples", "32", "--qs", "inf"],
     ["audit-measure", "--d", "3", "--resolution", "10000000"],
     ["audit-measure", "--kind", "singular", "--d", "3", "--alpha", "2.5"],
+    ["knapp", "--lams", "64,128,256", "--qs", "3,4,3"],
+    ["random-lower", "--qs", "3,3"],
+    ["kdim", "--qs", "8,8"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -812,7 +870,8 @@ def test_cli_error_codes():
         "sweep-unknown-section", "phase-diagram-knapp-seed",
         "phase-diagram-d3-grid-over-budget", "knapp-d3-grid-over-budget",
         "random-q-inf", "audit-sphere-over-budget",
-        "audit-singular-over-budget"])
+        "audit-singular-over-budget", "knapp-q-repeated", "random-q-repeated",
+        "kdim-q-repeated"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch, request):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)

@@ -10,6 +10,7 @@ import pytest
 import scipy.special
 
 import rlab.oscillatory as osc
+from brute_force import panel_nodes
 from rlab.curves import (
     TypeTuple,
     moment_curve,
@@ -22,7 +23,6 @@ from rlab.harness import (
     KnappFamily,
     RandomFamily,
     SweepConfig,
-    _build_input,
     decay_sweep,
 )
 from rlab.measures import (
@@ -39,7 +39,6 @@ from rlab.oscillatory import (
     TestFunction as StepFn,
     _bernstein_matrix,
     _difference_maps,
-    _panel_nodes,
     _phase_rate_bound,
     eval_field,
     extension_phase,
@@ -435,7 +434,7 @@ def test_phase_rate_bound_equals_the_column_loop():
 @pytest.mark.parametrize("start", [0.0, 0.3])
 def test_one_panel_at_the_cap_is_exact(start):
     seg = Segment(start, start + 1.0)
-    ts, ws = _panel_nodes(seg, 1)
+    ts, ws = panel_nodes(seg, 1)
     for rate in np.linspace(PANEL_CAP / 8, PANEL_CAP, 8):
         got = np.sum(ws * np.exp(1j * rate * ts))
         want = (np.exp(1j * rate * seg.end)
@@ -448,7 +447,8 @@ def _sphere_case(d, family, lam, stride):
     mu = sphere_measure(d, sphere_resolution_for(d, lam))
     config = SweepConfig(curve=curve, family=family, lams=(lam,), qs=(2.0,))
     phase = graph_phase(curve, sphere_cap_graph(d))
-    return curve, lam, _build_input(config, lam, phase), mu.nodes[::stride]
+    f = config.family.input(phase, lam, config.seed)[0]
+    return curve, lam, f, mu.nodes[::stride]
 
 
 @pytest.mark.parametrize("d, family, lam, stride", [
@@ -507,7 +507,7 @@ def _direct_field(phase, lam, f, ypts):
         for seg in f.segments:
             if seg.length == 0.0:
                 continue
-            ts, ws = _panel_nodes(
+            ts, ws = panel_nodes(
                 seg, osc._segment_panel_count(phase, lam, seg, chunk))
             ph = lam * phase.values(chunk, ts)
             if seg.modulation is not None:
