@@ -22,9 +22,13 @@ from .curves import moment_curve
 from .errors import ComputationError, ConfigError
 from .exponents import exponent_table, hyperplane_omega
 from .harness import (
+    PHASE_DIAGRAM_HEADER,
+    KdimRecord,
+    KhintchineRecord,
     KnappFamily,
     RandomFamily,
     SweepConfig,
+    SweepRecord,
     decay_sweep,
     kdim_experiment,
     khintchine_experiment,
@@ -36,16 +40,14 @@ from .measures import (
     sphere_measure,
 )
 
-_CSV_NOTE = """CSV schemas: every file starts with '#'-prefixed header lines
-echoing the configuration, then one column-name row, then data rows.
-sweep/knapp: lambda,p,q,input_norm,field_norm,decay_exponent,ratio,
-  resolution,max_spacing,panels,witness_norm,witness_ratio
-random-lower: lambda,p,q,ell,interval_len,c_used,mean_power,std_err,
-  lower_bound,upper_chain,ratio,resolution,panels
-phase-diagram: inv_p,inv_q,class,predicted_excess,measured_excess,
-  off_band,sign_match
-kdim: lambda,q,ell,box_volume,sum_volumes,closed_form_slope,
-  min_field_ratio,field_ok,resolution,panels"""
+_CSV_NOTE = "\n".join([
+    "CSV schemas: every file starts with '#'-prefixed header lines",
+    "echoing the configuration, then one column-name row, then data rows.",
+    *(f"{names}: {','.join(columns)}" for names, columns in (
+        ("sweep/knapp", SweepRecord.HEADER),
+        ("random-lower", KhintchineRecord.HEADER),
+        ("phase-diagram", PHASE_DIAGRAM_HEADER), ("kdim", KdimRecord.HEADER))),
+])
 
 
 def _arg(*flags, **kwargs):

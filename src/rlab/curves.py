@@ -2,8 +2,10 @@
 
 Curves are stored per component as polynomial coefficient rows over
 ``fractions.Fraction``, so derivatives, torsion determinants and the
-type tuples they decide are computed exactly.  Cached float coefficient
-tables back the vectorized evaluation used by the oscillatory quadrature.
+type tuples they decide are computed exactly.  A derivative of any
+nonnegative order is exact, and one above the degree is the zero row.
+Cached float coefficient tables back the vectorized evaluation used by
+the oscillatory quadrature.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError, NotFiniteTypeError
+from .errors import NotFiniteTypeError
 
 Poly = tuple  # coefficient row; index = power of t
 
@@ -185,7 +187,6 @@ class Curve:
 
     coeffs: tuple
     domain: tuple = (0.0, 1.0)
-    max_derivative_order: int = 0  # 0 = pick default in __post_init__
     name: str = "poly"
 
     def __post_init__(self):
@@ -193,11 +194,6 @@ class Curve:
         if not rows:
             raise ValueError("curve needs at least one component")
         object.__setattr__(self, "coeffs", rows)
-        deg = max(len(r) - 1 for r in rows)
-        if self.max_derivative_order <= 0:
-            object.__setattr__(
-                self, "max_derivative_order", max(2 * len(rows), deg + 1)
-            )
         object.__setattr__(self, "_fcache", {})
 
     @property
@@ -220,11 +216,6 @@ class Curve:
     def _check_order(self, order: int):
         if order < 0:
             raise ValueError("negative derivative order")
-        if order > self.max_derivative_order:
-            raise CapabilityError(
-                f"order {order} exceeds the curve oracle bound "
-                f"{self.max_derivative_order}"
-            )
 
     def _float_rows(self, order: int) -> np.ndarray:
         cache = self._fcache
@@ -308,10 +299,10 @@ def det_poly(curve: Curve, orders: Iterable[int]) -> Poly:
 
 def type_candidates(curve: Curve) -> list:
     """Derivative tuples in increasing (sum, lexicographic) order, with
-    orders up to min(2d, max_derivative_order)."""
+    orders up to 2d."""
     d = curve.dim
-    top = min(2 * d, curve.max_derivative_order)
-    return sorted(combinations(range(1, top + 1), d), key=lambda a: (sum(a), a))
+    return sorted(combinations(range(1, 2 * d + 1), d),
+                  key=lambda a: (sum(a), a))
 
 
 def _singular_frame(curve: Curve, t, orders, m: np.ndarray) -> bool:

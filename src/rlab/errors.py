@@ -20,10 +20,6 @@ class ComputationError(RlabError):
     """A numerical routine could not produce a trustworthy result."""
 
 
-class CapabilityError(ComputationError):
-    """A derivative order beyond what the curve oracle supports."""
-
-
 class SingularMatrixError(ComputationError):
     """A frame matrix was numerically singular."""
 

@@ -515,6 +515,10 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
 # phase diagram
 # ----------------------------------------------------------------------
 
+PHASE_DIAGRAM_HEADER = ["inv_p", "inv_q", "class", "predicted_excess",
+                        "measured_excess", "off_band", "sign_match"]
+
+
 @dataclass(frozen=True)
 class PhaseDiagramResult:
     cells: list                  # dict rows
@@ -579,8 +583,6 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
             })
 
     agreement = n_match / n_off if n_off else 1.0
-    cols = ["inv_p", "inv_q", "class", "predicted_excess",
-            "measured_excess", "off_band", "sign_match"]
     header = [
         f"phase_diagram d={d} grid_n={grid_n} family={family.name}",
         f"lam_pair={_fmt(lam0)},{_fmt(lam1)} band={_fmt(PHASE_BAND)}",
@@ -590,8 +592,8 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     # nearly equal sup norms, whose last printed digits would be round-off
     # (+ 0.0 turns a rounded -0.0 into 0)
     rows = [[round(c[k], 10) + 0.0 if k == "measured_excess" else c[k]
-             for k in cols] for c in cells]
-    csv_text = format_csv(header, cols, rows)
+             for k in PHASE_DIAGRAM_HEADER] for c in cells]
+    csv_text = format_csv(header, PHASE_DIAGRAM_HEADER, rows)
     return PhaseDiagramResult(cells=cells, agreement=agreement,
                               n_off_band=n_off, csv_text=csv_text)
 

@@ -37,52 +37,18 @@ _GL_CACHE: dict = {}
 NODE_BUDGET = 2 ** 25    # largest grid a measure builder makes
 
 
-def _legendre_series(x: np.ndarray, c: Sequence[float]) -> np.ndarray:
-    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the steps (and so
-    with the rounding) of numpy's legval."""
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = (c[nd - 2] - c1 * ((nd - 1) / nd),
-                  c0 + c1 * x * ((2 * nd - 1) / nd))
-    return c0 + c1 * x
-
-
 def gauss_legendre(n: int) -> tuple:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], cached: numpy's
-    leggauss(n), step for step and so bit for bit, without importing
-    numpy.polynomial.
-
-    The roots of P_n are the eigenvalues of the symmetric scaled
-    companion matrix, the Jacobi matrix of Golub and Welsch (Math. Comp.
-    23, 1969), polished by one Newton step; the weights are
-    1 / (P_{n-1} P_n') with both factors scaled by their largest modulus,
-    symmetrised and normalised to sum to 2.
-    """
-    if n in _GL_CACHE:
-        return _GL_CACHE[n]
-    basis = [0.0] * n + [1.0]                               # P_n
-    slope = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0
-             for k in range(n)]                             # P_n'
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    mat = np.zeros((n, n))
-    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
-    mat.reshape(-1)[1::n + 1] = off
-    mat.reshape(-1)[n::n + 1] = off
-    x = np.linalg.eigvalsh(mat)
-    dy = _legendre_series(x, basis)
-    df = _legendre_series(x, slope)
-    x -= dy / df
-    fm = _legendre_series(x, basis[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    _GL_CACHE[n] = x, w
-    return x, w
+    """n-point Gauss-Legendre nodes and weights on [-1, 1]: numpy's
+    leggauss(n), built once per n and cached read-only.  numpy.polynomial
+    is imported at the first build, so a run that builds no rule does not
+    pay for the import."""
+    if n not in _GL_CACHE:
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(n)
+        x.setflags(write=False)
+        w.setflags(write=False)
+        _GL_CACHE[n] = x, w
+    return _GL_CACHE[n]
 
 
 def _check_budget(nodes: int, grid: str) -> None:
@@ -585,7 +551,6 @@ def submanifold_builder(d: int, k: int, curve: Curve,
         det = det_poly(Curve(rows[:l]), range(1, l + 1))
         if any(det) and not poly_root_count(det, 0, extent):
             cand = Curve(rows, domain=curve.domain,
-                         max_derivative_order=curve.max_derivative_order,
                          name=f"{curve.name}@perm{perm}")
             return SubmanifoldPatch(curve=cand, k=k, perm=perm)
     raise SingularMatrixError(

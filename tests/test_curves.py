@@ -22,7 +22,7 @@ from rlab.curves import (
     torsion_det,
     type_candidates,
 )
-from rlab.errors import CapabilityError, NotFiniteTypeError
+from rlab.errors import NotFiniteTypeError
 
 
 def test_moment_torsion_is_one_exactly():
@@ -134,8 +134,6 @@ def test_poly_root_count_closed_interval(roots, want):
 def test_type_candidates_order_and_cap():
     assert type_candidates(moment_curve(2)) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    capped = Curve(moment_curve(2).coeffs, max_derivative_order=3)
-    assert type_candidates(capped) == [(1, 2), (1, 3), (2, 3)]
     assert len(type_candidates(moment_curve(3))) == math.comb(6, 3)
 
 
@@ -144,8 +142,9 @@ def test_eval_derivative_frozen_values():
     assert np.allclose(eval_derivative(mc, 1.0, 1), [1.0, 1.0])
     assert np.allclose(eval_derivative(mc, 0.3, 2), [0.0, 1.0])
     assert np.allclose(eval_derivative(mc, 0.5, 0), [0.5, 0.125])
-    # order above the degree is identically zero
+    # order above the degree is identically zero, at any order
     assert np.allclose(eval_derivative(moment_curve(3), 0.7, 4), 0.0)
+    assert eval_derivative(moment_curve(3), 0.7, 9).tolist() == [0.0] * 3
 
 
 def test_eval_many_matches_exact():
@@ -168,12 +167,6 @@ def test_eval_many_is_polyval_bit_for_bit(order):
         tab = curve._float_rows(order)
         want = np.polynomial.polynomial.polyval(ts, tab.T).T
         assert curve.eval_many(ts, order).tobytes() == want.tobytes()
-
-
-def test_derivative_order_cap():
-    mc = moment_curve(2)
-    with pytest.raises(CapabilityError):
-        mc.eval_many(np.array([0.1]), mc.max_derivative_order + 1)
 
 
 def test_detect_type_nondegenerate():

@@ -1173,17 +1173,20 @@ def test_sweep_builds_only_its_parser(tmp_path, monkeypatch):
     assert counts == {"parsers": 9, "arguments": 46}
 
 
-def test_cli_never_imports_numpy_polynomial(tmp_path):
-    # Gauss-Legendre rules and curve values take numpy.polynomial's steps
-    # without paying for its import: the d=3 sphere grid builds a
-    # Gauss-Legendre rule
-    (tmp_path / "cfg.ini").write_text(
-        "[curve]\nkind = moment(2)\n\n[family]\nkind = bump\n\n"
-        "[sweep]\nlams = 64, 128\nqs = 3\n")
-    runs = {"sweep": ["--config", "cfg.ini"],
-            "audit-measure": ["--d", "3", "--resolution", "16"]}
-    assert (_after_cli(tmp_path, runs, "'numpy.polynomial' in sys.modules")
-            == b"False\n")
+def test_d2_runs_never_import_numpy_polynomial(tmp_path):
+    # Gauss-Legendre rules are numpy's leggauss, imported on the first
+    # rule built: the d=2 runs build none, so none pays for the import
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
+    runs = {name: argv for name, argv in _CHEAP_RUNS.items() if name != "kdim"}
+    setup = ("import rlab.measures\n"
+             "seen, cli = [], cli_main\n"
+             "def cli_main(argv):\n"
+             "    code = cli(argv)\n"
+             "    seen.append((argv[0], len(rlab.measures._GL_CACHE),\n"
+             "                 'numpy.polynomial' in sys.modules))\n"
+             "    return code\n")
+    assert _after_cli(tmp_path, runs, "seen", setup).decode() == (
+        repr([(name, 0, False) for name in runs]) + "\n")
 
 
 def test_d2_sweep_takes_no_panel(tmp_path):
@@ -1246,3 +1249,16 @@ def test_csv_schema_docs_match_the_written_headers():
     }
     assert _help_schemas() == written
     assert _readme_schemas() == written
+
+
+@pytest.mark.parametrize("name", _EXPERIMENTS)
+def test_help_prints_each_column_row_on_one_line(name, tmp_path, monkeypatch):
+    # the column row a run writes is, verbatim, the rest of the epilog
+    # line that names its subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(_CHEAP_CFG)
+    code, out, _ = _capture([name] + _CHEAP_RUNS[name])
+    row = next(ln for ln in out.splitlines() if not ln.startswith("#"))
+    lines = [ln.split(": ", 1) for ln in build_parser().epilog.splitlines()]
+    assert code == 0 and [cols for head, *cols in lines
+                          if name in head.split("/")] == [[row]]

@@ -75,6 +75,17 @@ def test_gauss_legendre_is_leggauss_bit_for_bit(n):
     assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
 
 
+def test_gauss_legendre_cache_is_read_only():
+    # every caller shares the cached arrays, so none may write to them
+    x, w = gauss_legendre(16)
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    x, w = gauss_legendre(16)
+    gx, gw = np.polynomial.legendre.leggauss(16)
+    assert x.tobytes() == gx.tobytes() and w.tobytes() == gw.tobytes()
+
+
 def test_sphere_resolution_rule():
     # n = 10 lambda nodes at d=2, n_u = 4 lambda polar nodes and 2 n_u^2
     # nodes at d=3; d=3 grids grow ~ lam^2 nodes, so keep its frequencies
