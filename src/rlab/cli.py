@@ -252,13 +252,16 @@ def _kdim(args) -> int:
           _arg("--resolution", type=int, default=0),
           _SEED)
 def _audit_measure(args) -> int:
+    seed = args.seed or 0
+    if seed < 0:   # refused before the measure is built
+        raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
     if args.kind == "sphere":
         mu = sphere_measure(args.d, args.resolution)
         alpha = mu.alpha if args.alpha is None else args.alpha
     else:
         alpha = 1.5 if args.alpha is None else args.alpha
         mu = singular_alpha_measure(args.d, alpha, args.resolution)
-    ratio = dimension_audit(mu, alpha, seed=args.seed or 0)
+    ratio = dimension_audit(mu, alpha, seed=seed)
     print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
     return 0
 

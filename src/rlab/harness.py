@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -180,6 +181,8 @@ class SweepConfig:
             raise ConfigError(f"q and p must be >= 1, got q={qs}, p={ps}")
         if len(set(qs)) != len(qs) or len(set(ps)) != len(ps):
             raise ConfigError(f"a q or p value repeats: q={qs}, p={ps}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "lams", lams)
         object.__setattr__(self, "qs", qs)
         object.__setattr__(self, "ps", ps)

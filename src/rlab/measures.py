@@ -17,6 +17,7 @@ curvature matrix of the phase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
@@ -562,8 +563,8 @@ def submanifold_builder(d: int, k: int, curve: Curve,
 # Monte Carlo dimension audit
 # ----------------------------------------------------------------------
 
-_BLOCK = 32                 # nodes per block of the audit's bound pass
-_BOUND_CELLS = 1 << 16      # ball-block pairs per chunk of the bound pass
+_RUN_CELLS = 256            # cells per column along the bound pass's run axis
+_BOUND_CELLS = 1 << 14      # ball-column pairs per chunk of the bound pass
 
 
 def _span(nodes: np.ndarray) -> np.ndarray:
@@ -667,51 +668,73 @@ def _ball_masses(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
             yield float(np.add.reduce(weights[np.sort(perm[lo:hi][hit])]))
 
 
-def _mass_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
-                 radii: np.ndarray) -> np.ndarray:
+def _column_bounds(nodes: np.ndarray, weights: np.ndarray, centers: np.ndarray,
+                   radii: np.ndarray) -> np.ndarray:
     """Upper bounds on the masses _ball_masses yields for the same balls.
 
-    The nodes are cut into index-contiguous blocks of _BLOCK, each with a
-    bounding box and a mass.  A ball's bound is the mass of the blocks
-    whose box it reaches, inflated to cover rounding.  The squared
-    distance from the center to a box runs coordinate by coordinate, as
-    _column_d2 does, on gaps no larger than the node's own; rounding is
-    monotone, so a box is never past r*r while a node in it is inside.
-    Each gap is min(max(c, lo), hi) - c: IEEE subtraction is
-    antisymmetric, so its square is that of max(lo - c, c - hi, 0) to the
-    bit.  Gaps are squared in one buffer reused across coordinates (numpy
-    ufuncs with out=; np.clip's Python wrapper costs as much as the
-    arithmetic), and the first coordinate's go straight into d2, since
-    0 + x = x exactly.
+    The widest axis is the run axis.  The nodes are binned into columns,
+    32 per other axis at d=2 and 8 at higher d, and each column keeps
+    prefix sums of its mass over _RUN_CELLS cells along the run axis.  A
+    ball's bound adds, over the columns it reaches, the mass of the run
+    its chord through the column covers, plus a slack.
+
+    Rounding (u = eps/2, tol = 4 dim eps): a node with fl(|x - c|^2) <=
+    r*r has |x - c|^2 <= r*r (1 + tol).  Column faces are padded past the
+    rounding of a node's column index, and d2, the squared distance from
+    c to the column shrunk by 1 - tol, is at most the node's own off the
+    run axis.  So the column is reached, and the half-chord sqrt(r*r (1 +
+    tol) - d2) (1 + tol) is at least the node's run-axis offset.  The
+    chord's ends round monotonically, and the node's run cell and theirs
+    come from one monotone float map: every node with fl(|x - c|^2) <=
+    r*r lies in a counted cell.  The prefix differences, their sum and
+    the ball's float mass are each within (n + cells) u of the total
+    mass; the slack, 4 (n + cells) eps times the total, covers the three.
     """
-    n = nodes.shape[0]
-    firsts = np.arange(0, n, _BLOCK)
-    box_lo = np.minimum.reduceat(nodes, firsts).T
-    box_hi = np.maximum.reduceat(nodes, firsts).T
-    block_mass = np.add.reduceat(weights, firsts)
-    # The ball's mass, each block mass and a bound's sum over blocks are
-    # float sums of fewer than n + _BLOCK positive terms, in whatever
-    # order (BLAS included), so each is within a relative (n + _BLOCK) u
-    # of its exact value (u = eps/2).  An inflation of 4 (n + _BLOCK) u
-    # covers the three and the rounding of the inflation itself.
-    inflate = 1.0 + 2.0 * (n + _BLOCK) * np.finfo(float).eps
-    step = max(1, _BOUND_CELLS // firsts.size)
+    n, dim = nodes.shape
+    lo, hi = (np.array([f(c) for c in nodes.T]) for f in (np.min, np.max))
+    span = hi - lo
+    ax = int(np.argmax(span))
+    tol = 4.0 * dim * np.finfo(float).eps
+
+    def cells(x, j, size):
+        scale = size / span[j] if span[j] > 0 else 0.0
+        return np.clip(np.floor((x - lo[j]) * scale), 0, size - 1).astype(np.intp)
+
+    col, ncol, faces = np.zeros(n, dtype=np.intp), 1, []
+    for j in (i for i in range(dim) if i != ax):
+        size = (32 if dim == 2 else 8) if span[j] > 0 else 1
+        col = col * size + cells(nodes[:, j], j, size)
+        ncol *= size
+        pad = 1e-12 * (abs(lo[j]) + abs(hi[j]))
+        edges = lo[j] + np.arange(size + 1) * (span[j] / size)
+        faces.append((j, edges[:-1] - pad, edges[1:] + pad))
+    run = _RUN_CELLS if span[ax] > 0 else 1
+    mass = np.bincount(col * run + cells(nodes[:, ax], ax, run), weights,
+                       minlength=ncol * run).reshape(ncol, run)
+    prefix = np.zeros((ncol, run + 1))
+    np.cumsum(mass, axis=1, out=prefix[:, 1:])
+    occupied = np.flatnonzero(prefix[:, -1])
+    flat, rows = prefix[occupied].ravel(), np.arange(occupied.size) * (run + 1)
+    slack = 4.0 * (n + ncol * run) * np.finfo(float).eps * float(np.sum(weights))
+    step = max(1, _BOUND_CELLS // occupied.size)
     bounds = np.empty(radii.size)
     for s in range(0, radii.size, step):
-        c = centers[s:s + step].T[:, :, None]
-        d2 = np.empty((c.shape[1], firsts.size))
-        gap = np.empty_like(d2)
-        for i, (lo, hi, ci) in enumerate(zip(box_lo, box_hi, c)):
-            out = gap if i else d2
-            np.maximum(ci, lo, out=out)
-            np.minimum(out, hi, out=out)
-            out -= ci
-            out *= out
-            if i:
-                d2 += gap
-        r = radii[s:s + step, None]
-        bounds[s:s + step] = (d2 <= r * r) @ block_mass
-    return bounds * inflate
+        c, r = centers[s:s + step], radii[s:s + step]
+        d2 = np.zeros((r.size, 1))
+        for j, f_lo, f_hi in faces:
+            gap = np.maximum(np.maximum(f_lo - c[:, j, None], c[:, j, None] - f_hi), 0.0)
+            d2 = (d2[:, :, None] + (gap * gap)[:, None, :]).reshape(r.size, -1)
+        d2 = d2[:, occupied] * (1.0 - tol)
+        r2 = r * r * (1.0 + tol)
+        # only the reached (ball, column) pairs get a chord
+        ball, k = np.nonzero(d2 <= r2[:, None])
+        half = np.sqrt(r2[ball] - d2[ball, k]) * (1.0 + tol)
+        ca = c[ball, ax]
+        first = cells(ca - half, ax, run) + rows[k]
+        last = cells(ca + half, ax, run) + rows[k] + 1
+        bounds[s:s + step] = np.bincount(ball, flat[last] - flat[first],
+                                         minlength=r.size)
+    return bounds + slack
 
 
 def _max_mass_ratio(nodes: np.ndarray, weights: np.ndarray,
@@ -719,17 +742,20 @@ def _max_mass_ratio(nodes: np.ndarray, weights: np.ndarray,
                     alpha: float) -> float:
     """Largest mass(B(centers[i], radii[i])) / radii[i]**alpha.
 
-    Balls get an exact mass in decreasing order of their bound's ratio,
-    and the pass stops at the first bound ratio that does not exceed the
-    largest exact one: division rounds monotonically, so no ball after
-    it can raise the maximum.  The result equals, bit for bit, the
-    maximum over every ball of its brute-force ratio.
+    Balls get an exact mass in decreasing order of their column bound's
+    ratio, and the pass stops at the first bound ratio that does not
+    exceed the largest exact one.  A bound counts every node with
+    fl(|x - c|^2) <= r*r, and its slack covers the rounding of the prefix
+    differences, so it is never below the ball's float mass; division
+    rounds monotonically, so no ball after the stop can raise the
+    maximum.  The result equals, bit for bit, the maximum over every
+    ball of its brute-force ratio.
     """
     # the brute-force ratio's scalar power: numpy's vectorized power can
     # round differently in the last bit
     denoms = np.array([r ** alpha for r in radii])
     with np.errstate(divide="ignore", invalid="ignore"):
-        keys = _mass_bounds(nodes, weights, centers, radii) / denoms
+        keys = _column_bounds(nodes, weights, centers, radii) / denoms
     order = np.argsort(-keys, kind="stable")
     masses = _ball_masses(nodes, weights, centers[order], radii[order])
     worst = 0.0
@@ -749,16 +775,18 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     Samples centers near the support (random node plus jitter) and radii
     log-uniform between the floor (default 4x the minimum node spacing)
     and the support diameter; returns the largest observed mass ratio.
-    alpha must be finite.  The floor must be positive; an infinite one
-    means half the diameter.
+    alpha must be finite and seed an integer >= 0.  The floor must be
+    positive; an infinite one means half the diameter.
 
-    Balls are pruned by block bounds (``_mass_bounds``): only those whose
-    bound can still beat the largest ratio found get an exact mass, from
-    a slab-pruned pass (``_ball_masses``).  Its slabs are index ranges
-    along the widest axis on which the nodes are already in order, and
-    cuts of a sort along the widest axis when there is none.  Its
+    Balls are pruned by column bounds (``_column_bounds``): only those
+    whose bound can still beat the largest ratio found get an exact mass,
+    from a slab-pruned pass (``_ball_masses``).  A bound counts every
+    node with fl(|x - c|^2) <= r^2, and its slack covers the rounding of
+    its prefix-sum differences, so pruning never drops the maximum.  The
+    slabs are index ranges along the widest axis on which the nodes are
+    already in order, or else cuts of a sort along the widest axis.  Exact
     distances round as the brute-force |x - c|^2 <= r^2 over every node
-    does, and it sums the weights inside in node-index order, so the
+    does, and the weights inside are summed in node-index order, so the
     result is identical, bit for bit, to the brute-force definition.
     """
     if n_samples < 100:
@@ -767,6 +795,8 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
         raise ValueError(f"alpha must be finite, got {alpha!r}")
     if r_floor is not None and not float(r_floor) > 0:
         raise ValueError(f"r_floor must be positive, got {r_floor!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     nodes, weights = mu.nodes, mu.weights
     n = nodes.shape[0]

@@ -93,6 +93,13 @@ def test_sweep_config_validation():
                            "qs": (3.0,), **bad})
     cfg = SweepConfig(curve=mc, family=fam, lams=(64.0, 16.0), qs=(3.0,))
     assert cfg.ps == (math.inf,)
+    # a seed is an integer >= 0, of any size
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(ConfigError, match="seed"):
+            SweepConfig(curve=mc, family=fam, lams=(64.0,), qs=(3.0,), seed=seed)
+    for seed in (0, np.int64(3), 2**100):
+        assert SweepConfig(curve=mc, family=fam, lams=(64.0,), qs=(3.0,),
+                           seed=seed).seed == seed
     # the d=3 grid at lambda=2048 has 2 * 8192^2 = 134,217,728 nodes, four
     # times the budget: refused before any field
     with pytest.raises(ValueError, match="budget"):
@@ -792,6 +799,10 @@ def test_cli_error_codes():
     assert _capture(["knapp", "--strict"])[0] == 2
 
 
+def _no_measure(*args, **kwargs):
+    raise AssertionError("measure built")
+
+
 @pytest.mark.parametrize("argv", [
     ["exponents", "--d", "1"],
     ["knapp", "--d", "1", "--lams", "16,32"],
@@ -850,6 +861,11 @@ def test_cli_error_codes():
     ["knapp", "--lams", "64,128,256", "--qs", "3,4,3"],
     ["random-lower", "--qs", "3,3"],
     ["kdim", "--qs", "8,8"],
+    ["random-lower", "--seed", "-1", "--lams", "256,1024"],
+    ["sweep", "--config", os.path.join(ROOT, "perfbench", "bump-d2.ini"),
+     "--seed", "-1"],
+    ["sweep", "--config", "seed-negative.ini"],
+    ["audit-measure", "--seed", "-1"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -871,7 +887,8 @@ def test_cli_error_codes():
         "phase-diagram-d3-grid-over-budget", "knapp-d3-grid-over-budget",
         "random-q-inf", "audit-sphere-over-budget",
         "audit-singular-over-budget", "knapp-q-repeated", "random-q-repeated",
-        "kdim-q-repeated"])
+        "kdim-q-repeated", "random-lower-seed-negative", "sweep-seed-negative",
+        "sweep-config-seed-negative", "audit-measure-seed-negative"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch, request):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
@@ -885,11 +902,14 @@ def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch, request):
             ("family-typo", "knapp\nrh0 = 0.1", ""),
             ("foreign-family-key", "knapp\nx0 = 1, 0", ""),
             ("sweep-typo", "knapp", "seeds = 7\n"),
-            ("unknown-section", "knapp", "\n[sweeep]\nseed = 7\n")):
+            ("unknown-section", "knapp", "\n[sweeep]\nseed = 7\n"),
+            ("seed-negative", "knapp", "seed = -1\n")):
         (tmp_path / f"{name}.ini").write_text(
             f"[curve]\nkind = moment(2)\n\n[family]\nkind = {family}\n\n"
             f"[sweep]\nlams = 256\nqs = 3\n{extra}")
     _forbid_fields(monkeypatch)
+    if request.node.callspec.id.startswith("audit-measure-seed"):
+        monkeypatch.setattr("rlab.cli.sphere_measure", _no_measure)
     code, _, err = _capture(argv)
     assert code == 2
     assert err.startswith("error:")

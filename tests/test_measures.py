@@ -27,7 +27,7 @@ from rlab.extremal import knapp_box
 from rlab.measures import (
     QuadMeasure,
     _ball_masses,
-    _mass_bounds,
+    _column_bounds,
     _max_mass_ratio,
     _min_spacing,
     cap_box_sigma_mass,
@@ -365,6 +365,33 @@ def test_dimension_audit_bounded_and_unbounded():
         dimension_audit(mu, 1.0, n_samples=10)
 
 
+def test_c12_audits_make_a_pinned_number_of_exact_masses(monkeypatch):
+    """The column bound's pruning power, as a count that needs no timer.
+
+    c12's twelve audits (seed 1, its floors) run the exact pass on 1,833
+    balls; the 32-node block bound it replaced ran 3,128.  The count is
+    deterministic (the bound uses no BLAS product), so a looser bound
+    moves it.  A bound that prunes more lowers it: update the pin then.
+    """
+    count = [0]
+    inner = rlab.measures._ball_masses
+
+    def counted(*args):
+        for mass in inner(*args):
+            count[0] += 1
+            yield mass
+
+    monkeypatch.setattr(rlab.measures, "_ball_masses", counted)
+    for mu, alpha, n, f_hi, f_lo in (
+            (sphere_measure(2, 1024), 1.0, 1500, 0.4, 0.025),
+            (sphere_measure(3, 128), 2.0, 600, 0.4, 0.1),
+            (singular_alpha_measure(2, 1.5, 32), 1.5, 400, 0.5, 0.125)):
+        for a in (alpha, alpha + 0.5):
+            for floor in (f_hi, f_lo):
+                dimension_audit(mu, a, n_samples=n, seed=1, r_floor=floor)
+    assert count[0] == 1833
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
@@ -413,10 +440,12 @@ def _dilate(ell):
     (_tied_layout, 1.0, 600, 0.01),
     (_tied_layout_sorted, 1.0, 600, None),
     (_tied_layout_sorted, 1.0, 600, 0.01),
+    (lambda: singular_alpha_measure(2, 1.0, 32), 1.0, 300, 0.125),
+    (lambda: singular_alpha_measure(3, 1.5, 16), 1.5, 300, 0.125),
 ], ids=["circle", "circle-default-floor", "sphere", "singular", "dilate",
         "dilate-ell5", "over-40000-nodes", "tied-keys-and-duplicates",
         "tied-keys-floor", "sorted-tied-keys-and-duplicates",
-        "sorted-tied-keys-floor"])
+        "sorted-tied-keys-floor", "singular-zero-span-axis", "singular-d3"])
 def test_dimension_audit_equals_brute_force(build, alpha, n_samples, r_floor):
     mu = build()
     got = dimension_audit(mu, alpha, n_samples=n_samples, seed=5, r_floor=r_floor)
@@ -480,7 +509,7 @@ def test_ball_masses_equal_brute_force_on_boundaries(dim, sort_axis):
     want = [float(np.sum(weights[np.sum((nodes - c) ** 2, axis=1) <= r * r]))
             for c, r in zip(centers, radii)]
     assert list(_ball_masses(nodes, weights, centers, radii)) == want
-    assert np.all(_mass_bounds(nodes, weights, centers, radii) >= want)
+    assert np.all(_column_bounds(nodes, weights, centers, radii) >= want)
     assert beyond > 0 and exact.size > 100
 
 
@@ -496,16 +525,17 @@ def _brute_max_ratio(nodes, weights, centers, radii, alpha):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_mass_bounds_with_block_faces_on_the_boundary(dim):
-    """Block-box faces at -3..3 ulps from each ball's boundary.
+    """Face nodes at -3..3 ulps from each ball's boundary, on any axis.
 
-    Ball i owns seven blocks of 32 nodes on a ray from its center along
-    one axis.  Block k's face node, the nearest point of its box, lies k
-    ulps from the boundary, and its other 31 nodes lie further out.  The
+    Ball i owns seven groups of 32 nodes on a ray from its center along
+    one axis: x, the run axis of the column bound, or an axis across its
+    columns.  Group k's face node, the nearest to the center, lies k ulps
+    from the boundary, and its other 31 nodes lie further out.  The
     radius makes r*r equal the k = 0 face node's squared distance, so
-    that node is inside, and so is its box, only by the last bit.  Ball 0
-    carries a heavy k = 0 face node and sets the maximum; the outer nodes
-    are light, so without that one block its bound falls below the
-    ratios of the other balls.
+    that node is inside only by the last bit, and the bound must still
+    count its cell.  Ball 0 carries a heavy k = 0 face node and sets the
+    maximum; the outer nodes are light, so without that node its bound
+    falls below the ratios of the other balls.
     """
     rng = np.random.default_rng(40 + dim)
     blocks, weights, centers, radii = [], [], [], []
@@ -529,7 +559,7 @@ def test_mass_bounds_with_block_faces_on_the_boundary(dim):
     centers, radii = np.array(centers), np.array(radii)
     want = _brute_masses(nodes, weights, centers, radii)
     assert list(_ball_masses(nodes, weights, centers, radii)) == list(want)
-    assert np.all(_mass_bounds(nodes, weights, centers, radii) >= want)
+    assert np.all(_column_bounds(nodes, weights, centers, radii) >= want)
     ratios = want / radii
     assert np.argmax(ratios) == 0 and want[0] > 100.0
     assert (_max_mass_ratio(nodes, weights, centers, radii, 1.0)
@@ -537,50 +567,179 @@ def test_mass_bounds_with_block_faces_on_the_boundary(dim):
 
 
 def test_max_mass_ratio_from_a_ball_without_the_largest_bound():
-    # twenty needles of 32 nodes: ball 0 reaches every needle's box but
-    # holds only its first node; ball 1 holds one compact block whole
-    needles = [np.column_stack([np.linspace(0.9, 10.0, 32), np.full(32, 0.01 * j)])
-               for j in range(20)]
-    cluster = np.array([0.0, 50.0]) + np.random.default_rng(3).normal(
-        scale=0.1, size=(32, 2))
-    nodes = np.concatenate(needles + [cluster])
-    weights = np.r_[np.ones(640), np.full(32, 2.0)]
-    centers = np.array([[0.0, 0.1], [0.0, 50.0]])
+    # x is the run axis, 256 cells of 0.78125 over [-100, 100]; y has 32
+    # columns of width 1 over [0, 32].  Ball 0 holds twenty nodes, and its
+    # chord through column 1 covers the run cell of twenty decoys that lie
+    # outside it; ball 1 holds one compact cluster whole
+    decoys = np.tile([1.5, 1.9], (20, 1))
+    inside = np.column_stack([np.linspace(0.2, 0.6, 20), np.full(20, 0.5)])
+    cluster = np.array([50.0, 16.5]) + np.random.default_rng(3).uniform(
+        -0.3, 0.3, size=(32, 2))
+    corners = np.array([[-100.0, 0.0], [100.0, 32.0]])
+    nodes = np.concatenate([decoys, inside, cluster, corners])
+    weights = np.r_[np.full(20, 3.0), np.ones(20), np.full(32, 2.0), 1e-3, 1e-3]
+    centers = np.array([[0.39, 0.5], [50.0, 16.5]])
     radii = np.array([1.0, 1.0])
     masses = _brute_masses(nodes, weights, centers, radii)
-    bounds = _mass_bounds(nodes, weights, centers, radii)
+    bounds = _column_bounds(nodes, weights, centers, radii)
     assert list(masses) == [20.0, 64.0]
     assert bounds[0] > bounds[1] >= masses[1]
     assert _max_mass_ratio(nodes, weights, centers, radii, 1.5) == 64.0
 
 
 def test_max_mass_ratio_when_block_sums_round_low():
-    """The bound's inflation covers block sums that round below the mass.
+    """The bound's slack covers prefix differences that round below the mass.
 
-    Ball 0 holds two blocks whose masses add to one ulp or more less than
-    the ball's own sum of the same weights.  Ball 1, at the same radius,
-    holds a single node weighing that block total, and comes first in the
-    bound order: without the inflation, ball 0's bound would tie ball 1's
-    ratio and the pass would stop before reaching it.
+    x is the run axis, 256 cells of width 1 over [0, 256], and y has 32
+    columns of width 1.  Ball 0's 64 nodes fill run cell 1 of column 0,
+    above a node of weight 1 in cell 0, so its bound is the prefix
+    difference (1 + S) - 1 of the cell's sum S, which rounds to one ulp
+    or more below the ball's own sum of the same weights.  Ball 1, at the
+    same radius, holds a single node weighing that difference, and decoys
+    in its run cell put it first in the bound order: without the slack,
+    ball 0's bound would tie ball 1's ratio and the pass would stop
+    before reaching it.
     """
     rng = np.random.default_rng(8)
     while True:
         w = rng.uniform(0.5, 1.5, 64) * 2.0 ** rng.integers(-40, 1, 64)
-        block_total = float(np.ones(2) @ np.add.reduceat(w, [0, 32]))
-        if np.sum(w) > block_total:
+        prefix = np.cumsum([1.0, float(np.bincount(np.zeros(64, np.intp), w)[0])])
+        cell_total = float(prefix[1] - prefix[0])
+        if np.sum(w) > cell_total:
             break
-    ball0 = rng.uniform(-0.1, 0.1, size=(64, 2))
-    # ball 1's node shares its block with 31 nodes outside both balls
-    ball1 = np.array([[10.0, 0.0]] + [[20.0 + j, 0.0] for j in range(31)])
-    nodes = np.concatenate([ball0, ball1])
-    weights = np.r_[w, block_total, np.ones(31)]
-    centers = np.array([[0.0, 0.0], [10.0, 0.0]])
-    radii = np.array([0.5, 0.5])
+    ball0 = np.array([1.5, 0.5]) + rng.uniform(-0.1, 0.1, size=(64, 2))
+    ball1 = np.array([[100.5, 16.5], [100.5, 16.95], [100.5, 16.05]])
+    extent = np.array([[0.5, 0.5], [0.0, 32.0], [256.0, 0.0]])
+    nodes = np.concatenate([ball0, ball1, extent])
+    weights = np.r_[w, cell_total, 1.0, 1.0, 1.0, 1e-3, 1e-3]
+    centers = np.array([[1.5, 0.5], [100.5, 16.5]])
+    radii = np.array([0.2, 0.2])
     masses = _brute_masses(nodes, weights, centers, radii)
-    assert masses[0] > masses[1] == block_total
+    assert masses[0] > masses[1] == cell_total
+    bounds = _column_bounds(nodes, weights, centers, radii)
+    assert bounds[1] > bounds[0] >= masses[0]
     got = _max_mass_ratio(nodes, weights, centers, radii, 2.0)
     assert got == _brute_max_ratio(nodes, weights, centers, radii, 2.0)
-    assert got == masses[0] / 0.5**2
+    assert got == masses[0] / 0.2**2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_column_bounds_with_nodes_on_column_faces_and_chord_ends(dim):
+    """Nodes -3..3 ulps from a column face and from a run-cell face.
+
+    The run axis is x over [-7.3, 8.7], with 256 cells of 1/16; the other
+    axes span [-0.7, 1.3].  Neither grid's faces are exact in binary, so
+    a node a few ulps from a face can be binned across it.  Each node
+    gets its own small ball with the node on its boundary.  A face ball
+    has its center just off a column face and the node across it on that
+    axis, so the ball reaches the node's column only at the face.  A
+    chord-end ball has the node on a run-cell face, offset p < r from
+    the center off the run axis, so the node sits at the end of the
+    ball's chord through its column, and that end falls on the cell face.
+    """
+    rng = np.random.default_rng(60 + dim)
+    size = 32 if dim == 2 else 8
+    extent = np.full((2, dim), [[-0.7], [1.3]])
+    extent[:, 0] = [-7.3, 8.7]
+    pts, centers, radii = [extent], [], []
+    for i in range(40):
+        c = np.r_[rng.uniform(-6.0, 7.0), rng.uniform(-0.5, 1.1, dim - 1)]
+        axis, sign = rng.integers(1, dim), rng.choice([-1.0, 1.0])
+        if i % 2:
+            # the node on a run-cell face, at offset p off the run axis
+            x0 = -7.3 + rng.integers(20, 230) * (16.0 / 256)
+            r = rng.uniform(1e-4, 1e-3)
+            c[axis] += rng.uniform(-0.3, 0.3) * r
+            base = c.copy()
+            base[axis] += sign * rng.uniform(0.2, 0.9) * r
+            c[0] = x0 - sign * math.sqrt(r * r - (base[axis] - c[axis]) ** 2)
+            moved = 0
+        else:
+            # the node across a column face from the center
+            x0 = -0.7 + rng.integers(2, size - 1) * (2.0 / size)
+            c[axis] = x0 - sign * rng.uniform(1e-4, 1e-3)
+            base, moved = c.copy(), axis
+        for k in range(-3, 4):
+            q = base.copy()
+            q[moved] = x0 + k * np.spacing(x0)
+            pts.append(q[None])
+            d2 = float(np.sum((q - c) ** 2))
+            r = math.sqrt(d2)
+            while r * r < d2:
+                r = np.nextafter(r, np.inf)
+            radii.append(r)
+            centers.append(c)
+    nodes = np.concatenate(pts)
+    weights = rng.uniform(0.5, 1.5, nodes.shape[0])
+    centers, radii = np.array(centers), np.array(radii)
+    want = _brute_masses(nodes, weights, centers, radii)
+    assert np.all(want >= weights[2:])
+    assert list(_ball_masses(nodes, weights, centers, radii)) == list(want)
+    assert np.all(_column_bounds(nodes, weights, centers, radii) >= want)
+    assert (_max_mass_ratio(nodes, weights, centers, radii, 1.0)
+            == _brute_max_ratio(nodes, weights, centers, radii, 1.0))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_column_bounds_on_chords_of_nearly_zero_length(dim):
+    """Balls that touch the nodes' plane y = 0 from far off it.
+
+    Every node has y = 0 exactly, so the column face is the plane itself
+    and carries no pad.  Each ball's center is h = 0.1 .. 0.5 below it,
+    its radius is h, and its run-axis offset to a run-cell face is so
+    small that it vanishes in fl(r*r).  So the ball's chord through the
+    plane rounds to a single point on one side of the face, while its
+    nodes, -3..3 ulps from the face, are inside the ball on both sides.
+    """
+    rng = np.random.default_rng(80 + dim)
+    nodes = np.zeros((2, dim))
+    nodes[:, 0] = [-7.3, 8.7]
+    if dim == 3:
+        nodes[:, 2] = [-0.7, 1.3]
+    pts, centers, radii = [nodes], [], []
+    for i in range(40):
+        x0 = -7.3 + rng.integers(20, 230) * (16.0 / 256)
+        h = rng.uniform(0.1, 0.5)
+        c = np.zeros(dim)
+        c[1] = -h
+        if dim == 3:
+            c[2] = rng.uniform(-0.5, 1.1)
+        c[0] = x0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9) * math.sqrt(
+            np.spacing(h * h) / 2.0)
+        for k in range(-3, 4):
+            q = c.copy()
+            q[0], q[1] = x0 + k * np.spacing(x0), 0.0
+            pts.append(q[None])
+        centers.append(c)
+        radii.append(h)
+    nodes = np.concatenate(pts)
+    weights = rng.uniform(0.5, 1.5, nodes.shape[0])
+    centers, radii = np.array(centers), np.array(radii)
+    want = _brute_masses(nodes, weights, centers, radii)
+    assert np.all(want >= 7 * 0.5)
+    assert list(_ball_masses(nodes, weights, centers, radii)) == list(want)
+    assert np.all(_column_bounds(nodes, weights, centers, radii) >= want)
+    assert (_max_mass_ratio(nodes, weights, centers, radii, 1.0)
+            == _brute_max_ratio(nodes, weights, centers, radii, 1.0))
+
+
+@pytest.mark.parametrize("dim, flat", [(2, 1), (3, 1), (3, 2), (2, 0)],
+                         ids=["2", "3", "3-last-axis", "2-widest-axis-flat"])
+def test_column_bounds_with_a_zero_span_axis(dim, flat):
+    # every node has the same coordinate on one axis, so that axis has a
+    # single column whose faces are the plane itself; with x flat, the run
+    # axis moves to y
+    rng = np.random.default_rng(70 + dim + flat)
+    nodes = rng.uniform(-1.0, 1.0, size=(800, dim)) * ([3.0] + [1.0] * (dim - 1))
+    nodes[:, flat] = 0.3
+    centers = nodes[rng.integers(0, 800, 80)] + rng.normal(scale=0.05, size=(80, dim))
+    radii = rng.uniform(0.01, 1.5, 80)
+    weights = rng.uniform(0.5, 1.5, 800)
+    want = _brute_masses(nodes, weights, centers, radii)
+    assert list(_ball_masses(nodes, weights, centers, radii)) == list(want)
+    assert np.all(_column_bounds(nodes, weights, centers, radii) >= want)
+    assert (_max_mass_ratio(nodes, weights, centers, radii, 0.5)
+            == _brute_max_ratio(nodes, weights, centers, radii, 0.5))
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -595,6 +754,20 @@ def test_dimension_audit_refuses_bad_floor(r_floor):
     mu = sphere_measure(2, 64)
     with pytest.raises(ValueError, match="r_floor"):
         dimension_audit(mu, 1.0, n_samples=200, r_floor=r_floor)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_dimension_audit_refuses_bad_seed(seed):
+    mu = sphere_measure(2, 64)
+    with pytest.raises(ValueError, match="seed"):
+        dimension_audit(mu, 1.0, n_samples=200, seed=seed)
+
+
+def test_dimension_audit_takes_any_integer_seed():
+    mu = sphere_measure(2, 64)
+    assert dimension_audit(mu, 1.0, n_samples=200, seed=np.int64(0)) == \
+        dimension_audit(mu, 1.0, n_samples=200, seed=0)
+    assert dimension_audit(mu, 1.0, n_samples=200, seed=2**100) > 0
 
 
 def test_dimension_audit_infinite_floor_clamps_to_half_diameter():
