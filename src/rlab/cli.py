@@ -22,6 +22,7 @@ from .curves import moment_curve
 from .errors import ComputationError, ConfigError
 from .exponents import exponent_table, hyperplane_omega
 from .harness import (
+    FAMILIES,
     PHASE_DIAGRAM_HEADER,
     KdimRecord,
     KhintchineRecord,
@@ -35,6 +36,7 @@ from .harness import (
     phase_diagram,
 )
 from .measures import (
+    check_audit_arguments,
     dimension_audit,
     singular_alpha_measure,
     sphere_measure,
@@ -57,7 +59,7 @@ def _arg(*flags, **kwargs):
 
 _CONFIG = _arg("--config", required=True, help="config file path")
 _SEED = _arg("--seed", type=int, default=None,
-             help="seed for every random draw (default 0)")
+             help=f"seed for every random draw (default {SweepConfig.seed})")
 _OUT = _arg("--out", default=None, help="CSV output path (default stdout)")
 
 
@@ -81,16 +83,24 @@ def _command(name, help, *arguments, description=None):
     return enter
 
 
+def _given(args, *names) -> dict:
+    """The flags among names that the command line sets, by name."""
+    return {n: v for n, v in vars(args).items()
+            if n in names and v is not None}
+
+
 def _unwritable(out, reason):
     return ConfigError(f"cannot write the CSV to {out}: {reason}")
 
 
 def _check_out(out) -> None:
     """Refuse, before the run and without making a file, an out path that
-    names a directory, lies in a missing one or in one without write
-    permission."""
+    is empty, names a directory, lies in a missing one or in one without
+    write permission."""
     if out is None:
         return
+    if not out:
+        raise ConfigError("cannot write the CSV to an empty path")
     if os.path.isdir(out):
         raise _unwritable(out, os.strerror(errno.EISDIR))
     parent = os.path.dirname(out) or "."
@@ -151,14 +161,13 @@ def _sweep(args) -> int:
 
 @_command("knapp", "knapp-family excess sweep",
           _arg("--d", type=int, default=2),
-          _arg("--t0", type=float, default=0.2),
+          _arg("--t0", type=float, default=KnappFamily.t0),
           _arg("--rho", type=float, default=None),
           _arg("--lams", default="64,128,256,512,1024"),
           _arg("--qs", default="3,4"),
-          _arg("--ps", default="inf"),
+          _arg("--ps", default=",".join(map(str, SweepConfig.ps))),
           _OUT)
 def _knapp(args) -> int:
-    _check_out(args.out)
     config = SweepConfig(curve=moment_curve(args.d),
                          family=KnappFamily(t0=args.t0, rho=args.rho),
                          lams=parse_floats(args.lams),
@@ -170,18 +179,17 @@ def _knapp(args) -> int:
 
 @_command("random-lower", "randomized lower-bound experiment",
           _arg("--d", type=int, default=2),
-          _arg("--delta", type=float, default=0.25),
-          _arg("--n-samples", type=int, default=64),
+          _arg("--delta", type=float, default=RandomFamily.delta),
+          _arg("--n-samples", type=int, default=RandomFamily.n_samples),
           _arg("--lams", default="256,1024,4096"),
           _arg("--qs", default="3"),
           _SEED, _OUT)
 def _random_lower(args) -> int:
-    _check_out(args.out)
     config = SweepConfig(
         curve=moment_curve(args.d),
         family=RandomFamily(delta=args.delta, n_samples=args.n_samples),
         lams=parse_floats(args.lams), qs=parse_floats(args.qs),
-        seed=args.seed or 0)
+        **_given(args, "seed"))
     res = khintchine_experiment(config)
     _emit(res.csv_text, args.out)
     print(f"# ratio band across lambda: {res.band():.4f}")
@@ -192,22 +200,22 @@ def _random_lower(args) -> int:
           _arg("--d", type=int, default=2),
           _arg("--grid-n", type=int, default=20),
           _arg("--lam-pair", default=None,
-               help="two lambdas for the slopes (default 64,1024 for "
-                    "knapp, 256,1024 for random); the random family "
-                    "(delta = 0.25) needs lambda >= delta^(-2d), "
-                    "i.e. 256 at d=2"),
-          _arg("--family", default="knapp", choices=("knapp", "random")),
+               help="two lambdas for the slopes (default " + ", ".join(
+                   "{:g},{:g} for {}".format(*cls.diagram_lams, name)
+                   for name, cls in FAMILIES.items() if cls.diagram_lams)
+               + ")"),
+          _arg("--family", default=KnappFamily.name,
+               choices=[n for n, c in FAMILIES.items() if c.diagram_lams]),
           _SEED, _OUT)
 def _phase_diagram(args) -> int:
-    if args.family == "knapp" and args.seed is not None:
-        raise ConfigError("--seed needs --family random: knapp inputs "
-                          "draw nothing at random")
-    _check_out(args.out)
-    family = KnappFamily() if args.family == "knapp" else RandomFamily()
+    family = FAMILIES[args.family]
+    if family is not RandomFamily and args.seed is not None:
+        raise ConfigError(f"--seed needs --family {RandomFamily.name}: "
+                          f"{args.family} inputs draw nothing at random")
     lam_pair = (None if args.lam_pair is None
                 else parse_floats(args.lam_pair))
-    res = phase_diagram(args.d, args.grid_n, family=family,
-                        lam_pair=lam_pair, seed=args.seed or 0)
+    res = phase_diagram(args.d, args.grid_n, family=family(),
+                        lam_pair=lam_pair, **_given(args, "seed"))
     _emit(res.csv_text, args.out)
     print(f"# off-band cells: {res.n_off_band}  "
           f"sign agreement: {res.agreement:.4f}")
@@ -231,13 +239,12 @@ def _hyperplane(args) -> int:
           _arg("--k", type=int, default=2),
           _arg("--lams", default="16,32"),
           _arg("--qs", default="6,7,8,9,10"),
-          _arg("--extent", type=float, default=0.75),
+          _arg("--extent", type=float),
           _OUT)
 def _kdim(args) -> int:
-    _check_out(args.out)
     res = kdim_experiment(args.d, args.k, moment_curve(args.d),
                           parse_floats(args.lams), parse_floats(args.qs),
-                          extent=args.extent)
+                          **_given(args, "extent"))
     _emit(res.csv_text, args.out)
     print(f"# q_critical={res.q_critical}")
     for q in sorted(res.slopes):
@@ -252,16 +259,16 @@ def _kdim(args) -> int:
           _arg("--resolution", type=int, default=0),
           _SEED)
 def _audit_measure(args) -> int:
-    seed = args.seed or 0
-    if seed < 0:   # refused before the measure is built
-        raise ConfigError(f"--seed must be an integer >= 0, got {seed}")
+    if args.kind == "singular" and args.alpha is None:
+        args.alpha = 1.5
+    given = _given(args, "alpha", "seed")
+    check_audit_arguments(**given)       # refused before the build
     if args.kind == "sphere":
         mu = sphere_measure(args.d, args.resolution)
-        alpha = mu.alpha if args.alpha is None else args.alpha
     else:
-        alpha = 1.5 if args.alpha is None else args.alpha
-        mu = singular_alpha_measure(args.d, alpha, args.resolution)
-    ratio = dimension_audit(mu, alpha, seed=seed)
+        mu = singular_alpha_measure(args.d, args.alpha, args.resolution)
+    given.setdefault("alpha", mu.alpha)  # the sphere's own, without --alpha
+    ratio = dimension_audit(mu, **given)
     print(f"max mass ratio mu(B)/r^alpha: {ratio:.6f}")
     return 0
 
@@ -304,6 +311,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command].run(args)
     except (ComputationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -9,13 +9,13 @@ does not read is refused with ConfigError.  Example::
 
     [family]
     kind = knapp
-    t0 = 0.2
+    t0 = 0.3
 
     [sweep]
     lams = 64, 128, 256
     qs = 3, 4
-    ps = inf
-    seed = 0
+    ps = inf, 2
+    seed = 7
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ import configparser
 import math
 import os
 import re
+from dataclasses import fields
 
 from .curves import Curve, moment_curve, monomial_curve, poly_curve
 from .errors import ConfigError
-from .harness import BumpFamily, KnappFamily, RandomFamily, SweepConfig
+from .harness import FAMILIES, BumpFamily, SweepConfig
 
 _CALL = re.compile(r"^\s*([a-z_]+)\s*\((.*)\)\s*$", re.S)
 
@@ -70,36 +71,34 @@ def parse_floats(text: str) -> tuple:
     return tuple(vals)
 
 
-_FAMILY_KEYS = {"bump": {"x0", "eps0"}, "knapp": {"t0", "rho"},
-                "random": {"delta"}}
-# threads is the thread knob sweeps no longer have; perfbench/bump-d2.ini
+# each [family] key a family class with that field reads; not n_samples, as
+# a decay sweep draws one sign pattern per lambda and would ignore it
+_FAMILY_KEYS = {"x0": parse_floats, "eps0": float, "t0": float,
+                "rho": float, "delta": float}
+# each [sweep] key with its parser (a blank ps reads as the default); threads,
+# the thread knob sweeps no longer have, is not read: perfbench/bump-d2.ini
 # still sets it, so it is tolerated until the benchmark drops it
-_SWEEP_KEYS = {"lams", "qs", "ps", "seed", "out", "threads"}
+_SWEEP_KEYS = {"lams": parse_floats, "qs": parse_floats,
+               "ps": lambda text: parse_floats(text) or SweepConfig.ps,
+               "seed": int, "out": str}
 
 
-def _refuse_unknown_keys(section, known: set) -> None:
-    unknown = sorted(set(section) - known)
+def _refuse_unknown(names, known, where: str) -> None:
+    """Refuse with ConfigError the section or key names that known lacks."""
+    unknown = sorted(set(names) - set(known))
     if unknown:
-        raise ConfigError(
-            f"[{section.name}] has unknown key(s) {', '.join(unknown)}; "
-            f"it reads {', '.join(sorted(known))}")
+        raise ConfigError(f"{where} has unknown {', '.join(unknown)}; it "
+                          f"reads {', '.join(sorted(known))}")
 
 
 def parse_family(section) -> object:
-    kind = section.get("kind", "bump").strip()
-    if kind not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown family kind {kind!r}")
-    _refuse_unknown_keys(section, {"kind"} | _FAMILY_KEYS[kind])
-    if kind == "bump":
-        x0 = section.get("x0")
-        return BumpFamily(
-            x0=None if x0 is None else tuple(parse_floats(x0)),
-            eps0=section.getfloat("eps0", 1.0))
-    if kind == "knapp":
-        rho = section.get("rho")
-        return KnappFamily(t0=section.getfloat("t0", 0.2),
-                           rho=None if rho is None else float(rho))
-    return RandomFamily(delta=section.getfloat("delta", 0.25))
+    """The section's family, from the keys it sets and defaults for the rest."""
+    kind = section.get("kind", BumpFamily.name)
+    _refuse_unknown([kind], FAMILIES, f"[{section.name}] kind")
+    keys = {f.name for f in fields(FAMILIES[kind])} & _FAMILY_KEYS.keys()
+    _refuse_unknown(section, {"kind"} | keys, f"[{section.name}]")
+    return FAMILIES[kind](**{k: _FAMILY_KEYS[k](section[k]) for k in keys
+                             if k in section})
 
 
 def load_config(path: str) -> configparser.ConfigParser:
@@ -115,35 +114,27 @@ def load_config(path: str) -> configparser.ConfigParser:
 
 def sweep_config_from_file(path: str, overrides: dict | None = None
                            ) -> SweepConfig:
-    """Assemble a SweepConfig from a config file plus CLI overrides."""
+    """Assemble a SweepConfig from a config file plus CLI overrides of seed
+    and out (None for a flag not given, and [sweep] seed is then read)."""
     parser = load_config(path)
-    overrides = overrides or {}
-    unknown = sorted(set(parser.sections()) - {"curve", "family", "sweep"})
-    if unknown:
-        raise ConfigError(f"unknown section(s) "
-                          f"{', '.join(f'[{n}]' for n in unknown)}; "
-                          "a config reads [curve], [family] and [sweep]")
+    _refuse_unknown([f"[{n}]" for n in parser.sections()],
+                    ["[curve]", "[family]", "[sweep]"], path)
     if "curve" not in parser:
         raise ConfigError("config needs a [curve] section")
-    _refuse_unknown_keys(parser["curve"], {"kind"})
+    _refuse_unknown(parser["curve"], {"kind"}, "[curve]")
     curve = parse_curve(parser["curve"].get("kind", ""))
-    family = (parse_family(parser["family"]) if "family" in parser
-              else BumpFamily())
-    if "sweep" not in parser:
-        parser.add_section("sweep")
+    parser.read_dict({"family": {}, "sweep": {}})   # empty when left out
+    family = parse_family(parser["family"])
     sweep = parser["sweep"]
-    _refuse_unknown_keys(sweep, _SWEEP_KEYS)
-
-    def pick(key, fallback):
-        if overrides.get(key) is not None:
-            return overrides[key]
-        return fallback
-
-    lams = parse_floats(sweep.get("lams", ""))
-    qs = parse_floats(sweep.get("qs", ""))
-    ps = parse_floats(sweep.get("ps", "inf")) or (math.inf,)
-    if not lams or not qs:
+    _refuse_unknown(sweep, _SWEEP_KEYS.keys() | {"threads"}, "[sweep]")
+    # a key that a flag overrides is not read
+    settings = {k: v for k, v in (overrides or {}).items() if v is not None}
+    for key, parse in _SWEEP_KEYS.items():
+        if key in sweep and key not in settings:
+            try:
+                settings[key] = parse(sweep[key])
+            except ValueError as exc:
+                raise ConfigError(f"[sweep] {key} in {path}: {exc}") from None
+    if not settings.get("lams") or not settings.get("qs"):
         raise ConfigError("[sweep] must set lams and qs")
-    return SweepConfig(curve=curve, family=family, lams=lams, qs=qs, ps=ps,
-                       seed=int(pick("seed", sweep.getint("seed", 0))),
-                       out=pick("out", sweep.get("out", None)))
+    return SweepConfig(curve=curve, family=family, **settings)

@@ -46,7 +46,6 @@ from .oscillatory import (
     segment_fields,
 )
 
-DEFAULT_SIGN_SAMPLES = 64
 PHASE_BAND = 0.02           # phase_diagram scores |predicted| > this only
 _BOX_LATTICE = 9            # points per axis of the dual-box lattice; odd,
                             # so the witness can take Simpson's rule on it
@@ -122,7 +121,7 @@ class RandomFamily:
     """Rademacher signs on the lambda^{-1/(2d)} partition of [0, delta]."""
 
     delta: float = 0.25
-    n_samples: int = DEFAULT_SIGN_SAMPLES
+    n_samples: int = 64
 
     name = "random"
     support_keys = "delta"
@@ -142,6 +141,9 @@ class RandomFamily:
         """Signs from the seed on the partition at lambda; no witness box."""
         part = partition_family(phase, self.delta, lam)
         return random_sign_input(part, seed), None
+
+
+FAMILIES = {cls.name: cls for cls in (BumpFamily, KnappFamily, RandomFamily)}
 
 
 def default_bump_point(d: int) -> np.ndarray:
@@ -166,21 +168,15 @@ class SweepConfig:
     out: str | None = None       # the CSV path; only the CLI reads it
 
     def __post_init__(self):
-        lams = tuple(float(v) for v in self.lams)
-        if len(lams) == 0 or len(self.qs) == 0 or len(self.ps) == 0:
-            raise ConfigError("lambda, q, p lists must be non-empty")
-        if len(set(lams)) != len(lams):
-            raise ConfigError("lambda values must be distinct")
+        lams, qs, ps = (_distinct(name, vs) for name, vs in (
+            ("lambda", self.lams), ("q", self.qs), ("p", self.ps)))
         for lam in lams:
             if not 16 <= lam < math.inf:
                 raise ConfigError(f"lambda {lam} must be finite and >= 16")
             if 2.0 ** round(math.log2(lam)) != lam:
                 raise ConfigError(f"lambda {lam} is not a power of two")
-        qs, ps = (tuple(float(v) for v in vs) for vs in (self.qs, self.ps))
         if not all(v >= 1 for v in qs + ps):
             raise ConfigError(f"q and p must be >= 1, got q={qs}, p={ps}")
-        if len(set(qs)) != len(qs) or len(set(ps)) != len(ps):
-            raise ConfigError(f"a q or p value repeats: q={qs}, p={ps}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         object.__setattr__(self, "lams", lams)
@@ -198,6 +194,15 @@ class SweepConfig:
                     f"[{lo:g}, {hi:g}]: check {fam.support_keys} ({fam})")
         # an unallocatable sphere grid is refused before any field
         sphere_resolution_for(self.curve.dim, max(lams))
+
+
+def _distinct(name: str, values) -> tuple:
+    """values as floats, refused when there are none or one repeats."""
+    vals = tuple(float(v) for v in values)
+    if not vals or len(set(vals)) != len(vals):
+        raise ConfigError(f"{name} values must be distinct and at least "
+                          f"one, got {vals}")
+    return vals
 
 
 def _csv_record(cls):
@@ -324,10 +329,10 @@ def _sweep_fits(config: SweepConfig, records: list) -> dict:
     wit = [key for key, cell in cells.items()
            if all(r.witness_norm > 0 for r in cell)]
     if wit:
-        slope_w, rms_w = ols_fit(logl, _log_column([cells[k] for k in wit],
-                                                   "witness_ratio"))
-        for key, s, e in zip(wit, slope_w.tolist(), rms_w.tolist()):
-            fits[key].update(witness_slope=s, witness_rms=e)
+        slope_w, _ = ols_fit(logl, _log_column([cells[k] for k in wit],
+                                               "witness_ratio"))
+        for key, s in zip(wit, slope_w.tolist()):
+            fits[key]["witness_slope"] = s
     return fits
 
 
@@ -544,11 +549,11 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
     if family is None:
         family = KnappFamily()
     if family.diagram_lams is None:
-        raise ConfigError("phase_diagram supports knapp or random families")
+        raise ConfigError(f"the {family.name} family has no phase diagram")
     if lam_pair is None:
         lam_pair = family.diagram_lams
-    if len(lam_pair) != 2 or lam_pair[0] == lam_pair[1]:
-        raise ConfigError("lam_pair must hold two distinct lambda values")
+    if len(lam_pair) != 2:
+        raise ConfigError("lam_pair must hold two lambda values")
     if grid_n < 2:
         raise ConfigError("grid_n >= 2 required")
 
@@ -639,20 +644,13 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
     indicator, recentered at its anchor, keeps |T chi| >= 0.4 |I| across
     the whole dual box.
     """
-    lams = sorted(float(v) for v in lams)
-    if len(lams) == 0 or len(qs) == 0:
-        raise ConfigError("lambda and q lists must be non-empty")
-    if len(set(lams)) != len(lams):
-        raise ConfigError("lambda values must be distinct")
+    lams, qs = sorted(_distinct("lambda", lams)), _distinct("q", qs)
     for lam in lams:
         if not 0 < lam < math.inf:
             raise ConfigError(f"lambda {lam} must be finite and positive")
-    if not all(1 <= float(q) < math.inf for q in qs):
+    if not all(1 <= q < math.inf for q in qs):
         # the closed-form slope (q_c - q)/(2d) is infinite at q = inf
-        raise ConfigError(
-            f"q must be finite and >= 1, got q={tuple(float(q) for q in qs)}")
-    if len({float(q) for q in qs}) != len(qs):
-        raise ConfigError(f"q values must not repeat: q={tuple(qs)}")
+        raise ConfigError(f"q must be finite and >= 1, got q={qs}")
     if not 0 < extent < math.inf:
         raise ConfigError(f"extent {extent} must be finite and positive")
     # the intervals partition [0, extent], which must lie on the domain
@@ -671,7 +669,7 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
 
     records = []
     # q_c - q, not -(q - q_c), so that q = q_c gives 0 and not -0
-    slopes = {float(q): (qc - float(q)) / (2 * d) for q in qs}
+    slopes = {q: (qc - q) / (2 * d) for q in qs}
     for lam in lams:
         part = partition_family(phase, extent, lam)
         boxes = part.boxes(c)
@@ -685,8 +683,8 @@ def kdim_experiment(d: int, k: int, curve: Curve, lams, qs,
 
         for q in qs:
             records.append(KdimRecord(
-                lam=lam, q=float(q), ell=part.ell, box_volume=vol,
-                sum_volumes=total, closed_form_slope=slopes[float(q)],
+                lam=lam, q=q, ell=part.ell, box_volume=vol,
+                sum_volumes=total, closed_form_slope=slopes[q],
                 min_field_ratio=min_ratio, field_ok=int(min_ratio >= 0.4),
                 resolution=_BOX_LATTICE ** k, panels=panels))
 

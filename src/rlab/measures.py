@@ -113,10 +113,10 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
     """
     if resolution < 0:
         raise ValueError("resolution must be >= 0 (0 = default)")
+    if 0 < resolution < 8:
+        raise ValueError("resolution >= 8 required")
     if d == 2:
         n = resolution or 256
-        if n < 8:
-            raise ValueError("resolution >= 8 required")
         _check_budget(n, f"the d=2 sphere grid at resolution {n}")
         theta = 2.0 * np.pi * np.arange(n) / n
         nodes = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -127,8 +127,6 @@ def sphere_measure(d: int, resolution: int = 0) -> QuadMeasure:
         )
     if d == 3:
         n_u = resolution or 64
-        if n_u < 8:
-            raise ValueError("resolution >= 8 required")
         _check_budget(2 * n_u * n_u, f"the d=3 sphere grid at resolution {n_u}")
         n_az = 2 * n_u
         u, wu = gauss_legendre(n_u)
@@ -299,11 +297,8 @@ def _axis_cells(resolution: int):
 
 
 def _power_cell_mass(lo: np.ndarray, hi: np.ndarray, s: float) -> np.ndarray:
-    """Exact integral of |x|^s over [lo, hi] for s > -1.  At s = 0 it is
-    hi - lo, which the antiderivative's pow gives bit for bit, only slower."""
-    if s == 0.0:
-        return hi - lo
-
+    """Exact integral of |x|^s over [lo, hi] for s > -1.  At s = 0 the
+    antiderivative's pow gives hi - lo bit for bit."""
     def anti(x):
         return np.sign(x) * np.abs(x) ** (s + 1.0) / (s + 1.0)
 
@@ -768,6 +763,20 @@ def _max_mass_ratio(nodes: np.ndarray, weights: np.ndarray,
     return worst
 
 
+def check_audit_arguments(alpha: float = 0.0, n_samples: int = 100,
+                          seed: int = 0, r_floor: float | None = None) -> None:
+    """Refuse with ValueError what dimension_audit refuses; an argument left
+    out passes, so a caller can check those it has before a measure build."""
+    if n_samples < 100:
+        raise ValueError("n_samples >= 100 required")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
+    if r_floor is not None and not float(r_floor) > 0:
+        raise ValueError(f"r_floor must be positive, got {r_floor!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
                     seed: int = 0, r_floor: float | None = None) -> float:
     """Monte Carlo check of mu(B(x, r)) <= C r^alpha.
@@ -789,14 +798,7 @@ def dimension_audit(mu: QuadMeasure, alpha: float, n_samples: int = 10000,
     does, and the weights inside are summed in node-index order, so the
     result is identical, bit for bit, to the brute-force definition.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples >= 100 required")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha!r}")
-    if r_floor is not None and not float(r_floor) > 0:
-        raise ValueError(f"r_floor must be positive, got {r_floor!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_audit_arguments(alpha, n_samples, seed, r_floor)
     rng = np.random.default_rng(seed)
     nodes, weights = mu.nodes, mu.weights
     n = nodes.shape[0]

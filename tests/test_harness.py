@@ -208,7 +208,8 @@ def test_knapp_sweep_witness_columns():
         want = rec.witness_norm / (rec.lam**-rec.decay_exponent * rec.input_norm)
         assert abs(rec.witness_ratio - want) < 1e-12
     fit = res.fits[(math.inf, 3.0)]
-    assert "witness_slope" in fit and "witness_rms" in fit
+    assert set(fit) == {"norm_slope", "ratio_slope", "resid_rms",
+                        "witness_slope"}
 
 
 @pytest.mark.parametrize("d, lam, q", [(2, 64.0, 3.0), (2, 4096.0, 4.0),
@@ -866,6 +867,14 @@ def _no_measure(*args, **kwargs):
      "--seed", "-1"],
     ["sweep", "--config", "seed-negative.ini"],
     ["audit-measure", "--seed", "-1"],
+    ["audit-measure", "--d", "3", "--resolution", "1500", "--alpha", "nan"],
+    ["audit-measure", "--d", "3", "--resolution", "1500", "--alpha", "inf"],
+    ["audit-measure", "--d", "3", "--resolution", "1500", "--seed", "-1"],
+    ["audit-measure", "--kind", "singular", "--d", "3", "--alpha", "inf"],
+    ["knapp", "--lams", "64,128,256,512,1024,2048,4096", "--qs", "3",
+     "--out", ""],
+    ["sweep", "--config", "out-empty.ini"],
+    ["sweep", "--config", "seed-fraction.ini"],
 ], ids=["exponents", "knapp", "hyperplane", "kdim", "audit-measure",
         "audit-alpha-nan", "audit-alpha-inf", "knapp-q-nan", "knapp-lam-inf",
         "knapp-q-half", "knapp-q-neg-inf", "knapp-p-half", "knapp-p-neg-inf",
@@ -888,7 +897,11 @@ def _no_measure(*args, **kwargs):
         "random-q-inf", "audit-sphere-over-budget",
         "audit-singular-over-budget", "knapp-q-repeated", "random-q-repeated",
         "kdim-q-repeated", "random-lower-seed-negative", "sweep-seed-negative",
-        "sweep-config-seed-negative", "audit-measure-seed-negative"])
+        "sweep-config-seed-negative", "audit-measure-seed-negative",
+        "audit-measure-alpha-nan", "audit-measure-alpha-inf",
+        "audit-measure-seed-negative-d3", "audit-measure-singular-alpha-inf",
+        "knapp-out-empty", "sweep-config-out-empty",
+        "sweep-config-seed-fraction"])
 def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch, request):
     # a refused argument stops the run before any calibration or field
     monkeypatch.chdir(tmp_path)
@@ -903,13 +916,16 @@ def test_cli_refused_argument_exits_2(argv, tmp_path, monkeypatch, request):
             ("foreign-family-key", "knapp\nx0 = 1, 0", ""),
             ("sweep-typo", "knapp", "seeds = 7\n"),
             ("unknown-section", "knapp", "\n[sweeep]\nseed = 7\n"),
-            ("seed-negative", "knapp", "seed = -1\n")):
+            ("seed-negative", "knapp", "seed = -1\n"),
+            ("out-empty", "knapp", "out =\n"),
+            ("seed-fraction", "knapp", "seed = 1.5\n")):
         (tmp_path / f"{name}.ini").write_text(
             f"[curve]\nkind = moment(2)\n\n[family]\nkind = {family}\n\n"
             f"[sweep]\nlams = 256\nqs = 3\n{extra}")
     _forbid_fields(monkeypatch)
-    if request.node.callspec.id.startswith("audit-measure-seed"):
+    if request.node.callspec.id.startswith("audit-measure-"):
         monkeypatch.setattr("rlab.cli.sphere_measure", _no_measure)
+        monkeypatch.setattr("rlab.cli.singular_alpha_measure", _no_measure)
     code, _, err = _capture(argv)
     assert code == 2
     assert err.startswith("error:")
@@ -954,6 +970,30 @@ def test_cli_knapp_stdout_csv():
         assert len(body) == 1 + n_lams  # header + one row per lambda
         # a single lambda has no slope to fit
         assert ("# fit" in out) == (n_lams > 1)
+
+
+def test_sweep_reads_the_file_seed_only_without_the_flag(tmp_path,
+                                                         monkeypatch):
+    ini = tmp_path / "seed.ini"
+    ini.write_text(_CHEAP_CFG + "seed = 1.5\n")
+    code, out, _ = _capture(["sweep", "--config", str(ini), "--seed", "2"])
+    assert code == 0 and " seed=2\n" in out
+    # without --seed the bad value is refused before any field, naming its
+    # key and the file
+    _forbid_fields(monkeypatch)
+    code, _, err = _capture(["sweep", "--config", str(ini)])
+    assert code == 2 and "[sweep] seed" in err and str(ini) in err
+
+
+@pytest.mark.parametrize("name", [None, *rlab.cli._COMMANDS])
+def test_help_exits_0(name):
+    # help text is built from the family table and from library defaults
+    code, out, _ = _capture([name, "--help"] if name else ["--help"])
+    assert code == 0 and out.startswith("usage: rlab")
+    if name == "phase-diagram":
+        text = " ".join(out.split())
+        assert "{knapp,random}" in text
+        assert "(default 64,1024 for knapp, 256,1024 for random)" in text
 
 
 def test_cli_sweep_with_config(tmp_path):

@@ -145,6 +145,20 @@ def test_singular_cell_count_and_default_resolution():
     assert np.array_equal(default.weights, explicit.weights)
 
 
+def test_power_cell_mass_at_zero_is_the_cell_width():
+    # s = 0 takes the general antiderivative, whose pow gives hi - lo bit
+    # for bit, signed zeros included, on cells clipped to a chord too
+    for r in (16, 32, 64, 128, 1000):
+        lo, hi = rlab.measures._axis_cells(r)
+        mid = 0.5 * (lo + hi)
+        for rmax in (1.0, *np.sqrt(1.0 - mid[::97] ** 2)):
+            meet = (hi > -rmax) & (lo < rmax)
+            clo = np.maximum(lo[meet], -rmax)
+            chi = np.minimum(hi[meet], rmax)
+            mass = rlab.measures._power_cell_mass(clo, chi, 0.0)
+            assert mass.tobytes() == (chi - clo).tobytes()
+
+
 def _assert_table_grid(mu, d, alpha, lo, hi):
     nodes, weights, max_spacing = singular_grid_by_table(d, alpha, lo, hi)
     assert mu.nodes.tobytes() == np.ascontiguousarray(nodes).tobytes()
