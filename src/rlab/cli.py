@@ -202,10 +202,11 @@ def _random_lower(args) -> int:
           _arg("--lam-pair", default=None,
                help="two lambdas for the slopes (default " + ", ".join(
                    "{:g},{:g} for {}".format(*cls.diagram_lams, name)
-                   for name, cls in FAMILIES.items() if cls.diagram_lams)
-               + ")"),
+                   for name, cls in FAMILIES.items()
+                   if hasattr(cls, "diagram_lams")) + ")"),
           _arg("--family", default=KnappFamily.name,
-               choices=[n for n, c in FAMILIES.items() if c.diagram_lams]),
+               choices=[n for n, c in FAMILIES.items()
+                        if hasattr(c, "diagram_lams")]),
           _SEED, _OUT)
 def _phase_diagram(args) -> int:
     family = FAMILIES[args.family]

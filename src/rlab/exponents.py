@@ -7,6 +7,7 @@ never decide a region membership or a type.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,7 +137,7 @@ class Region:
     line_closed: bool
 
     def _slacks(self, pt: ExponentPoint) -> tuple:
-        s_thresh = Fraction(1) / self.q_threshold - pt.inv_q  # >= 0 inside
+        s_thresh = 1 / self.q_threshold - pt.inv_q  # >= 0 inside
         s_line = 1 - (pt.inv_p + self.line_coeff * pt.inv_q)  # >= 0 inside
         return (s_thresh, s_line)
 
@@ -157,23 +158,16 @@ class Region:
         return None
 
 
-def _q_critical(d: int) -> Fraction:
-    """q_c = d(d+1)/2, the sphere region's threshold."""
-    return Fraction(d * d + d, 2)
-
-
-def _line_coeff(d: int) -> Fraction:
-    """L = (d^2 + d - 2)/2 of the sphere region's line 1/p + L/q = 1."""
-    return Fraction(d * d + d - 2, 2)
-
-
+@functools.cache
 def sphere_region(d: int) -> Region:
-    """Sharp range for nondegenerate curves against surface measure."""
+    """Sharp range for nondegenerate curves against surface measure: q_c =
+    d(d+1)/2 and L = (d^2 + d - 2)/2.  One frozen Region per d, so a
+    caller can read it at every exponent point."""
     if d < 2:
         raise ValueError("d >= 2 required")
     return Region(
-        q_threshold=_q_critical(d),
-        line_coeff=_line_coeff(d),
+        q_threshold=Fraction(d * d + d, 2),
+        line_coeff=Fraction(d * d + d - 2, 2),
         line_closed=False,
     )
 
@@ -208,28 +202,13 @@ def exponent_table(d: int) -> dict:
 # predicted excess slopes for the lambda sweeps
 # ----------------------------------------------------------------------
 
-def predicted_excess(
-    point: ExponentPoint,
-    family: str,
-    d: int,
-    a=None,
-    alpha=None,
-    rho=None,
-) -> Fraction:
-    """Exact slope of log(ratio) vs log(lambda) for an input family.
-
+def predicted_excess(point: ExponentPoint, line_coeff, rho) -> Fraction:
+    """Exact log-lambda slope rho (1/p + kappa/q - 1), kappa = line_coeff,
+    of the ratio for a rectangle input of exponent rho whose box mass
+    scales with kappa (``kappa(a, alpha)``; the sphere line for Knapp).
     Positive means the construction beats the conjectured decay at the
-    point (estimate must fail), negative means it is dominated.
-    """
-    if family == "knapp":
-        return (point.inv_p + _line_coeff(d) * point.inv_q - 1) / (2 * d)
-    if family == "random":
-        return (_q_critical(d) * point.inv_q - 1) / (2 * d)
-    if family == "alpha_rect":
-        if a is None or alpha is None or rho is None:
-            raise ValueError("alpha_rect needs a, alpha, rho")
-        return _frac(rho) * (point.inv_p + kappa(a, alpha) * point.inv_q - 1)
-    raise ValueError(f"unknown excess family {family!r}")
+    point (estimate must fail), negative means it is dominated."""
+    return _frac(rho) * (point.inv_p + _frac(line_coeff) * point.inv_q - 1)
 
 
 # ----------------------------------------------------------------------

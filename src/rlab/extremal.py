@@ -10,7 +10,9 @@ input families (short-interval, modulated bump, random signs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -163,19 +165,29 @@ def reduced_phase(phase: PhaseSpec, t_k: float) -> Callable:
     return value
 
 
+def knapp_rho(d: int, rho: float | None = None) -> Fraction:
+    """The Knapp exponent, exactly: 1/(2d) when rho is None, else rho,
+    which must be finite and positive (ValueError)."""
+    if rho is None:
+        return Fraction(1, 2 * d)
+    if not 0 < rho < math.inf:
+        raise ValueError(f"rho {rho} must be finite and positive")
+    return Fraction(rho)
+
+
 def knapp_box(phase: PhaseSpec, t_k: float, lam: float, c: float,
               rho: float | None = None) -> Parallelepiped:
     """Dual box at the anchor: {y : M(t_k)^T (y - g(t_k)) in R}.
 
     The axis rectangle R has half-widths c lambda^{-1+i rho} where i runs
     over d-k+1..d for a chart of dimension k (2..d on sphere caps); rho
-    defaults to 1/(2d).
+    is read by ``knapp_rho`` (1/(2d) by default), and c must be finite
+    and positive.
     """
-    if c <= 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError(f"c {c} must be finite and positive")
     d = phase.curve.dim
-    if rho is None:
-        rho = 1.0 / (2 * d)
+    rho = float(knapp_rho(d, rho))
     center = solve_stationary(phase, t_k)
     axes = np.arange(d - center.size + 1, d + 1)
     hw = c * lam ** (-1.0 + axes * rho)
@@ -325,7 +337,7 @@ def partition_family(phase: PhaseSpec, delta: float,
                      lam: float) -> PartitionFamily:
     """ell = round(delta lambda^{1/(2d)}) uniform intervals of [0, delta]."""
     d = phase.curve.dim
-    scale = lam ** (-1.0 / (2 * d))
+    scale = lam ** -float(knapp_rho(d))     # the boxes' default rho
     if scale > delta * (1.0 + 1e-12):
         raise ValueError(
             f"need lambda^(-1/(2d)) <= delta; got {scale:.4g} vs {delta}")
@@ -459,12 +471,6 @@ class NecessityRect:
                            modulation=self.modulation_point)
 
 
-def _necessity_half_widths(a: tuple, lam: float, rho: float,
-                           c: float) -> np.ndarray:
-    d = len(a)
-    return np.array([c * lam ** (-1.0 + rho * a[d - i]) for i in range(1, d)])
-
-
 def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
                           c: float | None = None) -> NecessityRect:
     """Rectangle R_a on the sphere adapted to the type tuple at t0.
@@ -484,7 +490,8 @@ def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
             f"rho must lie in (0, {rho_cap:.4g}) for type {a}; got {rho}")
 
     def build(cv: float) -> NecessityRect:
-        hw = _necessity_half_widths(a, lam, rho, cv)
+        hw = np.array([cv * lam ** (-1.0 + rho * a[d - i])
+                       for i in range(1, d)])
         box = Parallelepiped(center=np.zeros(d - 1),
                              transform=np.eye(d - 1), half_widths=hw)
         return NecessityRect(curve=curve, t0=float(t0), lam=float(lam),

@@ -24,6 +24,7 @@ from .extremal import (
     calibrate_c,
     knapp_box,
     knapp_input,
+    knapp_rho,
     partition_family,
     random_sign_input,
     solve_stationary,
@@ -57,14 +58,13 @@ _BOX_LATTICE = 9            # points per axis of the dual-box lattice; odd,
 
 @dataclass(frozen=True)
 class BumpFamily:
-    """Modulated indicator chi_[0, eps0] e^{-i lam x0 . gamma}."""
+    """Modulated indicator chi_[0, eps0] e^{-i lam x0 . gamma}; no diagram."""
 
     x0: tuple | None = None
     eps0: float = 1.0
 
     name = "bump"
     support_keys = "eps0"
-    diagram_lams = None          # no phase diagram: no predicted excess
 
     def __post_init__(self):
         if not 0 < self.eps0 < math.inf:
@@ -86,34 +86,41 @@ class BumpFamily:
 
 @dataclass(frozen=True)
 class KnappFamily:
-    """Short interval [t0, t0 + lam^-rho], recentered at its anchor."""
+    """Short interval [t0, t0 + lam^-rho], recentered at its anchor; rho is
+    read by extremal.knapp_rho (1/(2d) when None)."""
 
     t0: float = 0.2
-    rho: float | None = None     # defaults to 1/(2d)
+    rho: float | None = None
 
     name = "knapp"
     support_keys = "t0, rho"
     diagram_lams = (64.0, 1024.0)
 
     def __post_init__(self):
-        if self.rho is not None and not 0 < self.rho < math.inf:
-            raise ConfigError(f"rho {self.rho} must be finite and positive")
-
-    def rho_for(self, d: int) -> float:
-        return self.rho if self.rho is not None else 1.0 / (2 * d)
+        try:
+            knapp_rho(2, self.rho)   # the rule on rho does not read d
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def support(self, d: int, lam: float) -> tuple:
         """The parameter interval the input lives on; its end is the
         anchor."""
-        return self.t0, self.t0 + lam ** -self.rho_for(d)
+        return self.t0, self.t0 + lam ** -float(knapp_rho(d, self.rho))
 
     def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
         """The input at lambda, and the c = 1 dual box at its anchor."""
         d = phase.curve.dim
+        rho = float(knapp_rho(d, self.rho))
         anchor = self.support(d, lam)[1]
         x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
-        f = knapp_input(self.t0, lam, self.rho_for(d), modulation=x_anchor)
-        return f, knapp_box(phase, anchor, lam, 1.0, rho=self.rho_for(d))
+        f = knapp_input(self.t0, lam, rho, modulation=x_anchor)
+        return f, knapp_box(phase, anchor, lam, 1.0, rho=rho)
+
+    def predicted_excess(self, point: ExponentPoint, d: int) -> Fraction:
+        """rho (1/p + L/q - 1), L the sphere region's line coefficient
+        (d^2 + d - 2)/2: the Knapp example beats the decay past its line."""
+        return predicted_excess(point, sphere_region(d).line_coeff,
+                                knapp_rho(d, self.rho))
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,11 @@ class RandomFamily:
         """Signs from the seed on the partition at lambda; no witness box."""
         part = partition_family(phase, self.delta, lam)
         return random_sign_input(part, seed), None
+
+    def predicted_excess(self, point: ExponentPoint, d: int) -> Fraction:
+        """(q_c/q - 1)/(2d), q_c = d(d + 1)/2: the random-sign sum beats the
+        decay below q_c, whatever p is."""
+        return (sphere_region(d).q_threshold * point.inv_q - 1) / (2 * d)
 
 
 FAMILIES = {cls.name: cls for cls in (BumpFamily, KnappFamily, RandomFamily)}
@@ -541,14 +553,15 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
 
     One decay sweep over the grid's exponents (infinity at 1/p = 0 and
     1/q = 0) gives every cell: its measured excess is the sweep's
-    ratio_slope at that (p, q).  Sign agreement is scored against the
-    region classification outside the band |predicted excess| <=
-    PHASE_BAND around its zero set.  lam_pair defaults to the family's
-    diagram_lams; a family without one (bump) has no diagram.
+    ratio_slope at that (p, q); its predicted excess is the family's
+    ``predicted_excess``.  Sign agreement is scored against the region
+    classification outside the band |predicted excess| <= PHASE_BAND
+    around its zero set.  lam_pair defaults to the family's diagram_lams;
+    a family without a predicted excess (bump) has no diagram.
     """
     if family is None:
         family = KnappFamily()
-    if family.diagram_lams is None:
+    if not hasattr(family, "predicted_excess"):
         raise ConfigError(f"the {family.name} family has no phase diagram")
     if lam_pair is None:
         lam_pair = family.diagram_lams
@@ -573,7 +586,7 @@ def phase_diagram(d: int, grid_n: int, family=None, lam_pair=None,
         for inv_q, q in zip(fractions, exps):
             pt = ExponentPoint(inv_p, inv_q)
             measured = fits[(p, q)]["ratio_slope"]
-            predicted = float(predicted_excess(pt, family.name, d))
+            predicted = float(family.predicted_excess(pt, d))
             cls = region.classify(pt)
             off_band = abs(predicted) > PHASE_BAND
             match = None

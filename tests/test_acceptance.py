@@ -35,7 +35,6 @@ from rlab.exponents import (
     hyperplane_omega,
     kappa,
     kappa_max_scan,
-    predicted_excess,
 )
 from rlab.extremal import (
     box_phase_check,
@@ -233,8 +232,8 @@ def test_c07_knapp_excess_slopes():
     parts = []
     for p, q in ((INF, 3.0), (1.5, 3.0), (6.0, 4.0)):
         fit = res.fits[(p, q)]
-        pred = float(predicted_excess(ExponentPoint.from_pq(p, q),
-                                      "knapp", 2))
+        pred = float(cfg.family.predicted_excess(ExponentPoint.from_pq(p, q),
+                                                 2))
         err = abs(fit["witness_slope"] - pred)
         assert err <= 0.02, (p, q, fit["witness_slope"], pred)
         parts.append(f"({p:g},{q:g}):{fit['witness_slope']:+.4f}~{pred:+.4f}")

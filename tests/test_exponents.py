@@ -22,6 +22,7 @@ from rlab.exponents import (
     predicted_excess,
     sphere_region,
 )
+from rlab.harness import KnappFamily, RandomFamily
 
 
 def _random_tuple(rng, d):
@@ -147,19 +148,16 @@ def test_exponent_table():
 
 def test_predicted_excess_values():
     d = 2
-    assert predicted_excess(ExponentPoint.from_pq("inf", 3), "knapp", d) == Fraction(-1, 12)
-    assert predicted_excess(ExponentPoint.from_pq(Fraction(3, 2), 3), "knapp", d) == Fraction(1, 12)
-    assert predicted_excess(ExponentPoint.from_pq(6, 4), "knapp", d) == Fraction(-1, 12)
+    knapp, random = KnappFamily(), RandomFamily()
+    assert knapp.predicted_excess(ExponentPoint.from_pq("inf", 3), d) == Fraction(-1, 12)
+    assert knapp.predicted_excess(ExponentPoint.from_pq(Fraction(3, 2), 3), d) == Fraction(1, 12)
+    assert knapp.predicted_excess(ExponentPoint.from_pq(6, 4), d) == Fraction(-1, 12)
     # the random family ignores p and vanishes exactly at the critical q
-    assert predicted_excess(ExponentPoint.from_pq(2, 3), "random", d) == 0
-    assert predicted_excess(ExponentPoint.from_pq(2, 4), "random", d) == Fraction(-1, 16)
-    got = predicted_excess(
-        ExponentPoint.from_pq("inf", 3), "alpha_rect", 3,
-        a=(1, 2, 4), alpha=2, rho=Fraction(1, 8),
-    )
+    assert random.predicted_excess(ExponentPoint.from_pq(2, 3), d) == 0
+    assert random.predicted_excess(ExponentPoint.from_pq(2, 4), d) == Fraction(-1, 16)
+    got = predicted_excess(ExponentPoint.from_pq("inf", 3),
+                           kappa((1, 2, 4), 2), Fraction(1, 8))
     assert got == Fraction(1, 8) * (Fraction(6, 3) - 1)
-    with pytest.raises(ValueError):
-        predicted_excess(ExponentPoint.from_pq(2, 3), "bump", d)
 
 
 def test_hyperplane_project_structure():

@@ -1,6 +1,7 @@
 """Dual boxes, calibration, partitions, adapted rectangles, graph boxes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rlab.extremal import (
     grad_y,
     knapp_box,
     knapp_input,
+    knapp_rho,
     necessity_rect_sphere,
     partition_family,
     random_sign_input,
@@ -116,6 +118,25 @@ def test_box_volume_exponents():
     assert box_volume_exponent(2) == -0.5
     assert abs(box_volume_exponent(3) + 7.0 / 6.0) < 1e-15
     assert abs(box_volume_exponent(4, 2) + 9.0 / 8.0) < 1e-15
+
+
+@pytest.mark.parametrize("rho, c", [
+    (0.0, 1.0), (-0.5, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+    (None, 0.0), (None, -1.0), (None, math.nan), (None, math.inf),
+])
+def test_knapp_box_refuses_bad_rho_and_c(rho, c):
+    """rho must be finite and positive, and so must c: no box is built."""
+    with pytest.raises(ValueError):
+        knapp_box(PH2, 0.3, 64.0, c, rho=rho)
+
+
+def test_knapp_rho_default_is_exact():
+    """The default is 1/(2d) exactly, and its float is 1.0 / (2 d) bit for
+    bit, the exponent knapp_box and partition_family use."""
+    for d in (2, 3, 4, 5):
+        assert knapp_rho(d) == Fraction(1, 2 * d)
+        assert float(knapp_rho(d)) == 1.0 / (2 * d)
+    assert knapp_rho(3, 0.125) == Fraction(1, 8)
 
 
 def test_knapp_box_volume_power_law():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rlab.cli import _CSV_NOTE, build_parser, cli_main
 from rlab.config import load_config, parse_curve, parse_floats, sweep_config_from_file
 from rlab.curves import moment_curve, poly_curve
 from rlab.errors import ComputationError, ConfigError, DataError
+from rlab.exponents import ExponentPoint
 from rlab.extremal import (
     calibrate_c,
     knapp_box,
@@ -28,6 +30,8 @@ from rlab.extremal import (
     stationary_residual,
 )
 from rlab.harness import (
+    FAMILIES,
+    PHASE_BAND,
     BumpFamily,
     KdimRecord,
     KhintchineRecord,
@@ -430,6 +434,52 @@ def test_phase_diagram_cells_are_the_sweeps_ratio_slopes(family, grid_n,
         p, q = (math.inf if v == 0 else 1 / v
                 for v in (cell["inv_p"], cell["inv_q"]))
         assert cell["measured_excess"] == fits[(p, q)]["ratio_slope"]
+
+
+def test_phase_diagram_predicts_with_the_familys_rho():
+    """Each Knapp family's cells are scored against its own rho: at
+    rho = 1/8 the column reads rho (1/p + 2/q - 1), and off_band and
+    sign_match follow it; the default family reads (1/p + 2/q - 1)/4."""
+    for family, rho in ((KnappFamily(rho=0.125), Fraction(1, 8)),
+                        (KnappFamily(), Fraction(1, 4))):
+        res = phase_diagram(2, 3, family=family)
+        n_off = 0
+        for cell in res.cells:
+            want = float(rho * (Fraction(cell["inv_p"])
+                                + 2 * Fraction(cell["inv_q"]) - 1))
+            assert cell["predicted_excess"] == want
+            off = abs(want) > PHASE_BAND
+            assert cell["off_band"] == int(off)
+            match = ""
+            if off and cell["class"] != "boundary":
+                n_off += 1
+                match = int((cell["measured_excess"] > 0)
+                            == (cell["class"] == "exterior"))
+            assert cell["sign_match"] == match
+        assert res.n_off_band == n_off
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_family_has_a_diagram_pair_iff_it_predicts_an_excess(name):
+    cls = FAMILIES[name]
+    assert ((getattr(cls, "diagram_lams", None) is None)
+            == (not hasattr(cls, "predicted_excess")))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_family_predicted_excess_closed_forms(d):
+    """Knapp: (1/p + L/q - 1)/(2d), L = (d^2 + d - 2)/2; random:
+    (q_c/q - 1)/(2d), q_c = d(d + 1)/2; exact on a 7 x 7 grid."""
+    line, q_c = Fraction(d * d + d - 2, 2), Fraction(d * (d + 1), 2)
+    grid = [Fraction(j, 6) for j in range(7)]
+    for inv_p in grid:
+        for inv_q in grid:
+            pt = ExponentPoint(inv_p, inv_q)
+            knapp = KnappFamily().predicted_excess(pt, d)
+            random = RandomFamily().predicted_excess(pt, d)
+            assert type(knapp) is Fraction and type(random) is Fraction
+            assert knapp == (inv_p + line * inv_q - 1) / (2 * d)
+            assert random == (q_c * inv_q - 1) / (2 * d)
 
 
 def test_phase_diagram_formats_only_its_own_csv(monkeypatch):
