@@ -4,8 +4,10 @@ Everything that witnesses sharpness lives here: the stationary point map
 g(t) and curvature matrix M(t) of a chart phase (taken from its patch,
 which alone knows the chart), the calibrated dual
 parallelepipeds on which the oscillatory field stays essentially constant,
-the orthonormal frame adapted to a degenerate parameter, and the three
-input families (short-interval, modulated bump, random signs).
+the orthonormal frame adapted to a degenerate parameter, the interval
+partitions with their signed, recentered inputs, and the modulated bump
+input.  The short-interval Knapp input is one ``indicator``, which
+``harness.KnappFamily`` builds from its own support.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     StationaryError,
 )
 from .measures import cap_box_sigma_mass, sphere_cap_graph
-from .oscillatory import PhaseSpec, Segment, TestFunction
+from .oscillatory import PhaseSpec, Segment, TestFunction, indicator
 
 LATTICE_DEFAULT = 33
 _COARSE = 4                 # sub-lattice stride; it divides LATTICE_DEFAULT - 1
@@ -51,6 +53,9 @@ class Parallelepiped:
         hw = np.atleast_1d(np.asarray(self.half_widths, dtype=float))
         if m.shape != (c.size, c.size) or hw.size != c.size:
             raise ValueError("inconsistent parallelepiped shapes")
+        if not all(map(math.isfinite, (*c, *m.flat, *hw))):
+            raise ValueError(
+                "parallelepiped center, transform and half-widths must be finite")
         if np.any(hw <= 0):
             raise ValueError("half-widths must be positive")
         if abs(np.linalg.det(m)) < 1e-14:
@@ -181,11 +186,9 @@ def knapp_box(phase: PhaseSpec, t_k: float, lam: float, c: float,
 
     The axis rectangle R has half-widths c lambda^{-1+i rho} where i runs
     over d-k+1..d for a chart of dimension k (2..d on sphere caps); rho
-    is read by ``knapp_rho`` (1/(2d) by default), and c must be finite
-    and positive.
+    is read by ``knapp_rho`` (1/(2d) by default).  A c that is not finite
+    and positive gives half-widths that ``Parallelepiped`` refuses.
     """
-    if not 0 < c < math.inf:
-        raise ValueError(f"c {c} must be finite and positive")
     d = phase.curve.dim
     rho = float(knapp_rho(d, rho))
     center = solve_stationary(phase, t_k)
@@ -296,8 +299,8 @@ class PartitionFamily:
     """Uniform intervals of [0, delta] with per-anchor box data.
 
     Interval I_k = [t_{k-1}, t_k] has its anchor at the right endpoint;
-    y_k = g(t_k) is precomputed, along with the ambient modulation points
-    x_k used by the sign inputs.  M(t_k), and with it the refusal of a
+    the ambient modulation point x_k, the embedded y_k = g(t_k), is
+    precomputed for the inputs.  M(t_k), and with it the refusal of a
     degenerate anchor, comes with the anchor's box (``boxes``).
     """
 
@@ -305,7 +308,6 @@ class PartitionFamily:
     lam: float
     edges: np.ndarray
     anchors: np.ndarray
-    ys: np.ndarray
     mod_points: np.ndarray
 
     @property
@@ -322,9 +324,22 @@ class PartitionFamily:
                 for tk in self.anchors]
 
     def segment(self, k: int, sign: int = 1) -> Segment:
-        a, b = self.intervals[k]
+        """sign times the indicator of I_k, recentered at x_k."""
+        a, b = float(self.edges[k]), float(self.edges[k + 1])
         return Segment(a, b, modulation=(tuple(self.mod_points[k]), self.lam),
                        sign=sign)
+
+    def input(self, signs) -> TestFunction:
+        """Signs on the partition intervals, each recentered.
+
+        Segment k is signs[k] chi_{I_k} e^{-i lam x_k . curve(t)}, in
+        interval order, so every piece is essentially constant on its own
+        dual box.  signs holds one +-1 per interval (ValueError otherwise).
+        """
+        if len(signs) != self.ell:
+            raise ValueError(f"need {self.ell} signs, got {len(signs)}")
+        return TestFunction(tuple(self.segment(k, int(s))
+                                  for k, s in enumerate(signs)))
 
     def random_signs(self, seed, draws: int = 1) -> np.ndarray:
         """draws rows of ell Rademacher signs, one per interval, from
@@ -346,44 +361,19 @@ def partition_family(phase: PhaseSpec, delta: float,
     anchors = edges[1:]
     ys = np.vstack([solve_stationary(phase, float(t)) for t in anchors])
     return PartitionFamily(phase=phase, lam=float(lam), edges=edges,
-                           anchors=anchors, ys=ys, mod_points=phase.embed(ys))
+                           anchors=anchors, mod_points=phase.embed(ys))
 
 
 # ----------------------------------------------------------------------
-# input families
+# the modulated bump
 # ----------------------------------------------------------------------
-
-def knapp_input(t0: float, lam: float, rho: float,
-                modulation: tuple | None = None) -> TestFunction:
-    """Characteristic function of [t0, t0 + lambda^-rho].
-
-    ``modulation`` is an optional ambient point x0; the segment then
-    carries the factor e^{-i lam x0 . curve(t)} that recenters the field.
-    """
-    mod = None if modulation is None else (tuple(np.atleast_1d(modulation)),
-                                           float(lam))
-    return TestFunction((Segment(t0, t0 + lam ** -rho, modulation=mod),))
-
 
 def bump_input(curve: Curve, lam: float, x0, eps0: float) -> TestFunction:
     """chi_[0, eps0] times e^{-i lam x0 . curve(t)}."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0.size != curve.dim:
         raise ValueError("x0 dimension mismatch")
-    return TestFunction(
-        (Segment(0.0, eps0, modulation=(tuple(x0), float(lam))),))
-
-
-def random_sign_input(partition: PartitionFamily, seed) -> TestFunction:
-    """Rademacher signs on the partition intervals, each recentered.
-
-    Segment k is epsilon_k chi_{I_k} e^{-i lam x_k . curve(t)} with x_k
-    the embedded anchor y_k, so every piece is essentially constant on
-    its own dual box.  The signs are row 0 of partition.random_signs(seed).
-    """
-    signs = partition.random_signs(seed)[0]
-    return TestFunction(tuple(partition.segment(k, int(s))
-                              for k, s in enumerate(signs)))
+    return indicator(0.0, eps0, modulation=(x0, lam))
 
 
 # ----------------------------------------------------------------------
@@ -431,10 +421,6 @@ class NecessityRect:
     frame: np.ndarray
     box: Parallelepiped
 
-    @property
-    def modulation_point(self) -> np.ndarray:
-        return -self.frame[:, -1]
-
     def embed(self, y: np.ndarray) -> np.ndarray:
         """The cap's points (phi(y) - 1, y) in the frame (v_d, v_1, ...)."""
         return sphere_cap_graph(self.curve.dim).embed(y) @ np.roll(self.frame, 1, axis=1).T
@@ -465,10 +451,6 @@ class NecessityRect:
 
     def sigma_mass(self) -> float:
         return cap_box_sigma_mass(self.curve.dim, self.box.half_widths)
-
-    def input(self) -> TestFunction:
-        return knapp_input(self.t0, self.lam, self.rho,
-                           modulation=self.modulation_point)
 
 
 def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,

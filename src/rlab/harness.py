@@ -23,10 +23,8 @@ from .extremal import (
     bump_input,
     calibrate_c,
     knapp_box,
-    knapp_input,
     knapp_rho,
     partition_family,
-    random_sign_input,
     solve_stationary,
 )
 from .measures import (
@@ -42,6 +40,7 @@ from .oscillatory import (
     eval_field,
     field,
     graph_phase,
+    indicator,
     lp_norm,
     lq_norm,
     segment_fields,
@@ -109,12 +108,10 @@ class KnappFamily:
 
     def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
         """The input at lambda, and the c = 1 dual box at its anchor."""
-        d = phase.curve.dim
-        rho = float(knapp_rho(d, self.rho))
-        anchor = self.support(d, lam)[1]
+        t0, anchor = self.support(phase.curve.dim, lam)
         x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
-        f = knapp_input(self.t0, lam, rho, modulation=x_anchor)
-        return f, knapp_box(phase, anchor, lam, 1.0, rho=rho)
+        f = indicator(t0, anchor, modulation=(x_anchor, lam))
+        return f, knapp_box(phase, anchor, lam, 1.0, rho=self.rho)
 
     def predicted_excess(self, point: ExponentPoint, d: int) -> Fraction:
         """rho (1/p + L/q - 1), L the sphere region's line coefficient
@@ -147,7 +144,7 @@ class RandomFamily:
     def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
         """Signs from the seed on the partition at lambda; no witness box."""
         part = partition_family(phase, self.delta, lam)
-        return random_sign_input(part, seed), None
+        return part.input(part.random_signs(seed)[0]), None
 
     def predicted_excess(self, point: ExponentPoint, d: int) -> Fraction:
         """(q_c/q - 1)/(2d), q_c = d(d + 1)/2: the random-sign sum beats the
@@ -481,7 +478,7 @@ def khintchine_experiment(config: SweepConfig) -> KhintchineResult:
     def run_one(lam: float):
         part = parts[lam]
         mu = sphere_measure(d, sphere_resolution_for(d, lam))
-        f = TestFunction(tuple(part.segment(k) for k in range(part.ell)))
+        f = part.input([1] * part.ell)
         stats = {}
         rows = segment_fields(curve, lam, f, mu.nodes, stats=stats)
         vol = sum(b.volume for b in part.boxes(c))

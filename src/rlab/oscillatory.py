@@ -540,8 +540,6 @@ def _segment_panel_count(phase: PhaseSpec, lam: float, seg: Segment,
                          ypts: np.ndarray) -> int:
     """Panels for the segment so each carries at most PANEL_CAP radians
     of phase at every point of ypts."""
-    if seg.length == 0.0:
-        return 0
     need = _phase_rate_bound(phase, lam, seg, ypts) * seg.length / PANEL_CAP
     if not math.isfinite(need):
         raise ValueError(f"phase rate bound is not finite ({need}): "

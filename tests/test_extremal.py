@@ -21,18 +21,17 @@ from rlab.extremal import (
     curvature_matrix,
     grad_y,
     knapp_box,
-    knapp_input,
     knapp_rho,
     necessity_rect_sphere,
     partition_family,
-    random_sign_input,
     reduced_phase,
     solve_stationary,
     stationary_residual,
 )
 from rlab.extremal import _box_samples, _coarse_sup
 from rlab.measures import sphere_cap_graph, submanifold_builder
-from rlab.oscillatory import PhaseSpec, eval_field, graph_phase, lp_norm
+from rlab.harness import KnappFamily
+from rlab.oscillatory import PhaseSpec, Segment, eval_field, graph_phase, indicator, lp_norm
 
 MC2 = moment_curve(2)
 PH2 = graph_phase(MC2, sphere_cap_graph(2))
@@ -112,6 +111,25 @@ def test_parallelepiped_geometry():
         Parallelepiped((0.0,), np.array([[1.0]]), (-1.0,))
     with pytest.raises(DegeneracyError):
         Parallelepiped((0.0, 0.0), np.zeros((2, 2)), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["center", "transform", "half_widths"])
+def test_parallelepiped_refuses_a_non_finite_argument(part, bad):
+    """A non-finite center, transform or half-width is a ValueError,
+    raised before the determinant is taken."""
+    args = {"center": np.zeros(2), "transform": np.eye(2),
+            "half_widths": np.ones(2)}
+    args[part] = args[part].copy()
+    args[part].flat[0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Parallelepiped(**args)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_necessity_rect_refuses_a_non_finite_c(c):
+    with pytest.raises(ValueError, match="must be finite"):
+        necessity_rect_sphere(monomial_curve([1, 2, 4]), 0.0, 64.0, 0.125, c=c)
 
 
 def test_box_volume_exponents():
@@ -196,7 +214,8 @@ def test_partition_family_structure():
     assert part.mod_points.shape == (2, 2)
     assert np.max(np.abs(np.linalg.norm(part.mod_points, axis=1) - 1.0)) < 1e-12
     # anchors embed to the modulation points
-    emb = PH2.embed(part.ys)
+    emb = PH2.embed(np.vstack([solve_stationary(PH2, float(tk))
+                               for tk in part.anchors]))
     assert np.max(np.abs(emb - part.mod_points)) < 1e-14
     boxes = part.boxes(1.0)
     assert len(boxes) == 2
@@ -213,7 +232,7 @@ def test_partition_family_structure():
 
 
 def test_inputs():
-    f = knapp_input(0.2, 256.0, 0.25)
+    f = KnappFamily(t0=0.2, rho=0.25).input(PH2, 256.0, 0)[0]
     assert len(f.segments) == 1
     seg = f.segments[0]
     assert abs(seg.length - 256.0**-0.25) < 1e-15
@@ -223,10 +242,27 @@ def test_inputs():
     with pytest.raises(ValueError):
         bump_input(MC2, 64.0, (1.0, 0.0, 0.0), 0.8)
     part = partition_family(PH2, 0.25, 4096.0)
-    h = random_sign_input(part, 11)
+    h = part.input(part.random_signs(11)[0])
     assert len(h.segments) == part.ell
     assert all(s.sign in (-1, 1) for s in h.segments)
     assert all(s.modulation is not None for s in h.segments)
+
+
+@pytest.mark.parametrize("pattern", ["plus", "drawn"])
+def test_partition_input_puts_sign_k_on_interval_k(pattern):
+    """Segment k of part.input(signs) is signs[k] times the indicator of
+    interval k, recentered at x_k, in interval order."""
+    lam = 2.0 ** 16        # lam^{-1/4} = 1/16: four intervals of [0, 1/4]
+    part = partition_family(PH2, 0.25, lam)
+    signs = np.ones(part.ell, dtype=int)
+    if pattern == "drawn":
+        signs = part.random_signs(3)[0]
+        assert set(signs) == {-1, 1}      # seed 3 draws both signs
+    want = tuple(Segment(a, b, modulation=(tuple(x), lam), sign=int(s))
+                 for (a, b), x, s in zip(part.intervals, part.mod_points, signs))
+    assert part.ell == 4 and part.input(signs).segments == want
+    with pytest.raises(ValueError):
+        part.input(signs[:-1])
 
 
 def test_knapp_field_large_on_dual_box():
@@ -235,7 +271,7 @@ def test_knapp_field_large_on_dual_box():
     c = calibrate_c(PH2, t0, lam, _interval(t0, lam))
     box = knapp_box(PH2, t0, lam, c)
     anchor_x = PH2.embed(solve_stationary(PH2, t0)[None, :])[0]
-    f = knapp_input(t0 - lam**-rho, lam, rho, modulation=anchor_x)
+    f = indicator(t0 - lam**-rho, t0, modulation=(anchor_x, lam))
     vals = eval_field(MC2, lam, f, PH2.embed(box.lattice(5)))
     assert np.min(np.abs(vals)) > 0.4 * lam**-rho
 
@@ -264,7 +300,7 @@ def test_necessity_rect(monkeypatch):
     assert np.array_equal(rect.phase(ypts, ts), rect.phase(rect.box.lattice(), ts))
     emb = rect.embed(rect.box.lattice(3))
     assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-12
-    assert abs(np.linalg.norm(rect.modulation_point) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(rect.frame[:, -1]) - 1.0) < 1e-12
     mass = rect.sigma_mass()
     flat = float(np.prod(2.0 * rect.box.half_widths))
     assert 0 < mass and abs(mass - flat) / flat < 1e-2

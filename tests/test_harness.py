@@ -27,6 +27,7 @@ from rlab.extremal import (
     calibrate_c,
     knapp_box,
     partition_family,
+    solve_stationary,
     stationary_residual,
 )
 from rlab.harness import (
@@ -257,6 +258,24 @@ def test_box_witness_keeps_the_knapp_witness_bits(d, lam, q):
     assert list(norms) == [q] and norms[q].hex() == want.hex()
     assert low.hex() == float(np.min(np.abs(vals))).hex()
     assert got_panels == panels
+
+
+def test_knapp_and_bump_inputs_are_the_segments_they_state():
+    """Each family's input is one Segment with the fields the family
+    states: Knapp on [t0, t0 + lam^-rho] recentered at the anchor's point,
+    the bump on [0, eps0] recentered at x0."""
+    lam = 256.0
+    phase = graph_phase(moment_curve(2), sphere_cap_graph(2))
+    end = 0.2 + lam ** -0.25
+    x_end = phase.embed(solve_stationary(phase, end)[None, :])[0]
+    want = osc.Segment(0.2, end, modulation=(tuple(x_end), lam))
+    assert KnappFamily().input(phase, lam, 0)[0].segments == (want,)
+    x0 = tuple(default_bump_point(2))
+    want = osc.Segment(0.0, 1.0, modulation=(x0, lam))
+    assert BumpFamily().input(phase, lam, 0)[0].segments == (want,)
+    want = osc.Segment(0.0, 0.5, modulation=((0.6, 0.8), lam))
+    fam = BumpFamily(x0=(0.6, 0.8), eps0=0.5)
+    assert fam.input(phase, lam, 0)[0].segments == (want,)
 
 
 def test_box_witness_keeps_the_kdim_bits(monkeypatch):
@@ -742,7 +761,6 @@ def test_public_api_lists_every_imported_name():
 _UNREACHED_ON_PURPOSE = {
     "lorentz_norm": "the Lorentz-space endpoint check of ROADMAP item 15",
     "finite_type_region": "the finite-type phase diagram of ROADMAP item 2",
-    "indicator": "the one-segment input constructor",
 }
 
 

@@ -10,6 +10,7 @@ installing them or writing anything under ``perfbench/``.
 import importlib
 import inspect
 import os
+import sys
 import types
 
 import pytest
@@ -73,13 +74,17 @@ def test_bump_d2_config_loads_and_its_argv_parses():
 
 @pytest.mark.parametrize("name", ["bump-d2", "audit-constructions"])
 def test_gated_workload_passes_its_checks(name, monkeypatch):
-    """One repetition of a gated workload, without the gates that need the
-    dense reference: every check passes.  The workloads' Capture rebinds
-    harness.field or harness.eval_field; monkeypatch puts both back."""
+    """One repetition of a gated workload with every gate, the dense
+    reference and the in-process rerun included: every check passes.  The
+    workloads' Capture rebinds harness.field or harness.eval_field, and
+    the reference gates import perfbench/reference.py as ``reference``;
+    monkeypatch puts all three back."""
     for attr in ("field", "eval_field"):
         monkeypatch.setattr(harness, attr, getattr(harness, attr))
+    monkeypatch.setitem(sys.modules, "reference", _load("reference"))
     workload = _load("workloads").WORKLOADS[name]
     inputs = workload.parse(0)
-    checks, _ = workload.check(inputs, workload.run(inputs), full=False)
+    checks, _ = workload.check(inputs, workload.run(inputs), full=True)
     failed = [item for item in checks.items if not item[1]]
     assert checks.items and not failed, failed
+    assert checks.field_err is not None     # a captured field was checked
