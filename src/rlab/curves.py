@@ -207,12 +207,6 @@ class Curve:
     def derivative_rows(self, order: int) -> tuple:
         return tuple(poly_derivative(r, order) for r in self.coeffs)
 
-    def eval_exact(self, t, order: int = 0) -> tuple:
-        """Exact evaluation of the order-th derivative at rational t."""
-        self._check_order(order)
-        tf = _as_fraction(t)
-        return tuple(poly_eval(r, tf) for r in self.derivative_rows(order))
-
     def _check_order(self, order: int):
         if order < 0:
             raise ValueError("negative derivative order")

@@ -227,9 +227,9 @@ def _box_samples(phase: PhaseSpec, t_k: float, lam: float, c: float,
     return reduced_phase(phase, t_k), ypts, ts
 
 
-def _box_phase_sup(red: Callable, ypts: np.ndarray, ts: np.ndarray) -> float:
-    """Sup of |red| on the full product of lattice points and t nodes."""
-    return float(np.max(np.abs(red(ypts, ts))))
+def _phase_sup(value: Callable, ypts: np.ndarray, ts: np.ndarray) -> float:
+    """Sup of |value| on the product of lattice points and t nodes."""
+    return float(np.max(np.abs(value(ypts, ts))))
 
 
 def _coarse_sup(value: Callable, ypts: np.ndarray, ts: np.ndarray) -> float:
@@ -239,22 +239,31 @@ def _coarse_sup(value: Callable, ypts: np.ndarray, ts: np.ndarray) -> float:
     axis, and the t nodes every _COARSE-th of ts: the 9-line sub-lattice
     of the 33-line one.  They are sliced from the full arrays, so they are
     the same floats, and value gives them the same bits as on the full
-    product; a sup above a threshold here is one there.
+    product; a sup above a threshold here is one there, which is why
+    ``_largest_dyadic_c`` checks it first.
     """
     m = ypts.shape[1]
     every = (slice(None, None, _COARSE),) * m
     rows = ypts.reshape((LATTICE_DEFAULT,) * m + (m,))[every].reshape(-1, m)
-    return float(np.max(np.abs(value(rows, ts[::_COARSE]))))
+    return _phase_sup(value, rows, ts[::_COARSE])
 
 
-def _largest_dyadic_c(admissible: Callable[[float], bool],
+def _largest_dyadic_c(samples: Callable[[float], tuple], bound: float,
                       where: str) -> float:
-    """First c in 8, 4, 2, 1, 1/2, ... down to C_FLOOR with admissible(c);
-    a DomainError counts as a refusal."""
+    """First c in 8, 4, 2, 1, 1/2, ... down to C_FLOOR whose samples(c),
+    a (value, lattice, t nodes) triple, keep sup |value| <= bound.
+
+    A candidate is refused at once when its sup on the coarse sub-lattice
+    (``_coarse_sup``) exceeds the bound, and is otherwise checked on the
+    full lattice; the coarse points are full-lattice points, so c is the
+    one the full check alone gives.  A DomainError counts as a refusal.
+    """
     c = 8.0
     while c >= C_FLOOR:
         try:
-            if admissible(c):
+            value, ypts, ts = samples(c)
+            if (_coarse_sup(value, ypts, ts) <= bound
+                    and _phase_sup(value, ypts, ts) <= bound):
                 return c
         except DomainError:
             pass
@@ -264,30 +273,17 @@ def _largest_dyadic_c(admissible: Callable[[float], bool],
 
 def calibrate_c(phase: PhaseSpec, t_k: float, lam: float,
                 interval: tuple) -> float:
-    """Largest dyadic c with sampled sup |reduced phase| <= 1/lambda.
-
-    Scans c = 8, 4, 2, 1, 1/2, ... and returns the first admissible
-    value, so doubling the result always violates the bound (or the
-    chart domain).  Raises below 2^-20.  Each candidate's box is built
-    once; it is refused at once when the sup on the coarse sub-lattice
-    (``_coarse_sup``) already exceeds 1/lambda, and otherwise checked on
-    the full lattice.  The coarse points are full-lattice points, so the
-    result is the one the full check alone gives.
-    """
-    bound = 1.0 / lam
-
-    def admissible(c: float) -> bool:
-        red, ypts, ts = _box_samples(phase, t_k, lam, c, interval)
-        return (_coarse_sup(red, ypts, ts) <= bound
-                and _box_phase_sup(red, ypts, ts) <= bound)
-
-    return _largest_dyadic_c(admissible, f"at t_k={t_k}, lambda={lam}")
+    """Largest dyadic c with sampled sup |reduced phase| <= 1/lambda, by
+    ``_largest_dyadic_c``: doubling it breaks the bound (or the chart)."""
+    return _largest_dyadic_c(
+        lambda c: _box_samples(phase, t_k, lam, c, interval), 1.0 / lam,
+        f"at t_k={t_k}, lambda={lam}")
 
 
 def box_phase_check(phase: PhaseSpec, t_k: float, lam: float, c: float,
                     interval: tuple) -> float:
     """Sampled sup of |reduced phase| on the box-interval product."""
-    return _box_phase_sup(*_box_samples(phase, t_k, lam, c, interval))
+    return _phase_sup(*_box_samples(phase, t_k, lam, c, interval))
 
 
 # ----------------------------------------------------------------------
@@ -421,10 +417,6 @@ class NecessityRect:
     frame: np.ndarray
     box: Parallelepiped
 
-    def embed(self, y: np.ndarray) -> np.ndarray:
-        """The cap's points (phi(y) - 1, y) in the frame (v_d, v_1, ...)."""
-        return sphere_cap_graph(self.curve.dim).embed(y) @ np.roll(self.frame, 1, axis=1).T
-
     def phase(self, y: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Reduced phase (Sum y_i v_i + phi(y) v_d) . (gamma(t+t0)-gamma(t0))."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -436,18 +428,18 @@ class NecessityRect:
                 - self.curve.eval_many([self.t0], 0))
         return pts @ dgam.T
 
-    def _grid(self) -> tuple:
-        """The box lattice and the t nodes that phase_sup samples.
+    def _samples(self) -> tuple:
+        """The phase, the box lattice and the t nodes that phase_sup samples.
 
         The rectangle is an axis box of the chart, so its lattice is the
         axis lattice itself, with no solve against the identity.
         """
-        return (self.box._axis_lattice(LATTICE_DEFAULT),
+        return (self.phase, self.box._axis_lattice(LATTICE_DEFAULT),
                 np.linspace(0.0, self.lam ** -self.rho, LATTICE_DEFAULT))
 
     def phase_sup(self) -> float:
         """Sup of |phase| on the full lattice-by-t-nodes product."""
-        return float(np.max(np.abs(self.phase(*self._grid()))))
+        return _phase_sup(*self._samples())
 
     def sigma_mass(self) -> float:
         return cap_box_sigma_mass(self.curve.dim, self.box.half_widths)
@@ -460,9 +452,8 @@ def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
     Axis i of the chart pairs with derivative order a_{d+1-i}; the
     constraint rho < 1/(2 a_d - a_1) keeps the quadratic chart height
     harmless.  c = None calibrates the largest dyadic constant with
-    sampled sup |phase| <= 10^-2 / lambda.  As in ``calibrate_c``, a
-    candidate whose coarse sub-lattice sup already exceeds the bound is
-    refused before its full-lattice ``phase_sup``.
+    sampled sup |phase| <= 10^-2 / lambda, by ``_largest_dyadic_c`` on
+    ``NecessityRect._samples``.
     """
     frame, a = adapted_frame(curve, t0)
     d = curve.dim
@@ -481,12 +472,6 @@ def necessity_rect_sphere(curve: Curve, t0: float, lam: float, rho: float,
                              frame=frame, box=box)
 
     if c is None:
-        bound = 1e-2 / lam
-
-        def admissible(cv: float) -> bool:
-            rect = build(cv)
-            return (_coarse_sup(rect.phase, *rect._grid()) <= bound
-                    and rect.phase_sup() <= bound)
-
-        c = _largest_dyadic_c(admissible, f"for type {a} at lambda={lam}")
+        c = _largest_dyadic_c(lambda cv: build(cv)._samples(), 1e-2 / lam,
+                              f"for type {a} at lambda={lam}")
     return build(c)

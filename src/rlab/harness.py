@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import Curve, moment_curve
-from .errors import ComputationError, ConfigError
+from .errors import ComputationError, ConfigError, DomainError
 from .exponents import ExponentPoint, kdim_threshold, predicted_excess, sphere_region
 from .extremal import (
     bump_input,
@@ -107,11 +107,19 @@ class KnappFamily:
         return self.t0, self.t0 + lam ** -float(knapp_rho(d, self.rho))
 
     def input(self, phase: PhaseSpec, lam: float, seed: int) -> tuple:
-        """The input at lambda, and the c = 1 dual box at its anchor."""
+        """The input at lambda, and the c = 1 dual box at its anchor; a box
+        whose witness lattice leaves the chart is refused (ConfigError)."""
         t0, anchor = self.support(phase.curve.dim, lam)
         x_anchor = phase.embed(solve_stationary(phase, anchor)[None, :])[0]
         f = indicator(t0, anchor, modulation=(x_anchor, lam))
-        return f, knapp_box(phase, anchor, lam, 1.0, rho=self.rho)
+        box = knapp_box(phase, anchor, lam, 1.0, rho=self.rho)
+        try:
+            phase.embed(box.lattice(_BOX_LATTICE))
+        except DomainError:
+            raise ConfigError(
+                f"the {self.name} witness box at lambda={lam:g} leaves the "
+                f"sphere chart: check {self.support_keys} ({self})") from None
+        return f, box
 
     def predicted_excess(self, point: ExponentPoint, d: int) -> Fraction:
         """rho (1/p + L/q - 1), L the sphere region's line coefficient
@@ -372,8 +380,9 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     Slopes are fitted only when there are at least two lambda values;
     a single lambda yields its records and empty ``fits``.
 
-    The family builds each input and its witness box (Knapp: the c = 1
-    dual box at the anchor).  With a box, records at finite q carry the
+    The family builds every input and its witness box (Knapp: the c = 1
+    dual box at the anchor) before the first sphere grid, so a refused
+    one costs no field.  With a box, records at finite q carry the
     witness norm: the L^q norm of the field over the box alone, by
     ``_box_witness``.  The box construction bounds it from below, and it
     follows the predicted power law at moderate lambda, whereas the
@@ -385,8 +394,10 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
     d = curve.dim
     phase = graph_phase(curve, sphere_cap_graph(d))
 
-    def run_one(lam: float):
-        f, box = config.family.input(phase, lam, config.seed)
+    lams = sorted(config.lams)
+    inputs = [config.family.input(phase, lam, config.seed) for lam in lams]
+
+    def run_one(lam: float, f: TestFunction, box):
         mu = sphere_measure(d, sphere_resolution_for(d, lam))
         stats = {}
         vals = field(curve, lam, f, mu, stats=stats)
@@ -408,7 +419,8 @@ def decay_sweep(config: SweepConfig) -> SweepResult:
                     witness_ratio=(wit / (lam ** -s * fn)) if wit else 0.0))
         return recs
 
-    records = [r for lam in sorted(config.lams) for r in run_one(lam)]
+    records = [r for lam, (f, box) in zip(lams, inputs)
+               for r in run_one(lam, f, box)]
     fits = _sweep_fits(config, records) if len(config.lams) >= 2 else {}
     return SweepResult(config=config, records=records, fits=fits)
 

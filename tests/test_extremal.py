@@ -11,7 +11,6 @@ from rlab.curves import eval_derivative, moment_curve, monomial_curve, poly_curv
 from rlab.errors import CalibrationError, DegeneracyError, DomainError, StationaryError
 from rlab.extremal import (
     LATTICE_DEFAULT,
-    NecessityRect,
     Parallelepiped,
     adapted_frame,
     box_phase_check,
@@ -28,7 +27,7 @@ from rlab.extremal import (
     solve_stationary,
     stationary_residual,
 )
-from rlab.extremal import _box_samples, _coarse_sup
+from rlab.extremal import _box_samples, _coarse_sup, _phase_sup
 from rlab.measures import sphere_cap_graph, submanifold_builder
 from rlab.harness import KnappFamily
 from rlab.oscillatory import PhaseSpec, Segment, eval_field, graph_phase, indicator, lp_norm
@@ -173,7 +172,7 @@ def _interval(t, lam, d=2):
     return (max(t - lam ** (-1.0 / (2 * d)), 0.0), t)
 
 
-def test_calibration_is_tight(monkeypatch):
+def test_calibration_is_tight():
     lam = 256.0
     ival = _interval(0.45, lam)
     c = calibrate_c(PH2, 0.45, lam, ival)
@@ -190,12 +189,23 @@ def test_calibration_is_tight(monkeypatch):
     for fn, args in ((calibrate_c, ()), (box_phase_check, (c,))):
         with pytest.raises(TypeError):
             fn(PH2, 0.45, lam, *args)
-    monkeypatch.setattr("rlab.extremal._box_phase_sup",
-                        lambda *args: math.inf)
+
+
+@pytest.mark.parametrize("search, where", [
+    (lambda: calibrate_c(PH2, 0.45, 256.0, _interval(0.45, 256.0)),
+     "at t_k=0.45, lambda=256.0"),
+    (lambda: necessity_rect_sphere(monomial_curve([1, 2, 4]), 0.0, 4096.0,
+                                   0.125),
+     "for type (1, 2, 4) at lambda=4096.0"),
+], ids=["calibrate_c", "necessity_rect_sphere"])
+def test_calibration_with_no_admissible_c_names_where(search, where,
+                                                       monkeypatch):
+    # both searches read the one _phase_sup: a sup that never passes
+    # refuses every candidate down to the floor
+    monkeypatch.setattr("rlab.extremal._phase_sup", lambda *args: math.inf)
     with pytest.raises(CalibrationError) as err:
-        calibrate_c(PH2, 0.45, lam, ival)
-    assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
-                              f"at t_k=0.45, lambda={lam}")
+        search()
+    assert str(err.value) == f"no admissible c above {2.0 ** -20} {where}"
 
 
 def test_reduced_phase_vanishes_at_anchor():
@@ -285,7 +295,7 @@ def test_adapted_frame():
     assert float(frame[:, -1] @ g1) > 0
 
 
-def test_necessity_rect(monkeypatch):
+def test_necessity_rect():
     curve = monomial_curve([1, 2, 4])
     lam = 4096.0
     rect = necessity_rect_sphere(curve, 0.0, lam, 0.125)
@@ -294,24 +304,21 @@ def test_necessity_rect(monkeypatch):
     # half-widths follow c lam^{-1 + rho a_{d+1-i}}
     want = [rect.c * lam ** (-1.0 + 0.125 * 4), rect.c * lam ** (-1.0 + 0.125 * 2)]
     assert np.allclose(rect.box.half_widths, want)
-    # phase_sup samples the axis lattice: the mapped lattice, bit for bit
-    ypts, ts = rect._grid()
+    # phase_sup samples the phase on the axis lattice: the mapped lattice,
+    # bit for bit
+    value, ypts, ts = rect._samples()
+    assert value == rect.phase
+    assert rect.phase_sup() == _phase_sup(value, ypts, ts)
     assert np.array_equal(ypts, rect.box.lattice())
     assert np.array_equal(rect.phase(ypts, ts), rect.phase(rect.box.lattice(), ts))
-    emb = rect.embed(rect.box.lattice(3))
-    assert np.max(np.abs(np.linalg.norm(emb, axis=1) - 1.0)) < 1e-12
+    # an orthonormal frame puts the chart's sphere points on the sphere
+    assert np.max(np.abs(rect.frame.T @ rect.frame - np.eye(3))) < 1e-12
     assert abs(np.linalg.norm(rect.frame[:, -1]) - 1.0) < 1e-12
     mass = rect.sigma_mass()
     flat = float(np.prod(2.0 * rect.box.half_widths))
     assert 0 < mass and abs(mass - flat) / flat < 1e-2
     with pytest.raises(ValueError):
         necessity_rect_sphere(curve, 0.0, lam, 0.5)  # rho cap is 1/7
-    monkeypatch.setattr(NecessityRect, "phase_sup",
-                        lambda self: math.inf)
-    with pytest.raises(CalibrationError) as err:
-        necessity_rect_sphere(curve, 0.0, lam, 0.125)
-    assert str(err.value) == (f"no admissible c above {2.0 ** -20} "
-                              f"for type (1, 2, 4) at lambda={lam}")
 
 
 def test_kdim_boxes_and_fields():
@@ -372,7 +379,7 @@ def test_coarse_sub_lattice_values_are_full_lattice_values():
     cases = [_box_samples(PH2, 0.45, 256.0, 1.0, (0.45 - 256.0 ** -0.25, 0.45)),
              _box_samples(PH3, 0.5, 64.0, 0.5, (0.5 - 64.0 ** (-1 / 6), 0.5)),
              _box_samples(_kdim_phase(), 0.75, 16.0, 1.0, (0.5, 0.75)),
-             (rect.phase, *rect._grid())]
+             rect._samples()]
     for value, ypts, ts in cases:
         m = ypts.shape[1]
         full = value(ypts, ts)
